@@ -8,13 +8,22 @@ and the parameters by minimizing the weighted quadratic form
 
     F(theta) = (vech Q - vech Sigma(theta))^T W(theta)^{-1} (vech Q - vech Sigma(theta))
 
-over a box, with W recomputed at every iterate by default.  sqrt(n) times
-the estimation error is asymptotically normal with covariance
-(Delta^T W^{-1} Delta)^{-1}, which provides the reported standard errors.
+over a box.  For W = 2 pinv(D) (Sigma x Sigma) pinv(D)^T the inverse is
+W^{-1} = (1/2) D^T (S x S) D with S = Sigma^{-1}, so the contrast equals
+Browne's (1974) discrepancy
+
+    F(theta) = (1/2) tr[(S R)^2],    R = Q - Sigma(theta),
+
+and its derivative in Sigma is G = -(S R S + S R S R S).  Both are computed
+in closed form from one Cholesky factor of Sigma(theta); W itself is built
+only at the end of a fit, for the standard errors and the precision-floor
+test.  sqrt(n) times the estimation error is asymptotically normal with
+covariance (Delta^T W^{-1} Delta)^{-1}, which provides the reported
+standard errors.
 
 The minimizer is a quasi-Newton (BFGS) iteration with projection onto the
-box and an Armijo backtracking line search; a non-positive-definite weight
-matrix at a trial point is treated as an infeasible step and backtracked.
+box and an Armijo backtracking line search; a trial point where Sigma(theta)
+is not positive definite is treated as an infeasible step and backtracked.
 """
 
 from __future__ import annotations
@@ -23,14 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcalc import duplication_pinv, require_symmetric, unvec, vech, vech_indices
+from .matrixcalc import require_symmetric
 from .model import (
     ParamVector,
     WeightMatrixError,
     delta_jacobian,
     pack,
     sigma_ff_min_eigenvalue,
-    sigma_gradient_stack,
+    sigma_gradient_contract,
     sigma_of_theta,
     solve_weight,
     unpack,
@@ -100,17 +109,13 @@ class FitOptions:
 
     ``bounds`` is a (q, 2) array of [lower, upper] per packed coordinate;
     when omitted a data-scaled default box is used (see
-    :func:`default_bounds`).  ``fixed_weight=True`` freezes W at the
-    initial point (Gauss-Newton variant); the default recomputes W(theta)
-    at every iterate.
+    :func:`default_bounds`).
     """
 
     grad_tol: float = 1e-8
-    step_tol: float = 1e-12
     max_iter: int = 2000
     max_evals: int = 12000
     bounds: np.ndarray | None = None
-    fixed_weight: bool = False
 
 
 def realised_cov(path):
@@ -125,37 +130,40 @@ def realised_cov(path):
     return RealisedCov(q=(q + q.T) / 2.0, n=n, h=h)
 
 
+def _contrast_and_grad(q, params):
+    """F = (1/2) tr[(S R)^2] and its gradient in the packed parameters.
+
+    S = Sigma(theta)^{-1} is formed from one Cholesky factor L of
+    Sigma(theta) as L^{-T} L^{-1}, and R = q - Sigma(theta).  The gradient
+    chains the Sigma derivative G = -(S R S + S R S R S) to theta with
+    :func:`sigma_gradient_contract`.  Raises WeightMatrixError when
+    Sigma(theta) is not positive definite.
+    """
+    sigma = sigma_of_theta(params)
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(sigma))
+    except np.linalg.LinAlgError:
+        raise WeightMatrixError("model covariance is not positive definite") from None
+    s = chol_inv.T @ chol_inv
+    sr = s @ (q - sigma)
+    srs = sr @ s
+    f = 0.5 * float(np.sum(sr * sr.T))
+    g = -(srs + sr @ srs)
+    return f, sigma_gradient_contract(params, g)
+
+
 def contrast(rcov, params):
     """Weighted quadratic distance between vech(Q) and vech(Sigma(theta)).
 
     Non-negative, and zero exactly on the zero-residual manifold.  Raises
     WeightMatrixError when Sigma(theta) is not positive definite.
     """
-    sigma = sigma_of_theta(params)
-    resid = vech(rcov.q, check=False) - vech(sigma, check=False)
-    w = weight_matrix(sigma)
-    return float(resid @ solve_weight(w, resid))
+    return _contrast_and_grad(rcov.q, params)[0]
 
 
 def contrast_grad(rcov, params):
-    """Analytic gradient of :func:`contrast` in the packed parameters.
-
-    Both terms of the derivative are included: the residual term
-    -2 Delta^T W^{-1} r and the term from differentiating W^{-1}(theta).
-    """
-    sigma = sigma_of_theta(params)
-    p = sigma.shape[0]
-    resid = vech(rcov.q, check=False) - vech(sigma, check=False)
-    w = weight_matrix(sigma)
-    u = solve_weight(w, resid)
-    stack = sigma_gradient_stack(params)
-    rows, cols = vech_indices(p)
-    delta = stack[:, rows, cols]  # (q, pbar)
-    # d(W)/d(theta_i) = 2 pinv(D) (dSigma_i x Sigma + Sigma x dSigma_i) pinv(D)^T
-    # and u^T dW u collapses to 4 tr(V Sigma V dSigma_i) with V = unvec(pinv(D)^T u).
-    v = unvec(duplication_pinv(p).T @ u, p)
-    m = v @ sigma @ v
-    return -2.0 * delta @ u - 4.0 * np.einsum("ipq,pq->i", stack, m)
+    """Analytic gradient of :func:`contrast` in the packed parameters."""
+    return _contrast_and_grad(rcov.q, params)[1]
 
 
 def default_init(rcov, spec):
@@ -216,42 +224,20 @@ def parameter_box(spec, loading=(-30.0, 30.0), factor_cov=(-30.0, 30.0),
 class _Objective:
     """Contrast value/gradient on packed vectors; infeasible points map to inf."""
 
-    def __init__(self, rcov, spec, fixed_weight=False, w_init=None):
-        self.rcov = rcov
+    def __init__(self, rcov, spec):
+        self.q = rcov.q
         self.spec = spec
-        self.q_vech = vech(rcov.q, check=False)
-        self.fixed_weight = fixed_weight
-        self.w0 = w_init
-        self.rows, self.cols = vech_indices(spec.p)
-        self.dpinv_t = duplication_pinv(spec.p).T
         self.evals = 0
 
     def __call__(self, x):
         self.evals += 1
         try:
-            params = unpack(x, self.spec, strict=False)
-            sigma = sigma_of_theta(params)
-            resid = self.q_vech - vech(sigma, check=False)
-            if self.fixed_weight:
-                w = self.w0
-                u = solve_weight(w, resid)
-                f = float(resid @ u)
-                stack = sigma_gradient_stack(params)
-                grad = -2.0 * stack[:, self.rows, self.cols] @ u
-            else:
-                w = weight_matrix(sigma)
-                u = solve_weight(w, resid)
-                f = float(resid @ u)
-                stack = sigma_gradient_stack(params)
-                v = unvec(self.dpinv_t @ u, self.spec.p)
-                m = v @ sigma @ v
-                grad = (-2.0 * stack[:, self.rows, self.cols] @ u
-                        - 4.0 * np.einsum("ipq,pq->i", stack, m))
-            if not np.isfinite(f):
-                return np.inf, None
-            return f, grad
+            f, grad = _contrast_and_grad(self.q, unpack(x, self.spec, strict=False))
         except WeightMatrixError:
             return np.inf, None
+        if not np.isfinite(f):
+            return np.inf, None
+        return f, grad
 
 
 def _projected_gradient(x, g, lo, hi):
@@ -290,10 +276,7 @@ def fit(rcov, spec, init=None, options=None):
         if np.any(x < lo) or np.any(x > hi):
             raise ValueError("initial point lies outside the box")
 
-    w_init = None
-    if opts.fixed_weight:
-        w_init = weight_matrix(sigma_of_theta(unpack(x, spec, strict=False)))
-    objective = _Objective(rcov, spec, fixed_weight=opts.fixed_weight, w_init=w_init)
+    objective = _Objective(rcov, spec)
 
     f, g = objective(x)
     if g is None:

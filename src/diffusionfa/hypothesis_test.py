@@ -11,121 +11,41 @@ upper-alpha chi-squared point.  The selection procedure tests k = 1, 2,
 ... and stops at the first acceptance; if every testable k is rejected the
 conclusion is that the data carry no factor structure.
 
-Chi-squared tail probabilities are computed in-module from the regularized
-incomplete gamma function (series + continued fraction), accurate to about
-1e-12 relative, so the acceptance checks do not depend on an external
-statistics library.
+Chi-squared tail probabilities and quantiles come from
+``scipy.special.chdtrc`` / ``chdtri`` (Cephes), the routines behind
+``scipy.stats.chi2``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from scipy.special import chdtrc, chdtri
 
 from .estimator import FitResult, fit
 from .model import ModelSpec
-
-_GAMMA_EPS = 1e-15
-_GAMMA_MAX_ITER = 512
 
 
 class UntestableError(ValueError):
     """The hypothesised factor count leaves no residual degrees of freedom."""
 
 
-def _gamma_p_series(a, x):
-    # lower regularized gamma by power series, for x < a + 1
-    term = 1.0 / a
-    total = term
-    for i in range(1, _GAMMA_MAX_ITER):
-        term *= x / (a + i)
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a, x):
-    # upper regularized gamma by continued fraction (modified Lentz), x >= a + 1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    frac = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        frac *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return frac * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_p(a, x):
-    """Lower regularized incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("argument must be non-negative")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
-def regularized_gamma_q(a, x):
-    """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("argument must be non-negative")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
 def chi2_sf(df, x):
     """Survival function of the chi-squared distribution with df degrees."""
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    return regularized_gamma_q(df / 2.0, x / 2.0)
+    if x < 0:
+        raise ValueError("argument must be non-negative")
+    return float(chdtrc(df, x))
 
 
 def chi2_quantile(df, alpha):
-    """Upper alpha point: the x with chi2_sf(df, x) == alpha.
-
-    Bisection on the survival function, accurate to ~1e-12 relative.
-    """
+    """Upper alpha point: the x with chi2_sf(df, x) == alpha."""
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    hi = max(float(df), 1.0)
-    while chi2_sf(df, hi) > alpha:
-        hi *= 2.0
-        if hi > 1e308:
-            raise ArithmeticError("quantile search overflow")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi2_sf(df, mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
+    return float(chdtri(df, alpha))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Symmetric-matrix calculus: vec, vech, duplication matrices and Kronecker
-products with the column-stacking index convention.
+"""Symmetric-matrix calculus: vec, vech and duplication matrices with the
+column-stacking index convention.
 
 Conventions (0-based internally, 1-based in the formulas below):
 
@@ -125,16 +125,3 @@ def duplication_pinv(p):
     if p < 1:
         raise ValueError("dimension must be >= 1")
     return _duplication_pinv_cached(int(p))
-
-
-def kron(a, b):
-    """Kronecker product of two square matrices of equal dimension.
-
-    Entry at block position ((i,j),(k,l)) equals a_ik * b_jl, with row index
-    s = p*(i-1)+j and column index t = p*(k-1)+l (1-based).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected equal square shapes, got {a.shape} and {b.shape}")
-    return np.kron(a, b)

@@ -19,7 +19,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .matrixcalc import (
     duplication_pinv,
-    kron,
     require_symmetric,
     unvec,
     vec,
@@ -136,15 +135,6 @@ class ParamVector:
         return self.a.shape[0] + self.k
 
 
-@dataclass(frozen=True)
-class CovStructure:
-    """Sigma(theta), the weight matrix W(theta) and the Jacobian at theta."""
-
-    sigma: np.ndarray
-    w: np.ndarray
-    delta: np.ndarray
-
-
 def pack(params):
     """Pack a ParamVector into the canonical vector (vec A, vech Sff, sigma^2)."""
     return np.concatenate(
@@ -198,7 +188,7 @@ def weight_matrix(sigma):
             "covariance is not positive definite; weight matrix undefined"
         ) from None
     dp = duplication_pinv(sigma.shape[0])
-    w = 2.0 * dp @ kron(sigma, sigma) @ dp.T
+    w = 2.0 * dp @ np.kron(sigma, sigma) @ dp.T
     return (w + w.T) / 2.0
 
 
@@ -248,17 +238,31 @@ def sigma_gradient_stack(params):
     return out
 
 
+def sigma_gradient_contract(params, g):
+    """Contract a p x p matrix with every slice of :func:`sigma_gradient_stack`.
+
+    Returns sum_{r,c} g[r, c] dSigma[r, c]/dtheta_i for each packed
+    coordinate i, the chain rule from a derivative in Sigma to theta, in
+    O(p^2 k) without forming the (q, p, p) stack.  The slices are symmetric,
+    so only the symmetric part of ``g`` enters.
+    """
+    g = (g + g.T) / 2.0
+    k = params.k
+    lam = loading_matrix(params)
+    m = lam.T @ g @ lam
+    rows, cols = vech_indices(k)
+    return np.concatenate([
+        vec(2.0 * (g @ lam @ params.sigma_ff)[k:]),
+        np.where(rows == cols, 1.0, 2.0) * m[rows, cols],
+        np.diag(g),
+    ])
+
+
 def delta_jacobian(params):
     """Analytic Jacobian of vech Sigma(theta) in theta, shape (pbar, q)."""
     stack = sigma_gradient_stack(params)
     rows, cols = vech_indices(params.p)
     return stack[:, rows, cols].T
-
-
-def cov_structure(params):
-    """Bundle Sigma(theta), W(theta) and the Jacobian at theta."""
-    sigma = sigma_of_theta(params)
-    return CovStructure(sigma=sigma, w=weight_matrix(sigma), delta=delta_jacobian(params))
 
 
 def sigma_ff_min_eigenvalue(params):

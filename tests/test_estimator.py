@@ -5,12 +5,15 @@ from scipy.optimize import minimize
 from diffusionfa import (
     FitOptions,
     ModelSpec,
+    ParamVector,
     RealisedCov,
     SamplePath,
+    WeightMatrixError,
     contrast,
     contrast_grad,
     default_bounds,
     default_init,
+    delta_jacobian,
     fit,
     pack,
     parameter_box,
@@ -22,10 +25,14 @@ from diffusionfa import (
     vech,
     weight_matrix,
 )
-from diffusionfa.estimator import _Objective
-from diffusionfa.model import solve_weight, delta_jacobian
+from diffusionfa.matrixcalc import duplication_pinv, unvec
+from diffusionfa.model import sigma_gradient_stack, solve_weight
 
 from conftest import SIGMA_TRUE, make_sim_config, make_spec
+
+# (p, k) sizes on which the closed-form contrast is checked against the
+# vech-scale Kronecker weight matrix
+ORACLE_SIZES = [(3, 1), (6, 2), (12, 3), (20, 3)]
 
 
 def rcov_from_sigma(sigma, n=1000, h=1e-3):
@@ -38,12 +45,8 @@ def random_rcov(rng, p, n=500):
 
 
 def random_params_for(rng, spec):
-    from conftest import make_spec  # noqa: F401  (same module pattern)
-
     a = rng.standard_normal((spec.p - spec.k, spec.k))
     s = rng.standard_normal((spec.k, spec.k))
-    from diffusionfa import ParamVector
-
     return ParamVector(a=a, sigma_ff=s @ s.T + 0.5 * np.eye(spec.k),
                        sigma_ee=rng.uniform(0.5, 3.0, spec.p))
 
@@ -85,14 +88,47 @@ def test_contrast_zero_iff_zero_residual(truth):
     assert contrast(rc, truth) == 0.0
 
 
-def test_contrast_matches_direct_solve(truth):
+def test_contrast_matches_direct_solve():
+    # the closed form against r' W^{-1} r with the Kronecker weight matrix
     rng = np.random.default_rng(2)
-    rc = random_rcov(rng, 6)
-    resid = vech(rc.q) - vech(SIGMA_TRUE)
-    w = weight_matrix(sigma_of_theta(truth))
-    expected = resid @ np.linalg.solve(w, resid)
-    assert contrast(rc, truth) == pytest.approx(expected, rel=1e-12)
-    assert contrast(rc, truth) >= 0
+    for p, k in ORACLE_SIZES:
+        params = random_params_for(rng, ModelSpec(p=p, k=k))
+        rc = random_rcov(rng, p)
+        sigma = sigma_of_theta(params)
+        resid = vech(rc.q) - vech(sigma)
+        expected = resid @ np.linalg.solve(weight_matrix(sigma), resid)
+        assert contrast(rc, params) == pytest.approx(expected, rel=1e-12)
+        assert contrast(rc, params) >= 0
+
+
+@pytest.mark.parametrize("p,k", ORACLE_SIZES)
+def test_contrast_grad_matches_kronecker_oracle(p, k):
+    # two-term derivative of r' W(theta)^{-1} r: the residual term
+    # -2 Delta^T u and -4 tr(V Sigma V E_i), u = W^{-1} r, V = unvec(pinv(D)^T u)
+    rng = np.random.default_rng(60 + p)
+    params = random_params_for(rng, ModelSpec(p=p, k=k))
+    rc = random_rcov(rng, p)
+    sigma = sigma_of_theta(params)
+    resid = vech(rc.q) - vech(sigma)
+    u = solve_weight(weight_matrix(sigma), resid)
+    stack = sigma_gradient_stack(params)
+    v = unvec(duplication_pinv(p).T @ u, p)
+    expected = (-2.0 * delta_jacobian(params).T @ u
+                - 4.0 * np.einsum("ipq,pq->i", stack, v @ sigma @ v))
+    grad = contrast_grad(rc, params)
+    assert np.max(np.abs(grad - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_contrast_rejects_indefinite_sigma(truth):
+    rc = rcov_from_sigma(SIGMA_TRUE)
+    params = ParamVector(a=truth.a, sigma_ff=truth.sigma_ff,
+                         sigma_ee=truth.sigma_ee - [40.0, 0, 0, 0, 0, 0],
+                         strict=False)
+    assert np.linalg.eigvalsh(sigma_of_theta(params))[0] < 0
+    with pytest.raises(WeightMatrixError):
+        contrast(rc, params)
+    with pytest.raises(WeightMatrixError):
+        contrast_grad(rc, params)
 
 
 def test_contrast_grad_zero_at_zero_residual(truth):
@@ -119,19 +155,6 @@ def test_contrast_grad_finite_differences(p, k):
             fd[j] = (contrast(rc, unpack(up, spec, strict=False))
                      - contrast(rc, unpack(dn, spec, strict=False))) / (2 * step)
         assert np.max(np.abs(grad - fd) / (1.0 + np.abs(fd))) < 1e-5
-
-
-def test_fixed_weight_gradient_is_residual_term_only(truth):
-    # with W frozen, the gradient reduces to -2 Delta^T W^{-1} r exactly
-    rng = np.random.default_rng(3)
-    rc = random_rcov(rng, 6)
-    spec = make_spec()
-    w0 = weight_matrix(sigma_of_theta(truth))
-    obj = _Objective(rc, spec, fixed_weight=True, w_init=w0)
-    _, grad = obj(pack(truth))
-    resid = vech(rc.q) - vech(SIGMA_TRUE)
-    expected = -2.0 * delta_jacobian(truth).T @ solve_weight(w0, resid)
-    assert np.allclose(grad, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_fit_zero_residual_fixed_point(truth):
@@ -206,24 +229,6 @@ def test_fit_consistency_sweep(truth):
             errs.append(np.max(np.abs(pack(res.theta_hat) - pack(truth))))
         medians.append(np.median(errs))
     assert medians[0] > medians[1] > medians[2]
-
-
-def test_fit_fixed_weight_variant(truth):
-    # Gauss-Newton flavor: W frozen at the initial point still recovers the
-    # zero-residual optimum and agrees with the default fit closely on data
-    rc = rcov_from_sigma(SIGMA_TRUE)
-    spec = make_spec()
-    res = fit(rc, spec, init=truth, options=FitOptions(fixed_weight=True))
-    assert res.converged
-    assert res.contrast <= 1e-12
-    path = simulate(make_sim_config(n=5000, seed=61))
-    rc2 = realised_cov(path)
-    spec2 = make_spec(n=5000)
-    res_w = fit(rc2, spec2, init=truth)
-    res_f = fit(rc2, spec2, init=truth, options=FitOptions(fixed_weight=True))
-    assert res_f.converged
-    gap = np.abs(pack(res_w.theta_hat) - pack(res_f.theta_hat))
-    assert np.all(gap < res_w.se)
 
 
 def test_fit_rejects_init_outside_box(truth):

@@ -14,7 +14,6 @@ from diffusionfa import (
     sigma_of_theta,
 )
 from diffusionfa.hypothesis_test import test_k as run_count_test
-from diffusionfa.hypothesis_test import regularized_gamma_p, regularized_gamma_q
 
 from conftest import SIGMA_TRUE, make_spec
 
@@ -39,13 +38,6 @@ def test_chi2_against_scipy_oracle():
         for alpha in (0.9, 0.5, 0.1, 0.05, 0.01, 1e-4):
             assert chi2_quantile(df, alpha) == pytest.approx(
                 stats.chi2.isf(alpha, df), rel=1e-9)
-
-
-def test_regularized_gamma_complementarity():
-    for a in (0.5, 2.0, 7.3):
-        for x in (0.2, 1.0, 5.0, 30.0):
-            assert regularized_gamma_p(a, x) + regularized_gamma_q(a, x) == \
-                pytest.approx(1.0, abs=1e-12)
 
 
 def test_chi2_domain_errors():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffusionfa import duplication, duplication_pinv, kron, unvech, vec, vech
+from diffusionfa import duplication, duplication_pinv, unvech, vec, vech
 from diffusionfa.matrixcalc import require_symmetric, unvec
 
 from conftest import SIGMA_FF_TRUE, SIGMA_TRUE
@@ -89,36 +89,3 @@ def test_duplication_identities_all_dims(p):
         a = random_symmetric(rng, p)
         assert np.allclose(d @ vech(a), vec(a), rtol=0, atol=1e-12)
         assert np.allclose(pinv @ vec(a), vech(a), rtol=0, atol=1e-12)
-
-
-def test_kron_trivial_cases():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.array_equal(kron([[2.0]], [[3.0]]), [[6.0]])
-
-
-def test_kron_matches_index_formula():
-    # entry ((i,j),(k,l)) at row p(i-1)+j, column p(k-1)+l is a_ik * b_jl
-    rng = np.random.default_rng(5)
-    sig = np.array([[2.0, 1.0], [1.0, 2.0]])
-    out = kron(sig, sig)
-    p = 2
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                for l in range(p):
-                    assert out[p * i + j, p * k + l] == sig[i, k] * sig[j, l]
-    a = rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4))
-    out = kron(a, b)
-    p = 4
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                for l in range(p):
-                    assert out[p * i + j, p * k + l] == pytest.approx(
-                        a[i, k] * b[j, l], abs=0)
-
-
-def test_kron_dimension_mismatch():
-    with pytest.raises(ValueError):
-        kron(np.eye(2), np.eye(3))

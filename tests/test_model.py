@@ -13,7 +13,11 @@ from diffusionfa import (
     vech,
     weight_matrix,
 )
-from diffusionfa.model import cov_structure, sigma_ff_min_eigenvalue
+from diffusionfa.model import (
+    sigma_ff_min_eigenvalue,
+    sigma_gradient_contract,
+    sigma_gradient_stack,
+)
 
 from conftest import SIGMA_TRUE, THETA_TRUE, make_spec
 
@@ -228,12 +232,16 @@ def test_delta_jacobian_full_rank_at_benchmark(truth):
     assert np.linalg.matrix_rank(delta_jacobian(truth)) == 17
 
 
-def test_cov_structure_bundle(truth):
-    cs = cov_structure(truth)
-    assert np.array_equal(cs.sigma, SIGMA_TRUE)
-    assert cs.w.shape == (21, 21)
-    assert cs.delta.shape == (21, 17)
-    assert np.linalg.eigvalsh(cs.w)[0] > 0
+def test_sigma_gradient_contract_matches_stack():
+    # the dense (q, p, p) stack is the reference for the O(p^2 k) chain rule
+    rng = np.random.default_rng(24)
+    for p, k in [(2, 1), (3, 1), (6, 2), (12, 3), (20, 3)]:
+        params = random_params(rng, p, k, strict=False)
+        g = rng.standard_normal((p, p))
+        expected = np.einsum("ipq,pq->i", sigma_gradient_stack(params), g)
+        got = sigma_gradient_contract(params, g)
+        assert got.shape == (ModelSpec(p=p, k=k).q,)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_sigma_ff_heywood_diagnostic():
