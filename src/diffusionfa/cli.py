@@ -157,6 +157,7 @@ def _fit_json(result):
         "converged": result.converged,
         "iterations": result.iterations,
         "gradient_norm": result.gradient_norm,
+        "message": result.message,
         "sigma_ff_min_eig": result.sigma_ff_min_eig,
         "min_unique_variance": result.min_unique_variance,
     }

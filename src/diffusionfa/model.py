@@ -258,6 +258,32 @@ def sigma_gradient_contract(params, g):
     ])
 
 
+def sigma_curvature_contract(params, g):
+    """Contract a p x p matrix with the second derivatives of Sigma(theta).
+
+    Returns the q x q matrix sum_{r,c} g[r, c] d2Sigma[r, c]/dtheta_i dtheta_j.
+    Sigma is linear in vech(Sigma_ff) and the unique variances, so only two
+    blocks are non-zero: A-A, which is 2 (Sigma_ff x g[k:, k:]) in vec(A)
+    order, and A-vech(Sigma_ff), built from Lambda^T g.
+    """
+    g = (g + g.T) / 2.0
+    p, k = params.p, params.k
+    n_a = (p - k) * k
+    rows, cols = vech_indices(k)
+    n_q = n_a + rows.size + p
+    out = np.zeros((n_q, n_q))
+    out[:n_a, :n_a] = 2.0 * np.kron(params.sigma_ff, g[k:, k:])
+    m = (loading_matrix(params).T @ g)[:, k:]
+    for j, (u, v) in enumerate(zip(rows, cols)):
+        block = np.zeros((p - k, k))
+        block[:, u] += m[v]
+        if u != v:
+            block[:, v] += m[u]
+        out[:n_a, n_a + j] = 2.0 * vec(block)
+    out[n_a:n_a + rows.size, :n_a] = out[:n_a, n_a:n_a + rows.size].T
+    return out
+
+
 def delta_jacobian(params):
     """Analytic Jacobian of vech Sigma(theta) in theta, shape (pbar, q)."""
     stack = sigma_gradient_stack(params)

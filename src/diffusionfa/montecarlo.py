@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from . import __version__
 from .config import ConfigError, sim_config_to_json
@@ -56,12 +56,6 @@ class Experiment:
     lists statistic keys (e.g. ``theta:1``, ``rcov:1,1``, ``tstat:2``)
     whose raw replication draws are retained for figure data; ``all``
     retains everything.
-
-    Fits at a count other than the generating one minimize a misspecified
-    structure whose gradient cannot reach the nominal tolerance within any
-    practical budget, while their statistic stabilizes within a few
-    hundred iterations; ``alt_fit_evals`` caps the objective evaluations
-    spent on each such fit.
     """
 
     sim: SimConfig
@@ -74,7 +68,6 @@ class Experiment:
     bounds_blocks: dict | None = None
     init_at_truth: bool = True
     seed_base: int = 0
-    alt_fit_evals: int = 2000
 
     def __post_init__(self):
         if self.replications < 1:
@@ -163,10 +156,7 @@ def theoretical_sd_table(truth, spec):
 def _fit_options_for(exp, k):
     spec_k = ModelSpec(p=exp.spec.p, k=k, regime=exp.spec.regime,
                        n=exp.spec.n, h=exp.spec.h)
-    if k != exp.truth.k:
-        # misspecified count: data-scaled box, bounded evaluation budget
-        return spec_k, FitOptions(max_evals=exp.alt_fit_evals)
-    if exp.bounds_blocks is None:
+    if k != exp.truth.k or exp.bounds_blocks is None:
         return spec_k, None
     box = parameter_box(spec_k, **{key: tuple(val)
                                    for key, val in exp.bounds_blocks.items()})
@@ -343,7 +333,7 @@ def figure_data(agg, statistic):
         rows = {row.name: row for row in agg.rcov_rows + agg.theta_rows}
         row = rows[statistic]
         standardized = (draws - row.true_value) / row.theoretical_sd
-        ref = _norm.ppf(probs)
+        ref = ndtri(probs)
     ecdf = np.arange(1, R + 1) / R
     header = ["draw", "standardized", "reference_quantile", "ecdf"]
     return header, np.column_stack([draws, standardized, ref, ecdf])
@@ -457,5 +447,4 @@ def experiment_from_json(doc):
         bounds_blocks=bounds_blocks,
         init_at_truth=bool(doc.get("init_at_truth", True)),
         seed_base=int(doc.get("seed_base", 0)),
-        alt_fit_evals=int(doc.get("alt_fit_evals", 2000)),
     )

@@ -26,6 +26,7 @@ from diffusionfa import (
     weight_matrix,
 )
 from diffusionfa.matrixcalc import duplication_pinv, unvec
+from diffusionfa.estimator import _contrast_and_grad
 from diffusionfa.model import sigma_gradient_stack, solve_weight
 
 from conftest import SIGMA_TRUE, make_sim_config, make_spec
@@ -33,6 +34,8 @@ from conftest import SIGMA_TRUE, make_sim_config, make_spec
 # (p, k) sizes on which the closed-form contrast is checked against the
 # vech-scale Kronecker weight matrix
 ORACLE_SIZES = [(3, 1), (6, 2), (12, 3), (20, 3)]
+# (p, k) sizes on which the exact Hessian is checked
+HESSIAN_SIZES = [(3, 1), (6, 2), (8, 3), (12, 2)]
 
 
 def rcov_from_sigma(sigma, n=1000, h=1e-3):
@@ -157,6 +160,38 @@ def test_contrast_grad_finite_differences(p, k):
         assert np.max(np.abs(grad - fd) / (1.0 + np.abs(fd))) < 1e-5
 
 
+@pytest.mark.parametrize("p,k", HESSIAN_SIZES)
+def test_hessian_matches_central_differences(p, k):
+    rng = np.random.default_rng(80 + p)
+    spec = ModelSpec(p=p, k=k)
+    params = random_params_for(rng, spec)
+    q = random_rcov(rng, p).q
+    _, _, hess = _contrast_and_grad(q, params, hessian=True)
+    theta = pack(params)
+    fd = np.zeros_like(hess)
+    for j in range(spec.q):
+        step = 1e-5 * (1 + abs(theta[j]))
+        up = theta.copy()
+        up[j] += step
+        dn = theta.copy()
+        dn[j] -= step
+        fd[:, j] = (_contrast_and_grad(q, unpack(up, spec, strict=False))[1]
+                    - _contrast_and_grad(q, unpack(dn, spec, strict=False))[1]) / (2 * step)
+    assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("p,k", HESSIAN_SIZES)
+def test_hessian_is_information_at_zero_residual(p, k):
+    # at Q = Sigma(theta) the curvature terms vanish and H = 2 Delta' W^-1 Delta
+    rng = np.random.default_rng(90 + p)
+    params = random_params_for(rng, ModelSpec(p=p, k=k))
+    sigma = sigma_of_theta(params)
+    _, _, hess = _contrast_and_grad(sigma, params, hessian=True)
+    delta = delta_jacobian(params)
+    expected = 2.0 * delta.T @ solve_weight(weight_matrix(sigma), delta)
+    assert np.max(np.abs(hess - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
 def test_fit_zero_residual_fixed_point(truth):
     rc = rcov_from_sigma(SIGMA_TRUE)
     spec = make_spec()
@@ -243,8 +278,30 @@ def test_fit_nonconvergence_returns_partial_result(truth):
     rc = realised_cov(path)
     res = fit(rc, make_spec(), options=FitOptions(max_iter=2))
     assert not res.converged
+    assert res.message == "max_iter"
     assert res.iterations <= 2
     assert np.isfinite(res.contrast)
+
+
+def _clipped_default_start(rc, spec):
+    # the start fit() takes for init=None, as an explicit init
+    box = default_bounds(rc, spec)
+    margin = 0.01 * (box[:, 1] - box[:, 0])
+    x0 = np.clip(pack(default_init(rc, spec)), box[:, 0] + margin, box[:, 1] - margin)
+    return unpack(x0, spec, strict=False)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_newton_misspecified_count_converges_at_or_below_bfgs(seed):
+    # k=1 on the two-factor design: the default start runs projected Newton,
+    # the same start passed as init runs projected BFGS
+    rc = realised_cov(simulate(make_sim_config(n=1000, seed=seed)))
+    spec = make_spec(k=1)
+    newton = fit(rc, spec)
+    assert newton.converged
+    assert newton.message.startswith("decrement")
+    bfgs = fit(rc, spec, init=_clipped_default_start(rc, spec))
+    assert newton.contrast <= (1.0 + 1e-9) * bfgs.contrast
 
 
 def test_fit_heywood_diagnostics_reported():
