@@ -79,7 +79,11 @@ def _read_data(path):
                            n=int(doc["n"]), h=float(doc["h"]))
     if path.endswith(".bin"):
         with open(path, "rb") as fh:
-            return realised_cov(path_from_binary(fh))
+            try:
+                sample = path_from_binary(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+        return realised_cov(sample)
     with open(path, "r", encoding="utf-8") as fh:
         return realised_cov(path_from_csv(fh))
 
@@ -208,8 +212,7 @@ def _test_json(tr):
 def cmd_test(args):
     rcov = _read_data(args.data)
     spec, init = _load_spec(args, rcov)
-    tr = test_k(rcov, spec, args.k, alpha=args.alpha,
-                init=init if args.k == spec.k else None,
+    tr = test_k(rcov, spec, args.k, alpha=args.alpha, init=init,
                 df_override=args.df)
     rows = [("k", "statistic", "df", "critical", "p_value", "reject"),
             (tr.k_star, tr.statistic, tr.df, tr.critical, tr.p_value, tr.reject)]
@@ -281,25 +284,24 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, config=False, data=False, spec=False, out=True):
+    def common(p, config=False, data=False, spec=False):
+        # each subcommand registers only the flags its handler reads
         if config:
             p.add_argument("--config", required=True,
                            help="JSON config file (or bundled config name)")
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed / seed_base")
         if data:
             p.add_argument("--data", required=True,
                            help="path CSV/binary or realised-covariance JSON")
         if spec:
             p.add_argument("--spec", required=True,
                            help="model JSON (p, k, regime, n, h; optional parameters)")
-        if out:
-            p.add_argument("--out", required=True, help="output file or directory")
-        p.add_argument("--override", action="append", metavar="KEY=VALUE",
-                       help="override a config field (repeatable, dotted paths)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed / seed_base")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for replication studies")
-        p.add_argument("-v", "--verbose", action="count", default=0)
+            p.add_argument("-v", "--verbose", action="count", default=0)
+        if config or spec:
+            p.add_argument("--override", action="append", metavar="KEY=VALUE",
+                           help="override a config field (repeatable, dotted paths)")
+        p.add_argument("--out", required=True, help="output file or directory")
 
     p = sub.add_parser("simulate", help="integrate a configured system")
     common(p, config=True)
@@ -334,6 +336,8 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="Monte Carlo replication study")
     common(p, config=True)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for replication studies")
     p.set_defaults(func=cmd_experiment)
 
     return parser

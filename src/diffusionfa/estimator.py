@@ -22,12 +22,14 @@ covariance (Delta^T W^{-1} Delta)^{-1}, which provides the reported
 standard errors.
 
 Two box-constrained minimizers share the objective and the end-of-fit
-standard errors.  A fit without a supplied start (``init=None``: the
-misspecified counts of a study, ``select_k``, ``test_k`` and ``fit``
-without parameters) runs projected Newton on the exact Hessian (Bertsekas
-1982) and converges when the Newton decrement is below 1e-10 (1 + F).  A
-fit from a supplied start (the generating count of a study, started at the
-truth) runs projected BFGS to a relative projected-gradient tolerance.
+standard errors.  A fit without a supplied start (``init=None``) runs
+projected Newton on the exact Hessian (Bertsekas 1982) and converges when
+the Newton decrement is below 1e-10 (1 + F).  A fit from a supplied start
+runs projected BFGS to a relative projected-gradient tolerance.
+:func:`hypothesis_test.test_k` decides which one a count gets: a start and
+box are used only at their own count (the generating count of a study,
+started at the truth), and every other count gets the default start in the
+default box.
 Both backtrack along the projection arc with an Armijo test; a trial point
 where Sigma(theta) is not positive definite is treated as an infeasible
 step and backtracked.
@@ -61,6 +63,10 @@ _MIN_DECREASE_ULPS = 4.0
 _ACTIVE_EPS = 1e-3
 _EIG_FLOOR = 1e-10
 _DECREMENT_TOL = 1e-10
+# relative projected-gradient tolerance of the BFGS loop; caps of both loops
+_GRAD_TOL = 1e-8
+_MAX_ITER = 2000
+_MAX_EVALS = 12000
 
 
 @dataclass(frozen=True)
@@ -113,23 +119,6 @@ class FitResult:
     def theta(self):
         """The estimate as a packed vector."""
         return pack(self.theta_hat)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Optimizer controls.
-
-    ``grad_tol`` is the projected-gradient tolerance of the BFGS loop that
-    refines a supplied start; ``max_iter`` and ``max_evals`` cap both
-    loops.  ``bounds`` is a (q, 2) array of [lower, upper] per packed
-    coordinate; when omitted a data-scaled default box is used (see
-    :func:`default_bounds`).
-    """
-
-    grad_tol: float = 1e-8
-    max_iter: int = 2000
-    max_evals: int = 12000
-    bounds: np.ndarray | None = None
 
 
 def realised_cov(path):
@@ -285,7 +274,7 @@ def _projected_gradient(x, g, lo, hi):
     return pg
 
 
-def _bfgs(objective, x, f, g, lo, hi, opts):
+def _bfgs(objective, x, f, g, lo, hi):
     """Projected BFGS with Armijo backtracking; the loop for supplied starts.
 
     Returns (x, f, g, iterations, converged, message).
@@ -307,7 +296,7 @@ def _bfgs(objective, x, f, g, lo, hi, opts):
         # by an amount resolvable in float64, otherwise ulp-sized "progress"
         # feeds rounding noise into the curvature updates
         alpha = 1.0
-        while alpha >= _MIN_STEP_FRACTION and objective.evals < opts.max_evals:
+        while alpha >= _MIN_STEP_FRACTION and objective.evals < _MAX_EVALS:
             x_try = np.clip(x + alpha * direction, lo, hi)
             step = x_try - x
             if np.max(np.abs(step)) == 0.0:
@@ -335,12 +324,12 @@ def _bfgs(objective, x, f, g, lo, hi, opts):
         floor = np.sqrt(2.0 * max(lam_max, 1.0) * np.finfo(float).eps * (1.0 + abs(f)))
         return pg_norm <= 10.0 * floor
 
-    while iterations < opts.max_iter:
-        if pg_norm <= opts.grad_tol * (1.0 + abs(f)):
+    while iterations < _MAX_ITER:
+        if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
             converged = True
             message = "projected gradient within tolerance"
             break
-        if objective.evals >= opts.max_evals:
+        if objective.evals >= _MAX_EVALS:
             if at_precision_floor():
                 converged = True
                 message = "evaluation budget reached at the floating-point floor"
@@ -360,7 +349,7 @@ def _bfgs(objective, x, f, g, lo, hi, opts):
             found = line_search(-g)
         if found is None:
             pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
-            if pg_norm <= opts.grad_tol * (1.0 + abs(f)):
+            if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
                 converged = True
                 message = "projected gradient within tolerance"
             elif at_precision_floor():
@@ -385,7 +374,7 @@ def _bfgs(objective, x, f, g, lo, hi, opts):
         x, f, g = x_new, f_new, g_new
         pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
     else:
-        if pg_norm <= opts.grad_tol * (1.0 + abs(f)):
+        if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
             converged = True
             message = "projected gradient within tolerance"
         elif at_precision_floor():
@@ -394,7 +383,7 @@ def _bfgs(objective, x, f, g, lo, hi, opts):
     return x, f, g, iterations, converged, message
 
 
-def _projected_newton(objective, x, f, g, lo, hi, opts):
+def _projected_newton(objective, x, f, g, lo, hi):
     """Projected Newton on the exact Hessian (Bertsekas 1982).
 
     Coordinates within eps of a bound that the gradient pushes outward form
@@ -435,14 +424,14 @@ def _projected_newton(objective, x, f, g, lo, hi, opts):
                 coords = ", ".join(f"theta:{i + 1}" for i in np.flatnonzero(active))
                 return x, f, g, iterations, True, f"decrement_at_bound ({coords})"
             return x, f, g, iterations, True, "decrement"
-        if iterations >= opts.max_iter:
+        if iterations >= _MAX_ITER:
             return x, f, g, iterations, False, "max_iter"
         iterations += 1
         d[active] = -g[active] / np.maximum(np.abs(np.diag(h))[active],
                                             np.finfo(float).tiny)
         alpha = 1.0 / (1.0 + np.sqrt(decrement / (1.0 + abs(f))))
         while True:
-            if alpha < _MIN_STEP_FRACTION or objective.evals >= opts.max_evals:
+            if alpha < _MIN_STEP_FRACTION or objective.evals >= _MAX_EVALS:
                 return x, f, g, iterations, False, "line_search"
             x_try = np.clip(x + alpha * d, lo, hi)
             f_try, g_try = objective(x_try)
@@ -453,21 +442,24 @@ def _projected_newton(objective, x, f, g, lo, hi, opts):
         x, f, g = x_try, f_try, g_try
 
 
-def fit(rcov, spec, init=None, options=None):
+def fit(rcov, spec, init=None, bounds=None):
     """Minimize the contrast over the box and report the fit.
 
+    ``bounds`` is a (q, 2) array of [lower, upper] per packed coordinate;
+    when omitted the data-scaled :func:`default_bounds` box is used.
     ``init`` must lie inside the box (it is the caller's responsibility to
     supply a consistent pair) and is refined by projected BFGS.  With
-    ``init=None`` the data-driven :func:`default_init` / :func:`default_bounds`
-    pair is used and the fit runs projected Newton on the exact Hessian.  A
-    fit that exhausts ``max_iter`` or stalls before meeting its convergence
-    test is returned with ``converged=False`` rather than raised.
+    ``init=None`` the fit starts from :func:`default_init` and runs
+    projected Newton on the exact Hessian.  A fit that exhausts its
+    iteration or evaluation cap (``_MAX_ITER``, ``_MAX_EVALS``) or stalls
+    before meeting its convergence test is returned with
+    ``converged=False`` rather than raised.
     """
-    opts = options or FitOptions()
     if spec.df < 0:
         raise ValueError(
             f"model has more parameters (q={spec.q}) than moments ({spec.pbar})")
-    bounds = opts.bounds if opts.bounds is not None else default_bounds(rcov, spec)
+    if bounds is None:
+        bounds = default_bounds(rcov, spec)
     bounds = np.asarray(bounds, dtype=float)
     if bounds.shape != (spec.q, 2):
         raise ValueError(f"bounds must have shape {(spec.q, 2)}, got {bounds.shape}")
@@ -490,7 +482,7 @@ def fit(rcov, spec, init=None, options=None):
     if g is None:
         raise WeightMatrixError(
             "weight matrix is not positive definite at the initial point")
-    x, f, g, iterations, converged, message = minimize(objective, x, f, g, lo, hi, opts)
+    x, f, g, iterations, converged, message = minimize(objective, x, f, g, lo, hi)
     pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
 
     theta_hat = unpack(x, spec, strict=False)

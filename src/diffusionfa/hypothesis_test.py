@@ -18,7 +18,7 @@ Chi-squared tail probabilities and quantiles come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.special import chdtrc, chdtri
 
@@ -71,19 +71,23 @@ class SelectionResult:
     trail: tuple
 
 
-def test_k(rcov, spec, k_star, alpha=0.05, init=None, options=None,
+def test_k(rcov, spec, k_star, alpha=0.05, init=None, bounds=None,
            df_override=None):
     """Test the null that the factor count equals ``k_star``.
 
-    The statistic is exactly ``rcov.n`` times the minimized contrast of the
-    k_star-factor fit.  ``df_override`` substitutes the chi-squared degrees
-    of freedom used for calibration (the statistic itself is unchanged);
-    the default is p(p+1)/2 - q_{k_star}.  Raises UntestableError when that
-    default is < 1.  A non-converged fit is propagated in the result with
-    its flag, not raised.
+    This is the one place a count becomes a fit.  ``init`` and ``bounds``
+    (a start and its box, e.g. the generating parameters of a study) are
+    used only when ``init`` has ``k_star`` factors; every other count starts
+    from the default start in the default box.  The statistic is exactly
+    ``rcov.n`` times the minimized contrast of the k_star-factor fit.
+    ``df_override`` substitutes the chi-squared degrees of freedom used for
+    calibration (the statistic itself is unchanged); the default is
+    p(p+1)/2 - q_{k_star}.  Raises UntestableError when that default is
+    < 1.  A non-converged fit is propagated in the result with its flag,
+    not raised.
     """
-    sub_spec = ModelSpec(p=spec.p, k=int(k_star), regime=spec.regime,
-                         n=spec.n, h=spec.h)
+    k_star = int(k_star)
+    sub_spec = replace(spec, k=k_star)
     df = sub_spec.df
     if df < 1:
         raise UntestableError(
@@ -92,12 +96,14 @@ def test_k(rcov, spec, k_star, alpha=0.05, init=None, options=None,
         df = int(df_override)
         if df < 1:
             raise UntestableError("df override must be >= 1")
-    result = fit(rcov, sub_spec, init=init, options=options)
+    if init is None or init.k != k_star:
+        init = bounds = None
+    result = fit(rcov, sub_spec, init=init, bounds=bounds)
     statistic = rcov.n * result.contrast
     critical = chi2_quantile(df, alpha)
     p_value = chi2_sf(df, statistic)
     return TestResult(
-        k_star=int(k_star),
+        k_star=k_star,
         statistic=float(statistic),
         df=df,
         alpha=float(alpha),
@@ -118,10 +124,10 @@ def max_testable_k(p):
     return best
 
 
-def select_k(rcov, spec, alpha=0.05, options=None):
+def select_k(rcov, spec, alpha=0.05):
     """Test k = 1, 2, ... in turn and stop at the first acceptance.
 
-    Each count is fit from scratch with the default initializer (the
+    Each count is fit from the default start in the default box (the
     parameter spaces differ across k, so no warm starts).  Fit failures at
     some k are recorded in the trail and the scan continues.  Exhausting
     every testable count means no factor structure: ``chosen_k`` is None.
@@ -130,11 +136,8 @@ def select_k(rcov, spec, alpha=0.05, options=None):
         raise ValueError("selection requires p >= 2")
     trail = []
     chosen = None
-    for k in range(1, spec.p):
-        sub_spec = ModelSpec(p=spec.p, k=k, regime=spec.regime, n=spec.n, h=spec.h)
-        if sub_spec.df < 1:
-            break
-        result = test_k(rcov, spec, k, alpha=alpha, options=options)
+    for k in range(1, max_testable_k(spec.p) + 1):
+        result = test_k(rcov, spec, k, alpha=alpha)
         trail.append(result)
         if not result.reject:
             chosen = k

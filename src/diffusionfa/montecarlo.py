@@ -13,15 +13,15 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
 from .config import ConfigError, sim_config_to_json
-from .estimator import FitOptions, fit, parameter_box, realised_cov
-from .hypothesis_test import chi2_quantile
+from .estimator import parameter_box, realised_cov
+from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
 from .model import (
     ModelSpec,
@@ -44,18 +44,19 @@ class Experiment:
     ``sim`` is the per-replication template (its own seed is ignored);
     ``truth`` is the generating parameter vector and must be consistent
     with the template (factor dispersion times its transpose, squared
-    unique dispersions).  ``bounds_blocks`` optionally maps the block names
+    unique dispersions).  Each count in ``k_grid`` is fit and tested by
+    :func:`hypothesis_test.test_k`: the fit at the generating count starts
+    at the truth, and fits at other counts start from the default
+    initializer.  ``bounds_blocks`` optionally maps the block names
     ``loading`` / ``factor_cov`` / ``unique_var`` to (lower, upper) pairs
     for the fit at the generating count -- boundary-tolerant studies need a
     box admitting non-positive unique variances there, or the truncation
     inflates the test statistic.  Fits at other counts always use the
     data-scaled default box: their pseudo-optima live at the scale of the
     data, which a replication box like [-30, 30] cannot contain.
-    ``init_at_truth`` starts the fit at the truth for the generating
-    k (other counts always use the default initializer).  ``keep_draws``
-    lists statistic keys (e.g. ``theta:1``, ``rcov:1,1``, ``tstat:2``)
-    whose raw replication draws are retained for figure data; ``all``
-    retains everything.
+    ``keep_draws`` lists statistic keys (e.g. ``theta:1``, ``rcov:1,1``,
+    ``tstat:2``) whose raw replication draws are retained for figure data;
+    ``all`` retains everything.
     """
 
     sim: SimConfig
@@ -66,7 +67,6 @@ class Experiment:
     keep_draws: tuple = ()
     outputs: tuple = ("rcov", "theta", "tstat")
     bounds_blocks: dict | None = None
-    init_at_truth: bool = True
     seed_base: int = 0
 
     def __post_init__(self):
@@ -153,21 +153,15 @@ def theoretical_sd_table(truth, spec):
     return rows
 
 
-def _fit_options_for(exp, k):
-    spec_k = ModelSpec(p=exp.spec.p, k=k, regime=exp.spec.regime,
-                       n=exp.spec.n, h=exp.spec.h)
-    if k != exp.truth.k or exp.bounds_blocks is None:
-        return spec_k, None
-    box = parameter_box(spec_k, **{key: tuple(val)
-                                   for key, val in exp.bounds_blocks.items()})
-    return spec_k, FitOptions(bounds=box)
-
-
 def _replicate(exp, r):
-    """One replication: simulate, realised covariance, fit every k."""
+    """One replication: simulate, realised covariance, test every k."""
     seed = replication_seed(exp.seed_base, r)
     path = simulate(exp.sim.with_seed(seed))
     rcov = realised_cov(path)
+    truth = exp.truth
+    box = None
+    if exp.bounds_blocks is not None:
+        box = parameter_box(replace(exp.spec, k=truth.k), **exp.bounds_blocks)
     record = {
         "r": r,
         "seed": seed,
@@ -177,14 +171,11 @@ def _replicate(exp, r):
         "theta_converged": False,
     }
     for k in exp.k_grid:
-        spec_k, options = _fit_options_for(exp, k)
-        init = exp.truth if (exp.init_at_truth and k == exp.truth.k) else None
-        result = fit(rcov, spec_k, init=init, options=options)
-        statistic = rcov.n * result.contrast
-        record["stats"][k] = (statistic, result.converged)
-        if k == exp.truth.k:
-            record["theta"] = pack(result.theta_hat)
-            record["theta_converged"] = result.converged
+        tr = test_k(rcov, exp.spec, k, init=truth, bounds=box)
+        record["stats"][k] = (tr.statistic, tr.fit.converged)
+        if k == truth.k:
+            record["theta"] = pack(tr.fit.theta_hat)
+            record["theta_converged"] = tr.fit.converged
     return record
 
 
@@ -251,8 +242,7 @@ def run(exp, n_jobs=1):
     df_by_k = {}
     tstat_draws_by_k = {}
     for k in exp.k_grid:
-        spec_k = ModelSpec(p=spec.p, k=k, regime=spec.regime, n=spec.n, h=spec.h)
-        df = spec_k.df
+        df = replace(spec, k=k).df
         df_by_k[k] = df
         pairs = [rec["stats"][k] for rec in records]
         good = np.array([ok for _, ok in pairs], dtype=bool)
@@ -445,6 +435,5 @@ def experiment_from_json(doc):
         keep_draws=tuple(doc.get("keep_draws", [])),
         outputs=tuple(doc.get("outputs", ["rcov", "theta", "tstat"])),
         bounds_blocks=bounds_blocks,
-        init_at_truth=bool(doc.get("init_at_truth", True)),
         seed_base=int(doc.get("seed_base", 0)),
     )

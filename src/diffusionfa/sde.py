@@ -185,12 +185,8 @@ def _factor_drift_fn(drift, k):
     return lambda f: np.asarray(drift.func(f), dtype=float).reshape(k)
 
 
-def _unique_drift_fn(drifts, p):
-    if all(d.kind == "linear_ou" for d in drifts):
-        b = np.array([float(np.asarray(d.b)) for d in drifts])
-        mu = np.array([float(np.asarray(d.mu)) for d in drifts])
-        return lambda e: mu - b * e
-    funcs = [d.func if d.kind == "custom" else None for d in drifts]
+def _unique_drift_fn(drifts):
+    custom = [(i, d.func) for i, d in enumerate(drifts) if d.kind == "custom"]
     lin_b = np.array([float(np.asarray(d.b)) if d.kind == "linear_ou" else 0.0
                       for d in drifts])
     lin_mu = np.array([float(np.asarray(d.mu)) if d.kind == "linear_ou" else 0.0
@@ -198,9 +194,8 @@ def _unique_drift_fn(drifts, p):
 
     def drift_e(e):
         out = lin_mu - lin_b * e
-        for i, fn in enumerate(funcs):
-            if fn is not None:
-                out[i] = fn(e[i])
+        for i, fn in custom:
+            out[i] = fn(e[i])
         return out
 
     return drift_e
@@ -224,7 +219,7 @@ def simulate(config, keep_latent=False):
     sig = config.unique_dispersions
 
     drift_f = _factor_drift_fn(config.factor_drift, k)
-    drift_e = _unique_drift_fn(config.unique_drifts, p)
+    drift_e = _unique_drift_fn(config.unique_drifts)
 
     rng_f, rng_e = _rng_streams(config.seed, p)
 
@@ -263,46 +258,26 @@ def simulate(config, keep_latent=False):
     return SamplePath(times=times, x=x)
 
 
-def _phi1(z, terms=24):
-    """phi1(Z) = sum_{j>=0} Z^j/(j+1)!  so that (e^Z - I) = Z phi1(Z).
-
-    Uses scaling by powers of two with the doubling identity
-    phi1(2Z) = (e^Z + I) phi1(Z) / 2.
-    """
-    z = np.asarray(z, dtype=float)
-    d = z.shape[0]
-    scale = 0
-    norm = np.linalg.norm(z, np.inf)
-    while norm > 0.5:
-        z = z / 2.0
-        norm /= 2.0
-        scale += 1
-    acc = np.eye(d)
-    term = np.eye(d)
-    for j in range(1, terms):
-        term = term @ z / (j + 1)
-        acc = acc + term
-    for _ in range(scale):
-        acc = (expm(z) + np.eye(d)) @ acc / 2.0
-        z = z * 2.0
-    return acc
-
-
 def exact_ou_transition(b, mu, s, h):
     """One-step exact transition of dX = -(B X - mu) dt + S dW over time h.
 
     Returns (phi, const, cov): X_h | X_0 = x is N(phi @ x + const, cov) with
-    phi = e^{-Bh}, const = (I - e^{-Bh}) B^{-1} mu (evaluated through a
-    series that remains valid for singular B) and cov the integrated
-    Gaussian covariance, computed by a block matrix exponential.
+    phi = e^{-Bh}, const = int_0^h e^{-Bs} ds mu (= (I - e^{-Bh}) B^{-1} mu
+    for invertible B) and cov the integrated Gaussian covariance.  Both
+    pairs come from block matrix exponentials (Van Loan 1978):
+    e^{[[-B, mu], [0, 0]] h} holds phi and const, which also covers
+    singular B, and e^{[[-B, SS'], [0, B']] h} gives cov.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     d = b.shape[0]
     mu = np.asarray(mu, dtype=float).reshape(d)
     s = np.atleast_2d(np.asarray(s, dtype=float))
-    phi = expm(-b * h)
-    # (I - e^{-Bh}) B^{-1} = h * phi1(-Bh)
-    const = h * _phi1(-b * h) @ mu
+    aug = np.zeros((d + 1, d + 1))
+    aug[:d, :d] = -b
+    aug[:d, d] = mu
+    ea = expm(aug * h)
+    phi = ea[:d, :d]
+    const = ea[:d, d]
     q = s @ s.T
     block = np.zeros((2 * d, 2 * d))
     block[:d, :d] = -b
@@ -394,19 +369,27 @@ def path_from_binary(fileobj):
     magic = fileobj.read(4)
     if magic != _BIN_MAGIC:
         raise ValueError("not a sample-path binary container")
-    version, flags, rows, p, k = struct.unpack("<IIQII", fileobj.read(24))
+    header = _read_exact(fileobj, 24, "header")
+    version, flags, rows, p, k = struct.unpack("<IIQII", header)
     if version != _BIN_VERSION:
         raise ValueError(f"unsupported container version {version}")
 
-    def read_array(count, cols):
-        buf = fileobj.read(8 * count * cols)
-        arr = np.frombuffer(buf, dtype="<f8").astype(float)
-        return arr.reshape((count, cols)) if cols > 1 else arr
+    def read_array(name, *shape):
+        buf = _read_exact(fileobj, 8 * int(np.prod(shape)), name)
+        return np.frombuffer(buf, dtype="<f8").reshape(shape).astype(float)
 
-    times = read_array(rows, 1)
-    x = np.frombuffer(fileobj.read(8 * rows * p), dtype="<f8").reshape((rows, p)).astype(float)
+    times = read_array("times", rows)
+    x = read_array("x", rows, p)
     f = e = None
     if flags & 1:
-        f = np.frombuffer(fileobj.read(8 * rows * k), dtype="<f8").reshape((rows, k)).astype(float)
-        e = np.frombuffer(fileobj.read(8 * rows * p), dtype="<f8").reshape((rows, p)).astype(float)
+        f = read_array("f", rows, k)
+        e = read_array("e", rows, p)
     return SamplePath(times=times, x=x, f=f, e=e)
+
+
+def _read_exact(fileobj, nbytes, name):
+    buf = fileobj.read(nbytes)
+    if len(buf) != nbytes:
+        raise ValueError(f"truncated sample-path container: {name} needs "
+                         f"{nbytes} bytes, {len(buf)} remain")
+    return buf

@@ -90,6 +90,26 @@ def test_rcov_outputs_symmetric_psd(tmp_path, path_csv):
     assert np.linalg.eigvalsh(q)[0] >= -1e-10
 
 
+@pytest.mark.parametrize("extra", [["--threads", "2"], ["--seed", "3"],
+                                   ["--override", "n=5"], ["-v"]])
+def test_rcov_rejects_flags_it_would_ignore(tmp_path, path_csv, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rcov", "--data", path_csv, "--out", str(tmp_path / "r.json")] + extra)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_truncated_binary_exits_2(tmp_path, sim_doc, capsys):
+    data = str(tmp_path / "path.bin")
+    assert main(["simulate", "--config", sim_doc, "--out", data,
+                 "--format", "bin"]) == 0
+    with open(data, "r+b") as fh:
+        fh.truncate(os.path.getsize(data) - 8)
+    code = main(["rcov", "--data", data, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_fit_roundtrip_exit_codes(tmp_path, path_csv, model_doc, capsys):
     out = str(tmp_path / "fit.json")
     code = main(["fit", "--data", path_csv, "--spec", model_doc, "--out", out])

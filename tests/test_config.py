@@ -103,6 +103,16 @@ def test_experiment_from_bundled_table6():
         THETA_TRUE)
 
 
+def test_experiment_document_with_dropped_key_loads():
+    # init_at_truth was removed; documents that still carry it load as before
+    doc = load_json(bundled_config_path("table6_nonergodic"))
+    doc["init_at_truth"] = False
+    exp = experiment_from_json(doc)
+    assert exp.k_grid == (1, 2)
+    assert exp.bounds_blocks["unique_var"] == (-30.0, 30.0)
+    assert not hasattr(exp, "init_at_truth")
+
+
 def test_experiment_truth_consistency_enforced(sim_config):
     doc = {
         "sim": sim_config_to_json(sim_config),

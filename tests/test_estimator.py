@@ -3,7 +3,6 @@ import pytest
 from scipy.optimize import minimize
 
 from diffusionfa import (
-    FitOptions,
     ModelSpec,
     ParamVector,
     RealisedCov,
@@ -26,6 +25,7 @@ from diffusionfa import (
     weight_matrix,
 )
 from diffusionfa.matrixcalc import duplication_pinv, unvec
+from diffusionfa import estimator
 from diffusionfa.estimator import _contrast_and_grad
 from diffusionfa.model import sigma_gradient_stack, solve_weight
 
@@ -270,13 +270,14 @@ def test_fit_rejects_init_outside_box(truth):
     rc = rcov_from_sigma(SIGMA_TRUE)
     box = parameter_box(make_spec(), loading=(-1.0, 1.0))
     with pytest.raises(ValueError, match="outside"):
-        fit(rc, make_spec(), init=truth, options=FitOptions(bounds=box))
+        fit(rc, make_spec(), init=truth, bounds=box)
 
 
-def test_fit_nonconvergence_returns_partial_result(truth):
+def test_fit_nonconvergence_returns_partial_result(truth, monkeypatch):
+    monkeypatch.setattr(estimator, "_MAX_ITER", 2)
     path = simulate(make_sim_config(n=1000, seed=44))
     rc = realised_cov(path)
-    res = fit(rc, make_spec(), options=FitOptions(max_iter=2))
+    res = fit(rc, make_spec())
     assert not res.converged
     assert res.message == "max_iter"
     assert res.iterations <= 2
@@ -311,7 +312,7 @@ def test_fit_heywood_diagnostics_reported():
     spec = make_spec()
     box = parameter_box(spec)  # admits negative unique variances
     rc = rcov_from_sigma(sigma)
-    res = fit(rc, spec, options=FitOptions(bounds=box))
+    res = fit(rc, spec, bounds=box)
     assert np.isfinite(res.min_unique_variance)
     assert np.isfinite(res.sigma_ff_min_eig)
 

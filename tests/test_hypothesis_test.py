@@ -129,3 +129,16 @@ def test_selection_never_tests_untestable_counts():
     rc = RealisedCov(q=np.eye(4), n=1000, h=1e-3)
     sel = select_k(rc, ModelSpec(p=4, k=1, n=1000, h=1e-3))
     assert all(t.k_star <= max_testable_k(4) for t in sel.trail)
+
+
+def test_start_of_another_count_is_ignored(truth):
+    # the truth has two factors, so the k=1 fit takes the default start in
+    # the default box; a box of the wrong shape would make fit() raise
+    rc = RealisedCov(q=SIGMA_TRUE + np.diag(np.full(6, 0.5)), n=2000, h=1e-3)
+    plain = run_count_test(rc, make_spec(n=2000), 1)
+    started = run_count_test(rc, make_spec(n=2000), 1, init=truth,
+                             bounds=np.zeros((3, 2)))
+    assert started.statistic == plain.statistic
+    assert np.array_equal(started.fit.theta, plain.fit.theta)
+    assert started.fit.iterations == plain.fit.iterations
+    assert started.fit.message == plain.fit.message

@@ -261,6 +261,18 @@ def test_binary_roundtrip_bitwise(sim_config):
     assert buf.getvalue() == buf2.getvalue()
 
 
+@pytest.mark.parametrize("keep, name", [(20, "header"), (28 + 8 * 16, "times"),
+                                        (28 + 8 * 17 * 2, "x"),
+                                        (28 + 8 * 17 * 7 + 8, "f"),
+                                        (28 + 8 * 17 * 9 + 8, "e")])
+def test_binary_truncation_names_the_array(keep, name):
+    path = simulate(make_sim_config(n=16, seed=4), keep_latent=True)
+    buf = io.BytesIO()
+    path_to_binary(path, buf)
+    with pytest.raises(ValueError, match=f"truncated sample-path container: {name} "):
+        path_from_binary(io.BytesIO(buf.getvalue()[:keep]))
+
+
 def test_binary_rejects_foreign_data():
     with pytest.raises(ValueError, match="container"):
         path_from_binary(io.BytesIO(b"nope" + b"\0" * 64))
