@@ -1,8 +1,9 @@
 """Minimum-contrast estimation of the factor structure with standard errors.
 
 The estimator minimizes the weighted distance between vech(Q) and
-vech(Sigma(theta)) with the weight recomputed at every iterate; reported
-standard errors come from the inverse information (Delta' W^{-1} Delta)^{-1}.
+vech(Sigma(theta)), evaluated in closed form as (1/2) tr[(Sigma^{-1} (Q -
+Sigma))^2]; reported standard errors come from the inverse information
+(Delta' W^{-1} Delta)^{-1} at the estimate.
 """
 
 from diffusionfa import fit, implied_params, pack, realised_cov, simulate

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
+    _require,
     apply_overrides,
     bundled_config_path,
     load_json,
@@ -69,23 +70,23 @@ def _load_config(args):
 
 
 def _read_data(path):
-    """Path CSV/binary or realised-covariance JSON -> RealisedCov."""
-    if path.endswith(".json"):
-        doc = load_json(path)
-        for field in ("q", "n", "h"):
-            if field not in doc:
-                raise ConfigError(f"missing field {field!r} in {path}")
-        return RealisedCov(q=np.asarray(doc["q"], dtype=float),
-                           n=int(doc["n"]), h=float(doc["h"]))
-    if path.endswith(".bin"):
-        with open(path, "rb") as fh:
-            try:
-                sample = path_from_binary(fh)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-        return realised_cov(sample)
-    with open(path, "r", encoding="utf-8") as fh:
-        return realised_cov(path_from_csv(fh))
+    """Path CSV/binary or realised-covariance JSON -> RealisedCov.
+
+    A file whose contents do not parse or fail validation is a
+    configuration error that names the file.
+    """
+    doc = load_json(path) if path.endswith(".json") else None
+    try:
+        if doc is not None:
+            return RealisedCov(q=np.asarray(_require(doc, "q"), dtype=float),
+                               n=int(_require(doc, "n")), h=float(_require(doc, "h")))
+        if path.endswith(".bin"):
+            with open(path, "rb") as fh:
+                return realised_cov(path_from_binary(fh))
+        with open(path, "r", encoding="utf-8") as fh:
+            return realised_cov(path_from_csv(fh))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _load_spec(args, rcov):

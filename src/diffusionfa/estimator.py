@@ -15,11 +15,11 @@ Browne's (1974) discrepancy
     F(theta) = (1/2) tr[(S R)^2],    R = Q - Sigma(theta),
 
 and its derivative in Sigma is G = -(S R S + S R S R S).  Both are computed
-in closed form from one Cholesky factor of Sigma(theta); W itself is built
-only at the end of a fit, for the standard errors and the precision-floor
-test.  sqrt(n) times the estimation error is asymptotically normal with
-covariance (Delta^T W^{-1} Delta)^{-1}, which provides the reported
-standard errors.
+in closed form from one Cholesky factor of Sigma(theta).  sqrt(n) times the
+estimation error is asymptotically normal with covariance
+(Delta^T W^{-1} Delta)^{-1}; :func:`information` forms Delta^T W^{-1} Delta
+with one solve, for the standard errors, the BFGS precision-floor test and
+the theoretical standard deviations of a replication study.
 
 Two box-constrained minimizers share the objective and the end-of-fit
 standard errors.  A fit without a supplied start (``init=None``) runs
@@ -52,7 +52,6 @@ from .model import (
     sigma_gradient_contract,
     sigma_gradient_stack,
     sigma_of_theta,
-    solve_weight,
     unpack,
     weight_matrix,
 )
@@ -71,14 +70,21 @@ _MAX_EVALS = 12000
 
 @dataclass(frozen=True)
 class RealisedCov:
-    """Realised covariance matrix with its sampling metadata."""
+    """Realised covariance matrix with its sampling metadata; ``q`` must be
+    finite, symmetric and PSD (smallest eigenvalue >= -1e-10 max|diag q|)."""
 
     q: np.ndarray
     n: int
     h: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.q)):
+            raise ValueError("realised covariance has non-finite entries")
         q = require_symmetric(self.q, name="realised covariance")
+        min_eig = float(np.linalg.eigvalsh(q)[0])
+        if min_eig < -1e-10 * np.max(np.abs(np.diag(q))):
+            raise ValueError("realised covariance is not positive semidefinite: "
+                             f"smallest eigenvalue {min_eig:.3e}")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
         if self.n < 1:
@@ -122,13 +128,23 @@ class FitResult:
 
 
 def realised_cov(path):
-    """Sum of outer products of increments divided by the horizon T."""
+    """Sum of outer products of increments divided by the horizon T; the
+    path must be finite on a uniform grid (each step within 1e-6 h of h)."""
     x = np.asarray(path.x, dtype=float)
     if x.shape[0] < 2:
         raise ValueError("need at least 2 observations to form increments")
+    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=1))
+    if bad.size:
+        raise ValueError(f"observation row {bad[0]} (t={path.times[bad[0]]!r}) "
+                         "is not finite")
+    h = path.h
+    steps = np.diff(path.times)
+    bad = np.flatnonzero(~(np.abs(steps - h) < 1e-6 * h))
+    if bad.size:
+        raise ValueError(f"time grid is not uniform and increasing: step "
+                         f"{bad[0] + 1} is {steps[bad[0]]!r}, h = {h!r}")
     dx = np.diff(x, axis=0)
     n = dx.shape[0]
-    h = path.h
     q = dx.T @ dx / (n * h)
     return RealisedCov(q=(q + q.T) / 2.0, n=n, h=h)
 
@@ -172,6 +188,13 @@ def _contrast_and_grad(q, params, hessian=False):
          + bp.transpose(0, 2, 1).reshape(n_q, -1) @ bp.reshape(n_q, -1).T
          + sigma_curvature_contract(params, g))
     return f, grad, (h + h.T) / 2.0
+
+
+def information(params):
+    """Information Delta^T W^{-1} Delta at theta; raises WeightMatrixError
+    when Sigma(theta) is not positive definite."""
+    delta = delta_jacobian(params)
+    return delta.T @ np.linalg.solve(weight_matrix(sigma_of_theta(params)), delta)
 
 
 def contrast(rcov, params):
@@ -313,11 +336,7 @@ def _bfgs(objective, x, f, g, lo, hi):
         # within a safety factor of that bound the point is converged to
         # machine resolution even though the nominal tolerance is unmet
         try:
-            params = unpack(x, spec, strict=False)
-            sigma = sigma_of_theta(params)
-            w = weight_matrix(sigma)
-            delta = delta_jacobian(params)
-            info = 2.0 * delta.T @ solve_weight(w, delta)
+            info = 2.0 * information(unpack(x, spec, strict=False))
             lam_max = float(np.linalg.eigvalsh(info)[-1])
         except WeightMatrixError:
             return False
@@ -486,11 +505,8 @@ def fit(rcov, spec, init=None, bounds=None):
     pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
 
     theta_hat = unpack(x, spec, strict=False)
-    sigma = sigma_of_theta(theta_hat)
     try:
-        w = weight_matrix(sigma)
-        delta = delta_jacobian(theta_hat)
-        info = delta.T @ solve_weight(w, delta)
+        info = information(theta_hat)
         try:
             avar = np.linalg.inv(info)
         except np.linalg.LinAlgError:

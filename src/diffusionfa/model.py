@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .matrixcalc import (
-    duplication_pinv,
     require_symmetric,
     unvec,
     vec,
@@ -173,12 +171,13 @@ def sigma_of_theta(params):
 
 
 def weight_matrix(sigma):
-    """vech-scale asymptotic covariance 2 * pinv(D) (Sigma x Sigma) pinv(D)^T.
+    """vech-scale asymptotic covariance 2 pinv(D) (Sigma x Sigma) pinv(D)^T.
 
-    Entrywise, for vech positions (i,j) and (k,l) this equals
-    Sigma_ik Sigma_jl + Sigma_il Sigma_jk.  Raises WeightMatrixError if
-    ``sigma`` is not positive definite (which is equivalent to W not being
-    positive definite).
+    Built from its entry formula: for vech positions (i,j) and (k,l) the
+    entry is Sigma_ik Sigma_jl + Sigma_il Sigma_jk, which equals the
+    Kronecker form bit for bit and is exactly symmetric.  Raises
+    WeightMatrixError if ``sigma`` is not positive definite (which is
+    equivalent to W not being positive definite).
     """
     sigma = require_symmetric(sigma, name="sigma")
     try:
@@ -187,21 +186,9 @@ def weight_matrix(sigma):
         raise WeightMatrixError(
             "covariance is not positive definite; weight matrix undefined"
         ) from None
-    dp = duplication_pinv(sigma.shape[0])
-    w = 2.0 * dp @ np.kron(sigma, sigma) @ dp.T
-    return (w + w.T) / 2.0
-
-
-def solve_weight(w, rhs):
-    """Solve W x = rhs via a symmetric PD factorization.
-
-    Raises WeightMatrixError when the factorization fails, flagging an
-    invalid parameter point rather than silently regularizing.
-    """
-    try:
-        return cho_solve(cho_factor(w, lower=True), rhs)
-    except np.linalg.LinAlgError:
-        raise WeightMatrixError("weight matrix factorization failed") from None
+    rows, cols = vech_indices(sigma.shape[0])
+    return (sigma[np.ix_(rows, rows)] * sigma[np.ix_(cols, cols)]
+            + sigma[np.ix_(rows, cols)] * sigma[np.ix_(cols, rows)])
 
 
 def sigma_gradient_stack(params):

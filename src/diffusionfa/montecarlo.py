@@ -20,18 +20,10 @@ from scipy.special import ndtri
 
 from . import __version__
 from .config import ConfigError, sim_config_to_json
-from .estimator import parameter_box, realised_cov
+from .estimator import information, parameter_box, realised_cov
 from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
-from .model import (
-    ModelSpec,
-    ParamVector,
-    delta_jacobian,
-    pack,
-    sigma_of_theta,
-    solve_weight,
-    weight_matrix,
-)
+from .model import ModelSpec, ParamVector, pack, sigma_of_theta
 from .sde import SimConfig, implied_params, simulate
 
 _MANIFEST_SEED_LIMIT = 10000
@@ -131,21 +123,19 @@ def theoretical_sd_table(truth, spec):
     """Asymptotic standard deviations at the truth for the given n.
 
     Rows are (name, true_value, theoretical_sd): sqrt(diag W / n) for each
-    vech(Q) entry, then sqrt(diag (Delta^T W^{-1} Delta)^{-1} / n) for each
-    packed parameter.
+    vech(Q) entry (i, j), where diag W is Sigma_ii Sigma_jj + Sigma_ij^2, then
+    sqrt(diag (Delta^T W^{-1} Delta)^{-1} / n) for each packed parameter.
     """
     if spec.n < 1:
         raise ValueError("spec must carry the sample size n")
     sigma = sigma_of_theta(truth)
-    w = weight_matrix(sigma)
     rows = []
     rr, cc = vech_indices(spec.p)
     sig_vech = vech(sigma, check=False)
-    w_sd = np.sqrt(np.diag(w) / spec.n)
+    w_sd = np.sqrt((sigma[rr, rr] * sigma[cc, cc] + sigma[rr, cc] ** 2) / spec.n)
     for idx, (i, j) in enumerate(zip(rr, cc)):
         rows.append((f"rcov:{i + 1},{j + 1}", float(sig_vech[idx]), float(w_sd[idx])))
-    delta = delta_jacobian(truth)
-    avar = np.linalg.inv(delta.T @ solve_weight(w, delta))
+    avar = np.linalg.inv(information(truth))
     t_sd = np.sqrt(np.diag(avar) / spec.n)
     theta0 = pack(truth)
     for j in range(theta0.size):

@@ -258,33 +258,35 @@ def simulate(config, keep_latent=False):
     return SamplePath(times=times, x=x)
 
 
+def _flow(a, v, h):
+    """(e^{ah}, int_0^h e^{as} ds v) from e^{[[a, v], [0, 0]] h} (Van Loan 1978)."""
+    d = a.shape[0]
+    aug = np.zeros((d + 1, d + 1))
+    aug[:d, :d] = a
+    aug[:d, d] = v
+    ea = expm(aug * h)
+    return ea[:d, :d], ea[:d, d]
+
+
 def exact_ou_transition(b, mu, s, h):
     """One-step exact transition of dX = -(B X - mu) dt + S dW over time h.
 
     Returns (phi, const, cov): X_h | X_0 = x is N(phi @ x + const, cov) with
     phi = e^{-Bh}, const = int_0^h e^{-Bs} ds mu (= (I - e^{-Bh}) B^{-1} mu
-    for invertible B) and cov the integrated Gaussian covariance.  Both
-    pairs come from block matrix exponentials (Van Loan 1978):
-    e^{[[-B, mu], [0, 0]] h} holds phi and const, which also covers
-    singular B, and e^{[[-B, SS'], [0, B']] h} gives cov.
+    for invertible B) and cov = int_0^h e^{-Bs} SS' e^{-B's} ds, whose vec
+    is int_0^h e^{-(I x B + B x I) s} ds vec(SS').  Both come from
+    :func:`_flow`: every exponent decays, so stiff B loses no digits, and
+    singular B needs no inverse.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     d = b.shape[0]
     mu = np.asarray(mu, dtype=float).reshape(d)
     s = np.atleast_2d(np.asarray(s, dtype=float))
-    aug = np.zeros((d + 1, d + 1))
-    aug[:d, :d] = -b
-    aug[:d, d] = mu
-    ea = expm(aug * h)
-    phi = ea[:d, :d]
-    const = ea[:d, d]
-    q = s @ s.T
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = -b
-    block[:d, d:] = q
-    block[d:, d:] = b.T
-    eb = expm(block * h)
-    cov = eb[:d, d:] @ phi.T
+    phi, const = _flow(-b, mu, h)
+    eye = np.eye(d)
+    vec_cov = _flow(-(np.kron(eye, b) + np.kron(b, eye)),
+                    (s @ s.T).ravel(order="F"), h)[1]
+    cov = vec_cov.reshape((d, d), order="F")
     return phi, const, (cov + cov.T) / 2.0
 
 

@@ -8,7 +8,7 @@ import pytest
 from diffusionfa.cli import main
 from diffusionfa.config import bundled_config_path, load_json, sim_config_to_json
 
-from conftest import make_sim_config
+from conftest import SIGMA_TRUE, make_sim_config
 
 
 def sha256(path):
@@ -108,6 +108,43 @@ def test_truncated_binary_exits_2(tmp_path, sim_doc, capsys):
     code = main(["rcov", "--data", data, "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault,needle", [("asymmetric", "not symmetric"),
+                                          ("nan", "non-finite"),
+                                          ("indefinite", "positive semidefinite")])
+def test_malformed_rcov_json_exits_2(tmp_path, fault, needle, capsys):
+    q = SIGMA_TRUE.copy()
+    if fault == "asymmetric":
+        q[0, 1] += 1.0
+    elif fault == "nan":
+        q[2, 3] = q[3, 2] = np.nan
+    else:  # smallest eigenvalue -1
+        q -= (np.linalg.eigvalsh(q)[0] + 1.0) * np.eye(6)
+    data = str(tmp_path / "rcov.json")
+    with open(data, "w") as fh:
+        json.dump({"q": q.tolist(), "n": 1000, "h": 0.001}, fh)
+    code = main(["rcov", "--data", data, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert data in err and needle in err
+
+
+@pytest.mark.parametrize("col,value,needle", [(2, "nan", "observation row 5"),
+                                              (0, "0.0051", "step 5")])
+def test_malformed_path_csv_exits_2(tmp_path, path_csv, col, value, needle,
+                                    capsys):
+    # row 5 of the h=0.001 grid: a NaN in x2, or t moved off the grid
+    lines = open(path_csv).read().splitlines()
+    cells = lines[6].split(",")
+    cells[col] = value
+    lines[6] = ",".join(cells)
+    with open(path_csv, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    code = main(["rcov", "--data", path_csv, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert path_csv in err and needle in err
 
 
 def test_fit_roundtrip_exit_codes(tmp_path, path_csv, model_doc, capsys):

@@ -26,8 +26,8 @@ from diffusionfa import (
 )
 from diffusionfa.matrixcalc import duplication_pinv, unvec
 from diffusionfa import estimator
-from diffusionfa.estimator import _contrast_and_grad
-from diffusionfa.model import sigma_gradient_stack, solve_weight
+from diffusionfa.estimator import _contrast_and_grad, information
+from diffusionfa.model import sigma_gradient_stack
 
 from conftest import SIGMA_TRUE, make_sim_config, make_spec
 
@@ -113,7 +113,7 @@ def test_contrast_grad_matches_kronecker_oracle(p, k):
     rc = random_rcov(rng, p)
     sigma = sigma_of_theta(params)
     resid = vech(rc.q) - vech(sigma)
-    u = solve_weight(weight_matrix(sigma), resid)
+    u = np.linalg.solve(weight_matrix(sigma), resid)
     stack = sigma_gradient_stack(params)
     v = unvec(duplication_pinv(p).T @ u, p)
     expected = (-2.0 * delta_jacobian(params).T @ u
@@ -188,8 +188,10 @@ def test_hessian_is_information_at_zero_residual(p, k):
     sigma = sigma_of_theta(params)
     _, _, hess = _contrast_and_grad(sigma, params, hessian=True)
     delta = delta_jacobian(params)
-    expected = 2.0 * delta.T @ solve_weight(weight_matrix(sigma), delta)
+    expected = 2.0 * delta.T @ np.linalg.solve(weight_matrix(sigma), delta)
     assert np.max(np.abs(hess - expected)) <= 1e-10 * np.max(np.abs(expected))
+    assert (np.max(np.abs(2.0 * information(params) - expected))
+            <= 1e-12 * np.max(np.abs(expected)))
 
 
 def test_fit_zero_residual_fixed_point(truth):

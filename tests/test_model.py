@@ -13,6 +13,7 @@ from diffusionfa import (
     vech,
     weight_matrix,
 )
+from diffusionfa.matrixcalc import duplication_pinv
 from diffusionfa.model import (
     sigma_ff_min_eigenvalue,
     sigma_gradient_contract,
@@ -166,6 +167,19 @@ def test_weight_matrix_entry_formula_random():
             for c, (k, l) in enumerate(pairs):
                 expected = sigma[i, k] * sigma[j, l] + sigma[i, l] * sigma[j, k]
                 assert w[r, c] == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", list(range(1, 9)) + [20])
+def test_weight_matrix_matches_kronecker_definition(p):
+    # the entry formula against 2 pinv(D) (Sigma x Sigma) pinv(D)^T, bit for bit
+    rng = np.random.default_rng(100 + p)
+    m = rng.standard_normal((p, p))
+    sigma = m @ m.T + p * np.eye(p)
+    sigma = (sigma + sigma.T) / 2.0
+    dp = duplication_pinv(p)
+    w = weight_matrix(sigma)
+    assert np.array_equal(w, 2.0 * dp @ np.kron(sigma, sigma) @ dp.T)
+    assert np.array_equal(w, w.T)
 
 
 def test_weight_matrix_benchmark_leading_entry(truth):

@@ -197,6 +197,21 @@ def test_exact_ou_transition_singular_drift_matrix():
     assert np.allclose(cov, 0.5 * np.eye(2), rtol=0, atol=1e-12)
 
 
+def test_exact_ou_transition_stiff_drift_matches_eigen_reference():
+    # symmetric stiff B = V diag(l) V': cov = V [(V'QV)_ij (1 - e^{-(l_i+l_j)h})
+    # / (l_i+l_j)] V'; a block exponential growing like e^{Bh} loses it
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 3))
+    b = 20.0 * a @ a.T + np.diag([90.0, 5.0, 60.0])
+    s = rng.standard_normal((3, 3))
+    lam, v = np.linalg.eigh(b)
+    for h in (1e-3, 0.5, 2.0):
+        _, _, cov = exact_ou_transition(b, np.zeros(3), s, h)
+        rates = lam[:, None] + lam[None, :]
+        ref = v @ (v.T @ s @ s.T @ v * -np.expm1(-rates * h) / rates) @ v.T
+        assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_euler_with_substeps_tracks_exact_transition(truth):
     # same driving noise: Euler(substeps=10) vs the exact OU transitions
     # fed with per-observation aggregated normals; realised covariances
