@@ -23,6 +23,8 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
+    _as_float,
+    _as_int,
     _require,
     apply_overrides,
     bundled_config_path,
@@ -79,7 +81,7 @@ def _read_data(path):
     try:
         if doc is not None:
             return RealisedCov(q=np.asarray(_require(doc, "q"), dtype=float),
-                               n=int(_require(doc, "n")), h=float(_require(doc, "h")))
+                               n=_as_int(doc, "n"), h=_as_float(doc, "h"))
         if path.endswith(".bin"):
             with open(path, "rb") as fh:
                 return realised_cov(path_from_binary(fh))

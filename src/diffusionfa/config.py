@@ -31,10 +31,10 @@ def _require(doc, field, path=""):
 
 
 def _as_float(doc, field, path=""):
-    try:
-        return float(_require(doc, field, path))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {field!r} must be a number: {exc}") from None
+    value = _require(doc, field, path)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"field {field!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def _as_int(doc, field, path=""):

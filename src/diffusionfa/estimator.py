@@ -71,7 +71,8 @@ _MAX_EVALS = 12000
 @dataclass(frozen=True)
 class RealisedCov:
     """Realised covariance matrix with its sampling metadata; ``q`` must be
-    finite, symmetric and PSD (smallest eigenvalue >= -1e-10 max|diag q|)."""
+    finite, symmetric and PSD (smallest eigenvalue >= -1e-10 max|diag q|),
+    ``n >= 1`` and ``h`` finite and positive."""
 
     q: np.ndarray
     n: int
@@ -88,7 +89,9 @@ class RealisedCov:
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"h must be a finite positive step, got {self.h}")
 
     @property
     def p(self):

@@ -6,8 +6,20 @@ and all B_i mutually independent.  The observed path is X = Lambda f + e
 at times t_i = i*h.
 
 Scheme: Euler-Maruyama with an optional number of substeps per observation
-interval (default 1).  An exact Gaussian transition for linear
-(Ornstein-Uhlenbeck) drifts is provided as a simulation-accuracy oracle.
+interval (default 1).  When every drift is linear (Ornstein-Uhlenbeck), the
+Euler step of the joint state z = (f, e) is the affine map
+z_{t+1} = M z_t + u_t with M = blockdiag(I - B delta, diag(1 - b_i delta))
+and u_t = (mu, mu_e) delta + (S xi_f, sigma xi_e) sqrt(delta), evaluated as
+a blocked scan (Blelloch 1990): each noise chunk is cut into about
+sqrt(chunk) blocks, the in-block steps run vectorised across blocks from
+zero, and one short loop carries M^{j+1} z_start into each block.  That is
+about 3 sqrt(n * substeps) Python iterations instead of n * substeps, and
+the path agrees with the step-by-step loop to rounding (ulp level).  A
+config with any custom drift takes the step-by-step loop, and so does any
+chunk whose state grows large enough that an Euler step might overflow, so
+a drift explosion is reported at the grid step the loop reports.  An exact
+Gaussian transition for linear drifts is provided as a simulation-accuracy
+oracle.
 
 Randomness contract
 -------------------
@@ -24,11 +36,12 @@ p never perturbs the factor path under the same seed.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from .model import ModelSpec, ParamVector, loading_matrix
 
@@ -201,6 +214,50 @@ def _unique_drift_fn(drifts):
     return drift_e
 
 
+def _linear_system(config):
+    """Joint (B, mu) of the drift mu - B z of z = (f, e), or None when any
+    drift is custom."""
+    fd, uds = config.factor_drift, config.unique_drifts
+    if any(d.kind != "linear_ou" for d in (fd,) + uds):
+        return None
+    k = config.spec.k
+    b = block_diag(np.reshape(fd.b, (k, k)), np.diag([float(u.b) for u in uds]))
+    mu = np.concatenate([np.reshape(fd.mu, k), [float(u.mu) for u in uds]])
+    return b, mu
+
+
+def _affine_scan(step, z0, u):
+    """Rows z_1..z_m of z_t = z_{t-1} + step @ z_{t-1} + u_t from z_0, as a
+    blocked scan.
+
+    The m steps are cut into blocks of L = ceil(sqrt(m)).  L - 1 vectorised
+    steps run every block from zero; one loop over the blocks carries each
+    block's start state c_b, and ``(I + step)^{j+1} c_b`` adds it to step j
+    of block b in one product.  That is about 3 sqrt(m) Python iterations.
+    Powers are kept as ``(I + step)^j - I`` and states are updated by
+    increments, as the Euler loop does, so no ``1 - b delta`` is rounded.
+    """
+    m, d = u.shape
+    size = math.isqrt(m - 1) + 1
+    blocks = -(-m // size)
+    full = m // size
+    y = np.zeros((size, blocks, d))  # y[j, b] is step b * size + j
+    y[:, :full] = u[:full * size].reshape(full, size, d).transpose(1, 0, 2)
+    y[:m - full * size, full:] = u[full * size:, None]
+    powers = np.empty((size, d, d))
+    powers[0] = step
+    for j in range(1, size):
+        y[j] += y[j - 1] + y[j - 1] @ step.T
+        powers[j] = powers[j - 1] + (step + step @ powers[j - 1])
+    starts = np.empty((blocks, d))
+    starts[0] = z0
+    for b in range(1, blocks):
+        starts[b] = starts[b - 1] + (powers[-1] @ starts[b - 1] + y[-1, b - 1])
+    y += starts @ powers.transpose(0, 2, 1)
+    y += starts
+    return y.transpose(1, 0, 2).reshape(blocks * size, d)[:m]
+
+
 def simulate(config, keep_latent=False):
     """Integrate the latent system and return the observed SamplePath.
 
@@ -220,6 +277,14 @@ def simulate(config, keep_latent=False):
 
     drift_f = _factor_drift_fn(config.factor_drift, k)
     drift_e = _unique_drift_fn(config.unique_drifts)
+    linear = _linear_system(config)
+    if linear is not None:
+        b, mu = linear
+        step = -b * delta
+        # |z| <= guard keeps every intermediate of an Euler step inside the
+        # float range, so a chunk the loop could overflow in goes back to it
+        guard = np.finfo(float).max / (
+            4.0 * (1.0 + np.abs(b).sum(axis=1).max()) * max(1.0, delta))
 
     rng_f, rng_e = _rng_streams(config.seed, p)
 
@@ -227,28 +292,39 @@ def simulate(config, keep_latent=False):
     e_path = np.empty((n + 1, p))
     f_path[0] = config.f0
     e_path[0] = config.e0
-    f = config.f0.copy()
-    e = config.e0.copy()
+
+    def scan(row, xi_f, xi_e):
+        u = np.hstack([mu[:k] * delta + (xi_f @ s_fac.T) * sqdelta,
+                       mu[k:] * delta + sig * xi_e * sqdelta])
+        with np.errstate(over="ignore", invalid="ignore"):  # judged by guard
+            z = _affine_scan(step, np.concatenate([f_path[row], e_path[row]]), u)
+        if not -guard <= z.min() <= z.max() <= guard:  # False on NaN too
+            return False
+        z = z[sub - 1::sub]
+        f_path[row + 1:row + 1 + len(z)] = z[:, :k]
+        e_path[row + 1:row + 1 + len(z)] = z[:, k:]
+        return True
+
+    def euler(row, xi_f, xi_e):
+        f, e = f_path[row], e_path[row]
+        for i, (xfs, xes) in enumerate(zip(xi_f.reshape(-1, sub, r),
+                                           xi_e.reshape(-1, sub, p)), start=row + 1):
+            for xf, xe in zip(xfs, xes):
+                f = f + drift_f(f) * delta + (s_fac @ xf) * sqdelta
+                e = e + drift_e(e) * delta + sig * xe * sqdelta
+            f_path[i] = f
+            e_path[i] = e
+            if not (np.all(np.isfinite(f)) and np.all(np.isfinite(e))):
+                raise SimulationError(i)
 
     total = n * sub
     chunk = max(sub, (_NOISE_CHUNK // sub) * sub) if sub <= _NOISE_CHUNK else sub
-    drawn = 0
-    xi_f = xi_e = None
-    offset = 0
-    for i in range(n):
-        for j in range(sub):
-            if drawn == 0 or offset == drawn:
-                m = min(chunk, total - (i * sub + j))
-                xi_f = rng_f.standard_normal((m, r))
-                xi_e = np.column_stack([g.standard_normal(m) for g in rng_e])
-                drawn, offset = m, 0
-            f = f + drift_f(f) * delta + (s_fac @ xi_f[offset]) * sqdelta
-            e = e + drift_e(e) * delta + sig * xi_e[offset] * sqdelta
-            offset += 1
-        f_path[i + 1] = f
-        e_path[i + 1] = e
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(e))):
-            raise SimulationError(i + 1)
+    for start in range(0, total, chunk):
+        m = min(chunk, total - start)
+        xi_f = rng_f.standard_normal((m, r))
+        xi_e = np.column_stack([g.standard_normal(m) for g in rng_e])
+        if linear is None or not scan(start // sub, xi_f, xi_e):
+            euler(start // sub, xi_f, xi_e)
 
     lam = loading_matrix(implied_params(config))
     x = f_path @ lam.T + e_path

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +132,45 @@ def test_malformed_rcov_json_exits_2(tmp_path, fault, needle, capsys):
     assert data in err and needle in err
 
 
+def _rcov_json_with(tmp_path, field, value):
+    doc = {"q": SIGMA_TRUE.tolist(), "n": 1000, "h": 0.001}
+    doc[field] = value
+    data = str(tmp_path / "rcov.json")
+    with open(data, "w") as fh:
+        json.dump(doc, fh)
+    return data
+
+
+@pytest.mark.parametrize("field,value,needle", [
+    ("n", None, "field 'n' must be an integer"),
+    ("n", "1000", "field 'n' must be an integer"),
+    ("n", 1000.5, "field 'n' must be an integer"),
+    ("h", None, "field 'h' must be a number"),
+    ("h", "0.001", "field 'h' must be a number"),
+    ("h", True, "field 'h' must be a number"),
+    ("h", [0.001], "field 'h' must be a number")])
+def test_rcov_json_non_numeric_field_exits_2(tmp_path, field, value, needle, capsys):
+    data = _rcov_json_with(tmp_path, field, value)
+    code = main(["rcov", "--data", data, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert data in err and needle in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("field,value,needle", [
+    ("h", -1.0, "h must be a finite positive step"),
+    ("h", 0.0, "h must be a finite positive step"),
+    ("n", 0, "n must be >= 1")])
+def test_rcov_json_nonpositive_h_or_n_exits_2(tmp_path, field, value, needle, capsys):
+    data = _rcov_json_with(tmp_path, field, value)
+    code = main(["rcov", "--data", data, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert data in err and needle in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("col,value,needle", [(2, "nan", "observation row 5"),
                                               (0, "0.0051", "step 5")])
 def test_malformed_path_csv_exits_2(tmp_path, path_csv, col, value, needle,
@@ -252,3 +293,22 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_cli_import_and_simulate_leave_scipy_stats_unloaded():
+    # scipy.signal pulls in scipy.stats, which adds about 40 MB of resident
+    # memory to every CLI process; neither may be loaded on this path
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import diffusionfa.cli\n"
+        "from diffusionfa import simulate\n"
+        "from diffusionfa.config import bundled_config_path, load_json, sim_config_from_json\n"
+        "doc = load_json(bundled_config_path('table6_nonergodic'))['sim']\n"
+        "simulate(sim_config_from_json(doc))\n"
+        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

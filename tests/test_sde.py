@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from diffusionfa import (
     sigma_of_theta,
     simulate,
 )
-from diffusionfa.sde import _rng_streams
+from diffusionfa.sde import _affine_scan, _rng_streams
 
 from conftest import (
     A_TRUE,
@@ -139,23 +140,68 @@ def test_custom_drift_requires_lipschitz_bound():
         DriftSpec(kind="custom", func=lambda x: -x)
 
 
+def _custom_twin(cfg):
+    # the same linear drifts as callables, so simulate takes the Euler loop
+    fb, fmu = cfg.factor_drift.b, cfg.factor_drift.mu
+    return replace(
+        cfg,
+        factor_drift=DriftSpec.custom(lambda f: fmu - fb @ f, lipschitz_bound=2.0),
+        unique_drifts=tuple(
+            DriftSpec.custom((lambda b: lambda e: -b * e)(float(d.b)),
+                             lipschitz_bound=abs(float(d.b)))
+            for d in cfg.unique_drifts))
+
+
 def test_custom_drift_matches_linear_equivalent():
     cfg = make_sim_config(n=200, seed=12)
-    custom = SimConfig(
-        spec=cfg.spec,
-        a=cfg.a,
-        factor_drift=DriftSpec.custom(
-            lambda f: FACTOR_MU - FACTOR_B @ f, lipschitz_bound=2.0),
-        factor_dispersion=cfg.factor_dispersion,
-        unique_drifts=tuple(
-            DriftSpec.custom((lambda b: lambda e: -b * e)(b), lipschitz_bound=b)
-            for b in UNIQUE_B),
-        unique_dispersions=cfg.unique_dispersions,
-        f0=cfg.f0,
-        e0=cfg.e0,
-        seed=12,
-    )
+    custom = _custom_twin(cfg)
     assert np.allclose(simulate(cfg).x, simulate(custom).x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 16, 17, 101])
+def test_affine_scan_matches_recursion(m):
+    rng = np.random.default_rng(m)
+    step = -0.1 * rng.uniform(size=(4, 4))
+    z0 = rng.standard_normal(4)
+    u = rng.standard_normal((m, 4))
+    z, expected = z0, []
+    for ut in u:
+        z = z + step @ z + ut
+        expected.append(z)
+    assert np.allclose(_affine_scan(step, z0, u), expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_linear_ou_scan_matches_euler_loop(n, substeps):
+    cfg = make_sim_config(n=n, seed=n + substeps, substeps=substeps)
+    fast = simulate(cfg, keep_latent=True)
+    loop = simulate(_custom_twin(cfg), keep_latent=True)
+    tol = 1e-12 * np.max(np.abs(loop.x))
+    for name in ("x", "f", "e"):
+        assert np.max(np.abs(getattr(fast, name) - getattr(loop, name))) <= tol
+    again = simulate(cfg, keep_latent=True)
+    for name in ("x", "f", "e"):
+        assert np.array_equal(getattr(fast, name), getattr(again, name))
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_explosive_linear_ou_reports_loop_step(substeps):
+    # e1 grows by 1 + 1e4 delta per substep.  Near the float limit the
+    # loop's b*e overflows a few steps before e itself would, so a path
+    # that ends at the loop's failing step must still raise there
+    cfg = make_sim_config(n=400, seed=8, substeps=substeps)
+    cfg = replace(cfg, unique_drifts=(DriftSpec.linear_ou(-1e4, 0.0),)
+                  + cfg.unique_drifts[1:])
+    with pytest.raises(SimulationError) as err:
+        simulate(_custom_twin(cfg))
+    step = err.value.step
+    assert 1 < step < 400
+    cfg = replace(cfg, spec=replace(cfg.spec, n=step))
+    for c in (cfg, _custom_twin(cfg)):
+        with pytest.raises(SimulationError) as err:
+            simulate(c)
+        assert err.value.step == step
 
 
 def test_exact_ou_step_pure_brownian():
