@@ -278,6 +278,14 @@ def cmd_experiment(args):
     return EXIT_OK
 
 
+def _level(text):
+    """Type of ``--alpha``: a test level strictly between 0 and 1."""
+    alpha = float(text)
+    if not 0.0 < alpha < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return alpha
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="diffusionfa",
@@ -325,7 +333,7 @@ def build_parser():
     p = sub.add_parser("test", help="goodness-of-fit test for a factor count")
     common(p, data=True, spec=True)
     p.add_argument("--k", type=int, required=True, help="hypothesised factor count")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_level, default=0.05)
     p.add_argument("--df", type=int, default=None,
                    help="override the chi-squared degrees of freedom")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -333,7 +341,7 @@ def build_parser():
 
     p = sub.add_parser("select", help="sequential factor-count selection")
     common(p, data=True, spec=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_level, default=0.05)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_select)
 

@@ -82,11 +82,13 @@ def test_k(rcov, spec, k_star, alpha=0.05, init=None, bounds=None,
     ``rcov.n`` times the minimized contrast of the k_star-factor fit.
     ``df_override`` substitutes the chi-squared degrees of freedom used for
     calibration (the statistic itself is unchanged); the default is
-    p(p+1)/2 - q_{k_star}.  Raises UntestableError when that default is
-    < 1.  A non-converged fit is propagated in the result with its flag,
-    not raised.
+    p(p+1)/2 - q_{k_star}.  Raises UntestableError when k_star is outside
+    1 <= k_star < p or that default is < 1.  A non-converged fit is
+    propagated in the result with its flag, not raised.
     """
     k_star = int(k_star)
+    if not 1 <= k_star < spec.p:
+        raise UntestableError(f"k={k_star} is outside 1 <= k < p={spec.p}")
     sub_spec = replace(spec, k=k_star)
     df = sub_spec.df
     if df < 1:

@@ -29,6 +29,14 @@ from .sde import SimConfig, implied_params, simulate
 _MANIFEST_SEED_LIMIT = 10000
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Experiment:
     """A full replication study.
@@ -48,7 +56,8 @@ class Experiment:
     data, which a replication box like [-30, 30] cannot contain.
     ``keep_draws`` lists statistic keys (e.g. ``theta:1``, ``rcov:1,1``,
     ``tstat:2``) whose raw replication draws are retained for figure data;
-    ``all`` retains everything.
+    ``all`` retains everything.  Every field is checked on construction
+    (see docs/file-formats.md); a bad one raises :class:`ConfigError`.
     """
 
     sim: SimConfig
@@ -62,13 +71,58 @@ class Experiment:
     seed_base: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        k_grid = tuple(self.sim.spec.k if k is None else int(k) for k in self.k_grid)
-        object.__setattr__(self, "k_grid", k_grid)
+        # every field is checked here, before any replication is simulated
+        spec = self.spec
+        for field in ("k_grid", "alphas", "keep_draws", "outputs"):
+            value = getattr(self, field)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{field} must be a list, got {value!r}")
+            object.__setattr__(self, field, tuple(value))
+        if not _is_int(self.replications) or self.replications < 1:
+            raise ConfigError(
+                f"replications must be >= 1 (an integer), got {self.replications!r}")
+        if not _is_int(self.seed_base) or self.seed_base < 0:
+            raise ConfigError(
+                f"seed_base must be a non-negative integer, got {self.seed_base!r}")
+        k_grid = tuple(spec.k if k is None else k for k in self.k_grid)
+        for k in k_grid:
+            if not (_is_int(k) and 1 <= k < spec.p and replace(spec, k=k).df >= 1):
+                raise ConfigError(
+                    f"k_grid entry {k!r} is not an integer 1 <= k < p={spec.p} "
+                    "leaving df >= 1")
+        if len(set(k_grid)) < len(k_grid):
+            raise ConfigError(f"k_grid {list(k_grid)} repeats a count")
+        for a in self.alphas:
+            if not (_is_number(a) and 0.0 < a < 1.0):
+                raise ConfigError(f"alphas entry {a!r} is not a number in (0, 1)")
+        blocks = {} if self.bounds_blocks is None else self.bounds_blocks
+        if not (isinstance(blocks, dict)
+                and set(blocks) <= {"loading", "factor_cov", "unique_var"}):
+            raise ConfigError("bounds must map loading / factor_cov / unique_var "
+                              f"to pairs, got {blocks!r}")
+        for name, pair in blocks.items():
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(map(_is_number, pair)) and pair[0] < pair[1]):
+                raise ConfigError(
+                    f"bounds {name!r} must be numbers lower < upper, got {pair!r}")
+        # theta draws exist only when the generating count is fit
+        fitted_q = pack(self.truth).size if self.truth.k in k_grid else 0
+        known = set(_moment_names(spec.p, fitted_q))
+        known.update(["all"] + [f"tstat:{k}" for k in k_grid])
+        for key in self.keep_draws:
+            if not (isinstance(key, str) and key in known):
+                raise ConfigError(
+                    f"keep_draws entry {key!r} is neither 'all' nor a statistic "
+                    "of this study")
+        for name in self.outputs:
+            if name not in ("rcov", "theta", "tstat"):
+                raise ConfigError(
+                    f"outputs entry {name!r} is not one of rcov, theta, tstat")
+        object.__setattr__(self, "k_grid", tuple(int(k) for k in k_grid))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "keep_draws", tuple(self.keep_draws))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        if self.bounds_blocks is not None:
+            object.__setattr__(self, "bounds_blocks", {
+                name: (float(lo), float(hi)) for name, (lo, hi) in blocks.items()})
         implied = implied_params(self.sim)
         for mine, theirs, name in (
             (self.truth.a, implied.a, "loading block"),
@@ -129,18 +183,21 @@ def theoretical_sd_table(truth, spec):
     if spec.n < 1:
         raise ValueError("spec must carry the sample size n")
     sigma = sigma_of_theta(truth)
-    rows = []
     rr, cc = vech_indices(spec.p)
-    sig_vech = vech(sigma, check=False)
     w_sd = np.sqrt((sigma[rr, rr] * sigma[cc, cc] + sigma[rr, cc] ** 2) / spec.n)
-    for idx, (i, j) in enumerate(zip(rr, cc)):
-        rows.append((f"rcov:{i + 1},{j + 1}", float(sig_vech[idx]), float(w_sd[idx])))
-    avar = np.linalg.inv(information(truth))
-    t_sd = np.sqrt(np.diag(avar) / spec.n)
+    t_sd = np.sqrt(np.diag(np.linalg.inv(information(truth))) / spec.n)
     theta0 = pack(truth)
-    for j in range(theta0.size):
-        rows.append((f"theta:{j + 1}", float(theta0[j]), float(t_sd[j])))
-    return rows
+    return [(name, float(true), float(sd)) for name, true, sd in zip(
+        _moment_names(spec.p, theta0.size),
+        np.concatenate([vech(sigma, check=False), theta0]),
+        np.concatenate([w_sd, t_sd]))]
+
+
+def _moment_names(p, q):
+    """Statistic names of vech(Q) (lower triangle, 1-based) and of theta."""
+    rr, cc = vech_indices(p)
+    return ([f"rcov:{i + 1},{j + 1}" for i, j in zip(rr, cc)]
+            + [f"theta:{j}" for j in range(1, q + 1)])
 
 
 def _replicate(exp, r):
@@ -153,7 +210,6 @@ def _replicate(exp, r):
     if exp.bounds_blocks is not None:
         box = parameter_box(replace(exp.spec, k=truth.k), **exp.bounds_blocks)
     record = {
-        "r": r,
         "seed": seed,
         "rcov_vech": vech(rcov.q, check=False),
         "stats": {},
@@ -169,111 +225,64 @@ def _replicate(exp, r):
     return record
 
 
-def _replicate_star(args):
-    return _replicate(*args)
-
-
 def run(exp, n_jobs=1):
     """Execute the experiment and reduce it to an :class:`Aggregate`.
 
-    Per-replication failures of the optimizer are excluded from moment
-    aggregates and counted; configuration errors abort.  With ``n_jobs >
-    1`` replications execute in separate processes; the reduction is
-    identical to the serial one.
+    Every statistic (``rcov:i,j``, ``theta:j``, ``tstat:k``) maps to its
+    moment draws, true value and theoretical SD, and one rule turns each
+    into a table row.  Non-converged fits are left out of the theta and
+    tstat moments and counted; rejections, quartiles and tstat draws use
+    every replication.  With ``n_jobs > 1`` replications execute in
+    separate processes; the reduction is identical to the serial one.
     """
     R = exp.replications
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             chunk = max(1, R // (8 * n_jobs))
-            records = list(pool.map(_replicate_star,
-                                    ((exp, r) for r in range(R)),
+            records = list(pool.map(_replicate, [exp] * R, range(R),
                                     chunksize=chunk))
     else:
         records = [_replicate(exp, r) for r in range(R)]
-    records.sort(key=lambda rec: rec["r"])
 
     spec = exp.spec
-    truth = exp.truth
-    theta0 = pack(truth)
-    seeds = tuple(rec["seed"] for rec in records)
-
-    theory = theoretical_sd_table(truth, spec)
-    theory_by_name = {name: (true, sd) for name, true, sd in theory}
-
-    rcov_draws = np.vstack([rec["rcov_vech"] for rec in records])
-    rr, cc = vech_indices(spec.p)
-    rcov_rows = []
-    for idx, (i, j) in enumerate(zip(rr, cc)):
-        name = f"rcov:{i + 1},{j + 1}"
-        true, sd = theory_by_name[name]
-        col = rcov_draws[:, idx]
-        rcov_rows.append(StatSummary(name, float(np.mean(col)), true,
-                                     float(np.std(col, ddof=1)) if R > 1 else 0.0,
-                                     sd))
-
-    theta_mask = np.array([rec["theta_converged"] for rec in records], dtype=bool)
-    theta_draws = (np.vstack([rec["theta"] for rec, ok in zip(records, theta_mask)
-                              if ok])
-                   if np.any(theta_mask) else np.empty((0, theta0.size)))
-    theta_rows = []
-    for jdx in range(theta0.size):
-        name = f"theta:{jdx + 1}"
-        true, sd = theory_by_name[name]
-        col = theta_draws[:, jdx]
-        mean = float(np.mean(col)) if col.size else float("nan")
-        ssd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
-        theta_rows.append(StatSummary(name, mean, true, ssd, sd))
-
-    tstat_rows = []
-    rejections = {}
-    included = {}
-    exclusions = {}
-    quartiles = {}
-    df_by_k = {}
-    tstat_draws_by_k = {}
+    theta0 = pack(exp.truth)
+    thetas = [rec["theta"] for rec in records if rec["theta_converged"]]
+    columns = [*np.vstack([rec["rcov_vech"] for rec in records]).T,
+               *np.reshape(thetas, (-1, theta0.size)).T]
+    # name -> (moment draws, true value, theoretical SD); tstat moments use
+    # converged fits only, while decisions, order statistics and draws use
+    # every replication: the statistic is well defined either way
+    stats = {name: (col, true, sd) for (name, true, sd), col
+             in zip(theoretical_sd_table(exp.truth, spec), columns)}
+    draw_sets = {name: col for name, (col, _, _) in stats.items()}
+    rejections, included, exclusions, quartiles, df_by_k = {}, {}, {}, {}, {}
     for k in exp.k_grid:
-        df = replace(spec, k=k).df
-        df_by_k[k] = df
-        pairs = [rec["stats"][k] for rec in records]
-        good = np.array([ok for _, ok in pairs], dtype=bool)
-        all_stats = np.array([s for s, _ in pairs])
-        conv_stats = all_stats[good]
+        df = df_by_k[k] = replace(spec, k=k).df
+        all_stats = np.array([rec["stats"][k][0] for rec in records])
+        good = np.array([rec["stats"][k][1] for rec in records], dtype=bool)
+        stats[f"tstat:{k}"] = (all_stats[good], float(df), float(np.sqrt(2.0 * df)))
+        draw_sets[f"tstat:{k}"] = all_stats
         included[k] = int(np.sum(good))
         exclusions[k] = R - included[k]
-        # the statistic is well defined whether or not the optimizer met its
-        # gradient criterion, so decisions and order statistics use every
-        # replication; only the moment columns restrict to converged fits
-        tstat_draws_by_k[k] = all_stats
-        name = f"tstat:{k}"
-        mean = float(np.mean(conv_stats)) if conv_stats.size else float("nan")
-        ssd = float(np.std(conv_stats, ddof=1)) if conv_stats.size > 1 else 0.0
-        tstat_rows.append(StatSummary(name, mean, float(df), ssd,
-                                      float(np.sqrt(2.0 * df))))
         q1, q2, q3 = np.percentile(all_stats, [25, 50, 75])
         quartiles[k] = (float(np.min(all_stats)), float(q1), float(q2),
                         float(q3), float(np.max(all_stats)))
         for alpha in exp.alphas:
-            crit = chi2_quantile(df, alpha)
-            rejections[(k, alpha)] = int(np.sum(all_stats > crit))
+            rejections[(k, alpha)] = int(np.sum(all_stats > chi2_quantile(df, alpha)))
 
-    draws = {}
-    want_all = "all" in exp.keep_draws
-    def _keep(key, values):
-        if want_all or key in exp.keep_draws:
-            draws[key] = np.asarray(values, dtype=float)
-
-    for idx, (i, j) in enumerate(zip(rr, cc)):
-        _keep(f"rcov:{i + 1},{j + 1}", rcov_draws[:, idx])
-    for jdx in range(theta0.size):
-        if theta_draws.size:
-            _keep(f"theta:{jdx + 1}", theta_draws[:, jdx])
-    for k in exp.k_grid:
-        _keep(f"tstat:{k}", tstat_draws_by_k[k])
+    rows = {"rcov": [], "theta": [], "tstat": []}
+    for name, (col, true, sd) in stats.items():
+        rows[name.split(":")[0]].append(StatSummary(
+            name, float(np.mean(col)) if col.size else float("nan"), true,
+            float(np.std(col, ddof=1)) if col.size > 1 else 0.0, sd))
+    keep = set(exp.keep_draws)
+    draws = {name: col for name, col in draw_sets.items()
+             if col.size and ("all" in keep or name in keep)}
 
     return Aggregate(
-        rcov_rows=tuple(rcov_rows),
-        theta_rows=tuple(theta_rows),
-        tstat_rows=tuple(tstat_rows),
+        rcov_rows=tuple(rows["rcov"]),
+        theta_rows=tuple(rows["theta"]),
+        tstat_rows=tuple(rows["tstat"]),
         rejections=rejections,
         included=included,
         exclusions=exclusions,
@@ -282,7 +291,7 @@ def run(exp, n_jobs=1):
         draws=draws,
         replications=R,
         seed_base=exp.seed_base,
-        seeds=seeds,
+        seeds=tuple(rec["seed"] for rec in records),
         spec=spec,
         truth_packed=theta0,
     )
@@ -291,8 +300,9 @@ def run(exp, n_jobs=1):
 def figure_data(agg, statistic):
     """Histogram / QQ / ECDF columns for one retained statistic.
 
-    Returns (header, columns): sorted raw draws, standardized draws
-    (theoretical mean and SD), reference quantiles at the midpoint grid
+    Returns (header, columns): sorted raw draws, draws standardized by the
+    statistic's table row (true value and theoretical SD; df and sqrt(2 df)
+    for test statistics), reference quantiles at the midpoint grid
     (standard normal for rcov and theta statistics, chi-squared for test
     statistics) and ECDF heights.
     """
@@ -304,15 +314,13 @@ def figure_data(agg, statistic):
     if R == 0:
         raise ValueError(f"no draws retained for {statistic!r}")
     probs = (np.arange(1, R + 1) - 0.5) / R
+    row = next(row for row in agg.rcov_rows + agg.theta_rows + agg.tstat_rows
+               if row.name == statistic)
+    standardized = (draws - row.true_value) / row.theoretical_sd
     if statistic.startswith("tstat:"):
-        k = int(statistic.split(":")[1])
-        df = agg.df_by_k[k]
-        standardized = (draws - df) / np.sqrt(2.0 * df)
+        df = agg.df_by_k[int(statistic.split(":")[1])]
         ref = np.array([chi2_quantile(df, 1.0 - pr) for pr in probs])
     else:
-        rows = {row.name: row for row in agg.rcov_rows + agg.theta_rows}
-        row = rows[statistic]
-        standardized = (draws - row.true_value) / row.theoretical_sd
         ref = ndtri(probs)
     ecdf = np.arange(1, R + 1) / R
     header = ["draw", "standardized", "reference_quantile", "ecdf"]
@@ -342,22 +350,14 @@ def write_outputs(agg, outdir, exp=None):
     outputs = exp.outputs if exp is not None else ("rcov", "theta", "tstat")
     header = ["statistic", "sample_mean", "true", "sample_sd", "theoretical_sd"]
 
-    def stat_rows(rows):
-        return [(s.name, s.sample_mean, s.true_value, s.sample_sd,
-                 s.theoretical_sd) for s in rows]
-
-    if "rcov" in outputs:
-        path = os.path.join(outdir, "table_rcov.csv")
-        _write_csv(path, header, stat_rows(agg.rcov_rows))
-        written.append(path)
-    if "theta" in outputs:
-        path = os.path.join(outdir, "table_theta.csv")
-        _write_csv(path, header, stat_rows(agg.theta_rows))
-        written.append(path)
+    for family, rows in (("rcov", agg.rcov_rows), ("theta", agg.theta_rows),
+                         ("tstat", agg.tstat_rows)):
+        if family in outputs:
+            path = os.path.join(outdir, f"table_{family}.csv")
+            _write_csv(path, header, [(s.name, s.sample_mean, s.true_value,
+                                       s.sample_sd, s.theoretical_sd) for s in rows])
+            written.append(path)
     if "tstat" in outputs:
-        path = os.path.join(outdir, "table_tstat.csv")
-        _write_csv(path, header, stat_rows(agg.tstat_rows))
-        written.append(path)
         path = os.path.join(outdir, "quartiles_tstat.csv")
         _write_csv(path, ["k", "min", "q1", "median", "q3", "max"],
                    [(k,) + agg.quartiles[k] for k in sorted(agg.quartiles)])
@@ -405,25 +405,14 @@ def experiment_from_json(doc):
     sim = sim_config_from_json(_require(doc, "sim"), path="sim")
     truth = (params_from_json(doc["truth"], path="truth")
              if "truth" in doc else implied_params(sim))
-    replications = _require(doc, "replications")
-    if not isinstance(replications, int) or replications < 1:
-        raise ConfigError("replications must be >= 1")
-    bounds_blocks = doc.get("bounds")
-    if bounds_blocks is not None:
-        allowed = {"loading", "factor_cov", "unique_var"}
-        extra = set(bounds_blocks) - allowed
-        if extra:
-            raise ConfigError(f"unknown bounds blocks {sorted(extra)}")
-        bounds_blocks = {key: tuple(float(v) for v in val)
-                         for key, val in bounds_blocks.items()}
     return Experiment(
         sim=sim,
         truth=truth,
-        replications=replications,
-        k_grid=tuple(doc.get("k_grid", [sim.spec.k])),
-        alphas=tuple(doc.get("alphas", [0.05])),
-        keep_draws=tuple(doc.get("keep_draws", [])),
-        outputs=tuple(doc.get("outputs", ["rcov", "theta", "tstat"])),
-        bounds_blocks=bounds_blocks,
-        seed_base=int(doc.get("seed_base", 0)),
+        replications=_require(doc, "replications"),
+        k_grid=doc.get("k_grid", [sim.spec.k]),
+        alphas=doc.get("alphas", [0.05]),
+        keep_draws=doc.get("keep_draws", []),
+        outputs=doc.get("outputs", ["rcov", "theta", "tstat"]),
+        bounds_blocks=doc.get("bounds"),
+        seed_base=doc.get("seed_base", 0),
     )

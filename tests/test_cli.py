@@ -289,6 +289,70 @@ def test_experiment_zero_replications_exits_2(tmp_path, capsys):
     assert "replications must be >= 1" in capsys.readouterr().err
 
 
+BAD_EXPERIMENT_FIELDS = [
+    ("k_grid=[0]", "k_grid entry 0"),
+    ("k_grid=[7]", "k_grid entry 7"),
+    ('k_grid=["a"]', "k_grid entry 'a'"),
+    ("k_grid=[true]", "k_grid entry True"),
+    ("k_grid=[3]", "k_grid entry 3"),
+    ("k_grid=[2, 2]", "k_grid [2, 2] repeats"),
+    ("k_grid=2", "k_grid must be a list"),
+    ("alphas=[2]", "alphas entry 2"),
+    ('alphas=[0.05, "x"]', "alphas entry 'x'"),
+    ("alphas=[0]", "alphas entry 0"),
+    ("seed_base=-1", "seed_base must be a non-negative integer"),
+    ("seed_base=1.5", "seed_base must be a non-negative integer"),
+    ("replications=2.5", "replications must be >= 1"),
+    ('replications="3"', "replications must be >= 1"),
+    ('keep_draws=["theta:99"]', "keep_draws entry 'theta:99'"),
+    ('keep_draws=["tstat:3"]', "keep_draws entry 'tstat:3'"),
+    ('keep_draws=["rcov:1,2"]', "keep_draws entry 'rcov:1,2'"),
+    ('k_grid=[1]', "keep_draws entry 'theta:1'"),
+    ('outputs=["tables"]', "outputs entry 'tables'"),
+    ('bounds={"loading": [30, -30]}', "bounds 'loading' must be numbers lower < upper"),
+    ('bounds={"loading": ["x", 30]}', "bounds 'loading' must be numbers lower < upper"),
+    ('bounds={"spin": [0, 1]}', "bounds must map loading"),
+]
+
+
+@pytest.mark.parametrize("override,needle", BAD_EXPERIMENT_FIELDS,
+                         ids=[override for override, _ in BAD_EXPERIMENT_FIELDS])
+def test_experiment_bad_field_exits_2_before_simulating(tmp_path, monkeypatch,
+                                                        override, needle, capsys):
+    from diffusionfa import montecarlo
+
+    def no_simulation(config):
+        raise AssertionError("a replication ran before the fields were checked")
+
+    monkeypatch.setattr(montecarlo, "simulate", no_simulation)
+    code = main(["experiment", "--config", "table6_nonergodic",
+                 "--out", str(tmp_path / "results"),
+                 "--override", "replications=2", "--override", override])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "6", "-1"])
+def test_test_k_outside_range_exits_4(tmp_path, path_csv, model_doc, k, capsys):
+    code = main(["test", "--data", path_csv, "--spec", model_doc,
+                 "--k", k, "--out", str(tmp_path / "test.json")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"k={k}" in err and "p=6" in err
+
+
+@pytest.mark.parametrize("subcommand", ["test", "select"])
+@pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.1", "nan"])
+def test_alpha_outside_unit_interval_exits_2(tmp_path, path_csv, model_doc,
+                                             subcommand, alpha, capsys):
+    extra = ["--k", "2"] if subcommand == "test" else []
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--data", path_csv, "--spec", model_doc, "--alpha", alpha,
+              "--out", str(tmp_path / "out.json")] + extra)
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")])

@@ -143,3 +143,57 @@ def test_figure_data_chi2_reference(small_aggregate):
 def test_figure_data_requires_retained_draws(small_aggregate):
     with pytest.raises(KeyError, match="keep_draws"):
         figure_data(small_aggregate, "theta:2")
+
+
+@pytest.mark.parametrize("failing", [{1, 4}, set(range(6))], ids=["some", "all"])
+def test_nonconverged_replications_leave_moments_only(tmp_path, monkeypatch, failing):
+    # replications in `failing` report a non-converged fit: they drop out of
+    # the moment columns but still count in decisions, quartiles and draws
+    from dataclasses import replace
+
+    from diffusionfa import chi2_quantile, montecarlo
+
+    real_test_k = montecarlo.test_k
+    seen = []
+
+    def flaky_test_k(rcov, spec, k, **kwargs):
+        tr = real_test_k(rcov, spec, k, **kwargs)
+        ok = len(seen) not in failing
+        tr = replace(tr, fit=replace(tr.fit, converged=ok))
+        seen.append((tr.statistic, ok, tr.fit.theta))
+        return tr
+
+    monkeypatch.setattr(montecarlo, "test_k", flaky_test_k)
+    sim = make_sim_config(n=200, seed=0)
+    exp = Experiment(sim=sim, truth=implied_params(sim), replications=6,
+                     k_grid=(2,), alphas=(0.05, 0.5), keep_draws=("all",),
+                     seed_base=31)
+    agg = run(exp)
+    stats = np.array([s for s, _, _ in seen])
+    ok = np.array([o for _, o, _ in seen])
+    thetas = np.array([t for _, _, t in seen])
+
+    assert agg.included[2] == 6 - len(failing)
+    assert agg.included[2] + agg.exclusions[2] == 6
+    assert np.array_equal(agg.draws["tstat:2"], stats)
+    assert np.array_equal(agg.quartiles[2],
+                          np.percentile(stats, [0, 25, 50, 75, 100]))
+    for alpha in exp.alphas:
+        assert agg.rejections[(2, alpha)] == np.sum(stats > chi2_quantile(4, alpha))
+    tstat = agg.tstat_rows[0]
+    assert (tstat.true_value, tstat.theoretical_sd) == (4.0, np.sqrt(8.0))
+    if ok.any():
+        assert tstat.sample_mean == pytest.approx(np.mean(stats[ok]), rel=1e-14)
+        assert tstat.sample_sd == pytest.approx(np.std(stats[ok], ddof=1), rel=1e-12)
+        means = np.array([row.sample_mean for row in agg.theta_rows])
+        assert np.allclose(means, thetas[ok].mean(axis=0), rtol=1e-14, atol=0)
+        assert np.array_equal(agg.draws["theta:1"], thetas[ok, 0])
+    else:
+        assert np.isnan(tstat.sample_mean) and tstat.sample_sd == 0.0
+        assert all(np.isnan(row.sample_mean) and row.sample_sd == 0.0
+                   for row in agg.theta_rows)
+        assert not any(key.startswith("theta:") for key in agg.draws)
+        names = [os.path.basename(f)
+                 for f in write_outputs(agg, str(tmp_path), exp)]
+        assert "figure_tstat_2.csv" in names
+        assert not any(name.startswith("figure_theta") for name in names)
