@@ -5,10 +5,11 @@ Subcommands: ``simulate`` (integrate a configured system to a path file),
 ``select`` (estimation and factor-count inference on a path or realised
 covariance), and ``experiment`` (Monte Carlo study from a config file).
 
-Exit codes are stable: 0 success, 2 configuration error, 3 the fit did not
-converge, 4 the requested factor count is untestable.  Every run writes a
-manifest JSON recording the resolved configuration and seed next to its
-output; all randomness flows from ``--seed`` or the config seed.
+Exit codes are stable: 0 success, 2 configuration error (or a drift
+explosion), 3 the fit did not converge, 4 the requested factor count is
+untestable.  Every run writes a manifest JSON recording the resolved
+configuration and seed next to its output; all randomness flows from
+``--seed`` or the config seed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .hypothesis_test import UntestableError, select_k, test_k
 from .model import pack
 from .montecarlo import experiment_from_json, run, write_outputs
 from .sde import (
+    SimulationError,
     path_from_binary,
     path_from_csv,
     path_to_binary,
@@ -286,6 +288,13 @@ def _level(text):
     return alpha
 
 
+def _workers(text):
+    """Type of ``--threads``: a worker count of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="diffusionfa",
@@ -347,7 +356,7 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="Monte Carlo replication study")
     common(p, config=True)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_workers, default=1,
                    help="worker processes for replication studies")
     p.set_defaults(func=cmd_experiment)
 
@@ -362,11 +371,11 @@ def main(argv=None):
     except UntestableError as exc:
         print(f"untestable k: {exc}", file=sys.stderr)
         return EXIT_UNTESTABLE
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except SimulationError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

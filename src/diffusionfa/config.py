@@ -142,8 +142,8 @@ def sim_config_from_json(doc, path="sim"):
                 _require(doc, "unique_dispersions", path), dtype=float),
             f0=np.asarray(_require(doc, "f0", path), dtype=float),
             e0=np.asarray(_require(doc, "e0", path), dtype=float),
-            seed=int(doc.get("seed", 0)),
-            substeps=int(doc.get("substeps", 1)),
+            seed=_as_int(doc, "seed", path) if "seed" in doc else 0,
+            substeps=_as_int(doc, "substeps", path) if "substeps" in doc else 1,
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):

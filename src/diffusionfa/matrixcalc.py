@@ -58,9 +58,12 @@ def unvec(v, rows, cols=None):
     return v.reshape((rows, cols), order="F")
 
 
+@lru_cache(maxsize=None)
 def vech_indices(p):
-    """(rows, cols) index arrays of the lower triangle in vech order."""
+    """Cached read-only (rows, cols) of the lower triangle in vech order."""
     cols, rows = np.triu_indices(p)  # upper triangle row-major == lower col-major
+    rows.setflags(write=False)
+    cols.setflags(write=False)
     return rows, cols
 
 

@@ -24,7 +24,7 @@ from .estimator import information, parameter_box, realised_cov
 from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
 from .model import ModelSpec, ParamVector, pack, sigma_of_theta
-from .sde import SimConfig, implied_params, simulate
+from .sde import SimConfig, SimulationError, implied_params, simulate
 
 _MANIFEST_SEED_LIMIT = 10000
 
@@ -203,7 +203,11 @@ def _moment_names(p, q):
 def _replicate(exp, r):
     """One replication: simulate, realised covariance, test every k."""
     seed = replication_seed(exp.seed_base, r)
-    path = simulate(exp.sim.with_seed(seed))
+    try:
+        path = simulate(exp.sim.with_seed(seed))
+    except SimulationError as exc:
+        raise SimulationError(
+            exc.step, f"replication {r} (seed {seed}): {exc}") from None
     rcov = realised_cov(path)
     truth = exp.truth
     box = None
@@ -339,7 +343,7 @@ def _write_csv(path, header, rows):
                               for v in row) + "\n")
 
 
-def write_outputs(agg, outdir, exp=None):
+def write_outputs(agg, outdir, exp):
     """Write the requested tables, figure data and the run manifest.
 
     Output is deterministic: identical aggregates produce byte-identical
@@ -347,17 +351,16 @@ def write_outputs(agg, outdir, exp=None):
     """
     os.makedirs(outdir, exist_ok=True)
     written = []
-    outputs = exp.outputs if exp is not None else ("rcov", "theta", "tstat")
     header = ["statistic", "sample_mean", "true", "sample_sd", "theoretical_sd"]
 
     for family, rows in (("rcov", agg.rcov_rows), ("theta", agg.theta_rows),
                          ("tstat", agg.tstat_rows)):
-        if family in outputs:
+        if family in exp.outputs:
             path = os.path.join(outdir, f"table_{family}.csv")
             _write_csv(path, header, [(s.name, s.sample_mean, s.true_value,
                                        s.sample_sd, s.theoretical_sd) for s in rows])
             written.append(path)
-    if "tstat" in outputs:
+    if "tstat" in exp.outputs:
         path = os.path.join(outdir, "quartiles_tstat.csv")
         _write_csv(path, ["k", "min", "q1", "median", "q3", "max"],
                    [(k,) + agg.quartiles[k] for k in sorted(agg.quartiles)])
@@ -385,11 +388,10 @@ def write_outputs(agg, outdir, exp=None):
         "spec": {"p": agg.spec.p, "k": agg.spec.k, "regime": agg.spec.regime,
                  "n": agg.spec.n, "h": agg.spec.h},
         "truth": [float(v) for v in agg.truth_packed],
+        "sim": sim_config_to_json(exp.sim),
+        "k_grid": list(exp.k_grid),
+        "alphas": list(exp.alphas),
     }
-    if exp is not None:
-        manifest["sim"] = sim_config_to_json(exp.sim)
-        manifest["k_grid"] = list(exp.k_grid)
-        manifest["alphas"] = list(exp.alphas)
     path = os.path.join(outdir, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -6,20 +6,20 @@ and all B_i mutually independent.  The observed path is X = Lambda f + e
 at times t_i = i*h.
 
 Scheme: Euler-Maruyama with an optional number of substeps per observation
-interval (default 1).  When every drift is linear (Ornstein-Uhlenbeck), the
-Euler step of the joint state z = (f, e) is the affine map
-z_{t+1} = M z_t + u_t with M = blockdiag(I - B delta, diag(1 - b_i delta))
-and u_t = (mu, mu_e) delta + (S xi_f, sigma xi_e) sqrt(delta), evaluated as
-a blocked scan (Blelloch 1990): each noise chunk is cut into about
-sqrt(chunk) blocks, the in-block steps run vectorised across blocks from
-zero, and one short loop carries M^{j+1} z_start into each block.  That is
+interval (default 1) on the joint state z = (f, e), whose drift is mu - B z
+with B = blockdiag(B_f, diag(b_i)) for linear (Ornstein-Uhlenbeck) drifts;
+a custom drift overrides its block of mu - B z.  Each noise chunk is drawn
+once as (S xi_f, sigma xi_e) sqrt(delta).  With linear drifts only, the
+step z + (mu - B z) delta + noise is affine in z and is evaluated as a
+blocked scan (Blelloch 1990): each chunk is cut into about sqrt(chunk)
+blocks, the in-block steps run vectorised across blocks from zero, and one
+short loop carries (I - B delta)^{j+1} z_start into each block.  That is
 about 3 sqrt(n * substeps) Python iterations instead of n * substeps, and
-the path agrees with the step-by-step loop to rounding (ulp level).  A
-config with any custom drift takes the step-by-step loop, and so does any
-chunk whose state grows large enough that an Euler step might overflow, so
-a drift explosion is reported at the grid step the loop reports.  An exact
-Gaussian transition for linear drifts is provided as a simulation-accuracy
-oracle.
+agrees with the step-by-step loop to rounding (ulp level).  A custom
+drift, or a chunk whose state grows large enough that a step might
+overflow, takes that loop, so a drift explosion is reported at the grid
+step the loop reports.  An exact Gaussian transition for linear drifts is
+provided as a simulation-accuracy oracle.
 
 Randomness contract
 -------------------
@@ -41,7 +41,7 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 
 from .model import ModelSpec, ParamVector, loading_matrix
 
@@ -57,14 +57,17 @@ class SimulationError(RuntimeError):
         self.step = step
         super().__init__(message or f"non-finite state at grid step {step}")
 
+    def __reduce__(self):  # survives the trip back from a worker process
+        return type(self), (self.step, str(self))
+
 
 @dataclass(frozen=True)
 class DriftSpec:
     """Drift of one diffusion component.
 
     ``linear_ou`` drifts are x -> -(B x - mu); ``custom`` drifts carry a
-    callable together with a declared global Lipschitz bound, which is
-    recorded in metadata but not verified.
+    callable together with a declared global Lipschitz bound, which must be
+    given but is neither used nor verified.
     """
 
     kind: str
@@ -130,7 +133,14 @@ class SimConfig:
         if f0.size != k or e0.size != p:
             raise ValueError("initial vectors must have lengths k and p")
         if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.spec.n < 1:
+            raise ValueError(f"spec.n must be >= 1 for simulation, got {self.spec.n}")
+        if not (math.isfinite(self.spec.h) and self.spec.h > 0):
+            raise ValueError(
+                f"spec.h must be finite and > 0 for simulation, got {self.spec.h}")
         for name, val in (("a", a), ("factor_dispersion", s),
                           ("unique_dispersions", disp), ("f0", f0), ("e0", e0)):
             val.setflags(write=False)
@@ -190,40 +200,26 @@ def _rng_streams(seed, p):
     return factor, uniques
 
 
-def _factor_drift_fn(drift, k):
-    if drift.kind == "linear_ou":
-        b = np.asarray(drift.b, dtype=float).reshape((k, k))
-        mu = np.asarray(drift.mu, dtype=float).reshape(k)
-        return lambda f: mu - b @ f
-    return lambda f: np.asarray(drift.func(f), dtype=float).reshape(k)
-
-
-def _unique_drift_fn(drifts):
-    custom = [(i, d.func) for i, d in enumerate(drifts) if d.kind == "custom"]
-    lin_b = np.array([float(np.asarray(d.b)) if d.kind == "linear_ou" else 0.0
-                      for d in drifts])
-    lin_mu = np.array([float(np.asarray(d.mu)) if d.kind == "linear_ou" else 0.0
-                       for d in drifts])
-
-    def drift_e(e):
-        out = lin_mu - lin_b * e
-        for i, fn in custom:
-            out[i] = fn(e[i])
-        return out
-
-    return drift_e
-
-
-def _linear_system(config):
-    """Joint (B, mu) of the drift mu - B z of z = (f, e), or None when any
-    drift is custom."""
-    fd, uds = config.factor_drift, config.unique_drifts
-    if any(d.kind != "linear_ou" for d in (fd,) + uds):
-        return None
-    k = config.spec.k
-    b = block_diag(np.reshape(fd.b, (k, k)), np.diag([float(u.b) for u in uds]))
-    mu = np.concatenate([np.reshape(fd.mu, k), [float(u.mu) for u in uds]])
-    return b, mu
+def _joint_drift(config):
+    """Drift mu - B z of the joint state z = (f, e) as (B, mu, custom):
+    linear-OU drifts fill B and mu; each custom drift leaves its block at
+    zero and is listed as (index, func), func(z[index]) replacing it."""
+    k, p = config.spec.k, config.spec.p
+    b = np.zeros((k + p, k + p))
+    mu = np.zeros(k + p)
+    custom = []
+    fd = config.factor_drift
+    if fd.kind == "custom":
+        custom.append((slice(0, k), lambda f: np.reshape(fd.func(f), k)))
+    else:
+        b[:k, :k] = np.reshape(fd.b, (k, k))
+        mu[:k] = np.reshape(fd.mu, k)
+    for i, d in enumerate(config.unique_drifts, start=k):
+        if d.kind == "custom":
+            custom.append((i, d.func))
+        else:
+            b[i, i], mu[i] = float(d.b), float(d.mu)
+    return b, mu, custom
 
 
 def _affine_scan(step, z0, u):
@@ -266,71 +262,58 @@ def simulate(config, keep_latent=False):
     """
     spec = config.spec
     p, k, n, h = spec.p, spec.k, spec.n, spec.h
-    if n < 1 or h <= 0:
-        raise ValueError("spec must carry n >= 1 and h > 0 for simulation")
     sub = config.substeps
     delta = h / sub
-    sqdelta = np.sqrt(delta)
-    s_fac = config.factor_dispersion
-    r = s_fac.shape[1]
-    sig = config.unique_dispersions
-
-    drift_f = _factor_drift_fn(config.factor_drift, k)
-    drift_e = _unique_drift_fn(config.unique_drifts)
-    linear = _linear_system(config)
-    if linear is not None:
-        b, mu = linear
-        step = -b * delta
-        # |z| <= guard keeps every intermediate of an Euler step inside the
-        # float range, so a chunk the loop could overflow in goes back to it
-        guard = np.finfo(float).max / (
-            4.0 * (1.0 + np.abs(b).sum(axis=1).max()) * max(1.0, delta))
+    b, mu, custom = _joint_drift(config)
+    step = -b * delta
+    # |z| <= guard keeps every intermediate of an Euler step inside the
+    # float range, so a chunk the loop could overflow in goes back to it
+    guard = np.finfo(float).max / (
+        4.0 * (1.0 + np.abs(b).sum(axis=1).max()) * max(1.0, delta))
 
     rng_f, rng_e = _rng_streams(config.seed, p)
+    z = np.empty((n + 1, k + p))
+    z[0] = np.concatenate([config.f0, config.e0])
 
-    f_path = np.empty((n + 1, k))
-    e_path = np.empty((n + 1, p))
-    f_path[0] = config.f0
-    e_path[0] = config.e0
-
-    def scan(row, xi_f, xi_e):
-        u = np.hstack([mu[:k] * delta + (xi_f @ s_fac.T) * sqdelta,
-                       mu[k:] * delta + sig * xi_e * sqdelta])
+    def scan(row, noise):
         with np.errstate(over="ignore", invalid="ignore"):  # judged by guard
-            z = _affine_scan(step, np.concatenate([f_path[row], e_path[row]]), u)
-        if not -guard <= z.min() <= z.max() <= guard:  # False on NaN too
+            path = _affine_scan(step, z[row], mu * delta + noise)
+        if not -guard <= path.min() <= path.max() <= guard:  # False on NaN too
             return False
-        z = z[sub - 1::sub]
-        f_path[row + 1:row + 1 + len(z)] = z[:, :k]
-        e_path[row + 1:row + 1 + len(z)] = z[:, k:]
+        z[row + 1:row + 1 + len(path) // sub] = path[sub - 1::sub]
         return True
 
-    def euler(row, xi_f, xi_e):
-        f, e = f_path[row], e_path[row]
-        for i, (xfs, xes) in enumerate(zip(xi_f.reshape(-1, sub, r),
-                                           xi_e.reshape(-1, sub, p)), start=row + 1):
-            for xf, xe in zip(xfs, xes):
-                f = f + drift_f(f) * delta + (s_fac @ xf) * sqdelta
-                e = e + drift_e(e) * delta + sig * xe * sqdelta
-            f_path[i] = f
-            e_path[i] = e
-            if not (np.all(np.isfinite(f)) and np.all(np.isfinite(e))):
-                raise SimulationError(i)
+    def euler(row, noise):
+        state = z[row]
+        # a non-finite state is reported below, so its warnings are not
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, block in enumerate(noise.reshape(-1, sub, k + p), start=row + 1):
+                for w in block:
+                    drift = mu - b @ state
+                    for index, func in custom:
+                        drift[index] = func(state[index])
+                    state = state + drift * delta + w
+                z[i] = state
+                if not np.all(np.isfinite(state)):
+                    raise SimulationError(i)
 
     total = n * sub
     chunk = max(sub, (_NOISE_CHUNK // sub) * sub) if sub <= _NOISE_CHUNK else sub
     for start in range(0, total, chunk):
         m = min(chunk, total - start)
-        xi_f = rng_f.standard_normal((m, r))
-        xi_e = np.column_stack([g.standard_normal(m) for g in rng_e])
-        if linear is None or not scan(start // sub, xi_f, xi_e):
-            euler(start // sub, xi_f, xi_e)
+        noise = np.hstack([
+            rng_f.standard_normal((m, config.r)) @ config.factor_dispersion.T,
+            config.unique_dispersions
+            * np.column_stack([g.standard_normal(m) for g in rng_e]),
+        ]) * np.sqrt(delta)
+        if custom or not scan(start // sub, noise):
+            euler(start // sub, noise)
 
-    lam = loading_matrix(implied_params(config))
-    x = f_path @ lam.T + e_path
+    f, e = z[:, :k], z[:, k:]
+    x = f @ loading_matrix(implied_params(config)).T + e
     times = np.arange(n + 1) * h
     if keep_latent:
-        return SamplePath(times=times, x=x, f=f_path, e=e_path)
+        return SamplePath(times=times, x=x, f=f, e=e)
     return SamplePath(times=times, x=x)
 
 

@@ -312,6 +312,8 @@ BAD_EXPERIMENT_FIELDS = [
     ('bounds={"loading": [30, -30]}', "bounds 'loading' must be numbers lower < upper"),
     ('bounds={"loading": ["x", 30]}', "bounds 'loading' must be numbers lower < upper"),
     ('bounds={"spin": [0, 1]}', "bounds must map loading"),
+    ("sim.spec.h=-0.01", "spec.h must be finite and > 0"),
+    ("sim.substeps=2.5", "field 'substeps' must be an integer"),
 ]
 
 
@@ -351,6 +353,60 @@ def test_alpha_outside_unit_interval_exits_2(tmp_path, path_csv, model_doc,
               "--out", str(tmp_path / "out.json")] + extra)
     assert exc.value.code == 2
     assert "--alpha" in capsys.readouterr().err
+
+
+BAD_SIMULATION_INPUTS = [
+    ("seed=-1", "seed must be >= 0"),
+    ("seed=1.5", "field 'seed' must be an integer"),
+    ("seed=true", "field 'seed' must be an integer"),
+    ("substeps=2.5", "field 'substeps' must be an integer"),
+    ('substeps="2"', "field 'substeps' must be an integer"),
+    ("spec.n=0", "spec.n must be >= 1"),
+    ("spec.h=-0.01", "spec.h must be finite and > 0"),
+    ("spec.h=NaN", "spec.h must be finite and > 0"),
+]
+
+
+@pytest.mark.parametrize("override,needle", BAD_SIMULATION_INPUTS,
+                         ids=[override for override, _ in BAD_SIMULATION_INPUTS])
+def test_simulate_bad_input_exits_2(tmp_path, override, needle, capsys):
+    code = main(["simulate", "--config", "system_p6k2", "--override", override,
+                 "--out", str(tmp_path / "path.csv")])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_drift_explosion_exits_2_naming_step(tmp_path, capsys):
+    # unique b = -1e4 grows e1 by a factor 11 per step until it overflows
+    from diffusionfa.montecarlo import replication_seed
+
+    sim = load_json(bundled_config_path("system_p6k2"))
+    sim["unique_drifts"][0]["b"] = -1e4
+    exp = load_json(bundled_config_path("table6_nonergodic"))
+    exp["sim"]["unique_drifts"][0]["b"] = -1e4
+    exp["replications"] = 2
+    for name, doc in (("sim.json", sim), ("exp.json", exp)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(tmp_path / "sim.json"),
+                 "--out", str(tmp_path / "path.csv")])
+    assert code == 2
+    assert "non-finite state at grid step 296" in capsys.readouterr().err
+    code = main(["experiment", "--config", str(tmp_path / "exp.json"),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    seed = replication_seed(exp["seed_base"], 0)
+    err = capsys.readouterr().err
+    assert f"replication 0 (seed {seed}): non-finite state at grid step" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_experiment_threads_below_one_exits_2(tmp_path, threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--config", "table6_nonergodic", "--threads", threads,
+              "--override", "replications=1", "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

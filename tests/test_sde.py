@@ -1,4 +1,5 @@
 import io
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,7 @@ def test_increment_covariance_approaches_structure(truth):
     assert rel < 0.1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulation_explosion_reports_step():
     cfg = make_sim_config(n=100, seed=2)
     bad = SimConfig(
@@ -133,6 +135,12 @@ def test_simulation_explosion_reports_step():
     with pytest.raises(SimulationError) as err:
         simulate(bad)
     assert err.value.step >= 1
+
+
+def test_simulation_error_pickles_with_step_and_message():
+    # worker processes send it back to the parent of a parallel study
+    err = pickle.loads(pickle.dumps(SimulationError(7, "replication 3: boom")))
+    assert err.step == 7 and str(err) == "replication 3: boom"
 
 
 def test_custom_drift_requires_lipschitz_bound():
@@ -156,6 +164,19 @@ def test_custom_drift_matches_linear_equivalent():
     cfg = make_sim_config(n=200, seed=12)
     custom = _custom_twin(cfg)
     assert np.allclose(simulate(cfg).x, simulate(custom).x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_mixed_custom_and_linear_drifts_match_linear_config(substeps):
+    # one unique drift as a callable equal to its linear drift: the loop
+    # overrides that block of mu - B z and must reproduce the linear path
+    cfg = make_sim_config(n=500, seed=21, substeps=substeps)
+    b = float(cfg.unique_drifts[2].b)
+    mixed = replace(cfg, unique_drifts=cfg.unique_drifts[:2]
+                    + (DriftSpec.custom(lambda e: -b * e, lipschitz_bound=b),)
+                    + cfg.unique_drifts[3:])
+    linear, loop = simulate(cfg), simulate(mixed)
+    assert np.max(np.abs(loop.x - linear.x)) <= 1e-12 * np.max(np.abs(linear.x))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 16, 17, 101])
@@ -185,6 +206,7 @@ def test_linear_ou_scan_matches_euler_loop(n, substeps):
         assert np.array_equal(getattr(fast, name), getattr(again, name))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("substeps", [1, 3])
 def test_explosive_linear_ou_reports_loop_step(substeps):
     # e1 grows by 1 + 1e4 delta per substep.  Near the float limit the
