@@ -7,9 +7,10 @@ covariance), and ``experiment`` (Monte Carlo study from a config file).
 
 Exit codes are stable: 0 success, 2 configuration error (or a drift
 explosion), 3 the fit did not converge, 4 the requested factor count is
-untestable.  Every run writes a manifest JSON recording the resolved
-configuration and seed next to its output; all randomness flows from
-``--seed`` or the config seed.
+untestable (more parameters than moments for ``fit``, no degree of freedom
+for ``test`` and ``select``).  Every run writes a manifest JSON recording
+the resolved configuration and seed next to its output; all randomness
+flows from ``--seed`` or the config seed.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from .config import (
     model_from_json,
     sim_config_from_json,
     sim_config_to_json,
+    spec_to_json,
 )
-from .estimator import RealisedCov, fit, realised_cov
+from .estimator import RealisedCov, contrast, default_bounds, fit, realised_cov
 from .hypothesis_test import UntestableError, select_k, test_k
-from .model import pack
+from .model import WeightMatrixError, pack
 from .montecarlo import experiment_from_json, run, write_outputs
 from .sde import (
     SimulationError,
@@ -94,13 +96,34 @@ def _read_data(path):
 
 
 def _load_spec(args, rcov):
+    """Model document of ``--spec``, checked against itself and the data.
+
+    ``n`` and ``h`` come from the data.  A parameter block is a fit's start:
+    it must have the spec's p and k, lie inside the data's default box (the
+    box that fit searches) and give a positive-definite Sigma(theta).
+    """
     doc = apply_overrides(load_json(args.spec), args.override or [])
     spec, params = model_from_json(doc)
     if spec.p != rcov.p:
         raise ConfigError(
             f"data has p={rcov.p} coordinates but spec declares p={spec.p}")
-    if spec.n != rcov.n:
-        spec = replace(spec, n=rcov.n, h=rcov.h)
+    spec = replace(spec, n=rcov.n, h=rcov.h)
+    if params is None:
+        return spec, params
+    if (params.p, params.k) != (spec.p, spec.k):
+        raise ConfigError(f"fields 'a', 'sigma_ff' and 'sigma_ee' give p={params.p}, "
+                          f"k={params.k} but spec declares p={spec.p}, k={spec.k}")
+    x, box = pack(params), default_bounds(rcov, spec)
+    outside = np.flatnonzero((x < box[:, 0]) | (x > box[:, 1]))
+    if outside.size:
+        i = outside[0]
+        raise ConfigError(f"start theta:{i + 1}={x[i]:g} lies outside the data's "
+                          f"default box [{box[i, 0]:g}, {box[i, 1]:g}]")
+    try:
+        contrast(rcov, params)
+    except WeightMatrixError:
+        raise ConfigError("start Sigma(theta) of fields 'a', 'sigma_ff' and "
+                          "'sigma_ee' is not positive definite") from None
     return spec, params
 
 
@@ -185,6 +208,9 @@ def _write_report(out_path, doc, fmt, csv_rows):
 def cmd_fit(args):
     rcov = _read_data(args.data)
     spec, init = _load_spec(args, rcov)
+    if spec.df < 0:
+        raise UntestableError(f"k={spec.k} at p={spec.p} has q={spec.q} "
+                              f"parameters, more than the {spec.pbar} moments")
     result = fit(rcov, spec, init=init)
     doc = _fit_json(result)
     rows = [("coord", "estimate", "se")] + [
@@ -193,8 +219,7 @@ def cmd_fit(args):
     ]
     _write_report(args.out, doc, args.format, rows)
     manifest = _write_manifest(args.out, {"subcommand": "fit", "data": args.data,
-                               "spec": {"p": spec.p, "k": spec.k, "n": spec.n,
-                                        "h": spec.h, "regime": spec.regime},
+                               "spec": spec_to_json(spec),
                                "outputs": [args.out]})
     print(_fit_report(result))
     print(f"wrote {args.out}" + (f" and {manifest}" if args.verbose else ""))
@@ -280,19 +305,22 @@ def cmd_experiment(args):
     return EXIT_OK
 
 
-def _level(text):
-    """Type of ``--alpha``: a test level strictly between 0 and 1."""
-    alpha = float(text)
-    if not 0.0 < alpha < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
-    return alpha
+def _flag_type(kind, name, accept, rule):
+    """argparse type: ``kind(text)`` passing ``accept``; an error says the
+    value must be ``name`` (when ``kind`` fails) or must ``rule``."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {name}, got {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
+        return value
+    return parse
 
 
-def _workers(text):
-    """Type of ``--threads``: a worker count of at least 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+_level = _flag_type(float, "a number", lambda a: 0.0 < a < 1.0, "lie in (0, 1)")
+_workers = _flag_type(int, "an integer", lambda w: w >= 1, "be >= 1")
 
 
 def build_parser():
@@ -316,7 +344,7 @@ def build_parser():
                            help="path CSV/binary or realised-covariance JSON")
         if spec:
             p.add_argument("--spec", required=True,
-                           help="model JSON (p, k, regime, n, h; optional parameters)")
+                           help="model JSON (p, k, n, h; optional parameters)")
             p.add_argument("-v", "--verbose", action="count", default=0)
         if config or spec:
             p.add_argument("--override", action="append", metavar="KEY=VALUE",

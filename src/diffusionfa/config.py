@@ -4,7 +4,8 @@ One parser, one format: every document is a JSON object whose field names
 match the dataclass attributes.  Matrices are nested lists in row-major
 order; the factor covariance travels as its vech (lower triangle,
 column-stacked).  Parse errors raise :class:`ConfigError` naming the
-offending field so the CLI can surface actionable diagnostics.
+offending field so the CLI can surface actionable diagnostics.  Keys that
+name no field (such as removed ones) are ignored.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ def spec_from_json(doc, path=""):
         return ModelSpec(
             p=_as_int(doc, "p", path),
             k=_as_int(doc, "k", path),
-            regime=_require(doc, "regime", path),
             n=_as_int(doc, "n", path),
             h=_as_float(doc, "h", path),
         )
@@ -60,8 +60,7 @@ def spec_from_json(doc, path=""):
 
 
 def spec_to_json(spec):
-    return {"p": spec.p, "k": spec.k, "regime": spec.regime,
-            "n": spec.n, "h": spec.h}
+    return {"p": spec.p, "k": spec.k, "n": spec.n, "h": spec.h}
 
 
 def params_from_json(doc, path=""):
@@ -70,7 +69,6 @@ def params_from_json(doc, path=""):
             a=np.asarray(_require(doc, "a", path), dtype=float),
             sigma_ff=unvech(np.asarray(_require(doc, "sigma_ff", path), dtype=float)),
             sigma_ee=np.asarray(_require(doc, "sigma_ee", path), dtype=float),
-            strict=False,
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):

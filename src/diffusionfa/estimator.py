@@ -280,7 +280,7 @@ class _Objective:
     def __call__(self, x):
         self.evals += 1
         try:
-            f, grad = _contrast_and_grad(self.q, unpack(x, self.spec, strict=False))
+            f, grad = _contrast_and_grad(self.q, unpack(x, self.spec))
         except WeightMatrixError:
             return np.inf, None
         if not np.isfinite(f):
@@ -289,8 +289,7 @@ class _Objective:
 
     def hessian(self, x):
         """Exact Hessian at a point the search has already accepted."""
-        return _contrast_and_grad(self.q, unpack(x, self.spec, strict=False),
-                                  hessian=True)[2]
+        return _contrast_and_grad(self.q, unpack(x, self.spec), hessian=True)[2]
 
 
 def _projected_gradient(x, g, lo, hi):
@@ -339,7 +338,7 @@ def _bfgs(objective, x, f, g, lo, hi):
         # within a safety factor of that bound the point is converged to
         # machine resolution even though the nominal tolerance is unmet
         try:
-            info = 2.0 * information(unpack(x, spec, strict=False))
+            info = 2.0 * information(unpack(x, spec))
             lam_max = float(np.linalg.eigvalsh(info)[-1])
         except WeightMatrixError:
             return False
@@ -507,7 +506,7 @@ def fit(rcov, spec, init=None, bounds=None):
     x, f, g, iterations, converged, message = minimize(objective, x, f, g, lo, hi)
     pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
 
-    theta_hat = unpack(x, spec, strict=False)
+    theta_hat = unpack(x, spec)
     try:
         info = information(theta_hat)
         try:

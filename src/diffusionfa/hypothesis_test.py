@@ -133,12 +133,14 @@ def select_k(rcov, spec, alpha=0.05):
     parameter spaces differ across k, so no warm starts).  Fit failures at
     some k are recorded in the trail and the scan continues.  Exhausting
     every testable count means no factor structure: ``chosen_k`` is None.
+    Raises UntestableError when no count is testable (p <= 3).
     """
-    if spec.p < 2:
-        raise ValueError("selection requires p >= 2")
+    top = max_testable_k(spec.p)
+    if not top:
+        raise UntestableError(f"no factor count is testable at p={spec.p}")
     trail = []
     chosen = None
-    for k in range(1, max_testable_k(spec.p) + 1):
+    for k in range(1, top + 1):
         result = test_k(rcov, spec, k, alpha=alpha)
         trail.append(result)
         if not result.reject:

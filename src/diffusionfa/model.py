@@ -24,9 +24,6 @@ from .matrixcalc import (
     vech_indices,
 )
 
-REGIMES = ("ergodic", "non-ergodic")
-
-
 class WeightMatrixError(ValueError):
     """The vech-scale weight matrix is not positive definite.
 
@@ -44,15 +41,13 @@ class ModelSpec:
     ----------
     p : observed dimension
     k : number of common factors, 1 <= k < p
-    regime : "ergodic" (T -> infinity) or "non-ergodic" (T fixed); affects
-        bookkeeping and documentation only -- all estimator formulas agree.
     n : number of increments on the observation grid
-    h : grid step, so T = n*h
+    h : grid step, so T = n*h; ergodic (T -> infinity) and non-ergodic
+        (T fixed) sampling share every estimator formula
     """
 
     p: int
     k: int
-    regime: str = "ergodic"
     n: int = 0
     h: float = 0.0
 
@@ -61,8 +56,6 @@ class ModelSpec:
             raise ValueError("p must be >= 2")
         if not 1 <= self.k < self.p:
             raise ValueError(f"k must satisfy 1 <= k < p, got k={self.k}, p={self.p}")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
 
     @property
     def q(self):
@@ -95,16 +88,14 @@ class ParamVector:
     a : (p-k) x k free block of the loading matrix
     sigma_ff : k x k symmetric factor covariance (symmetrized on input; PSD
         is *not* enforced -- fits report an eigenvalue diagnostic instead)
-    sigma_ee : length-p unique variances, strictly positive when
-        ``strict`` (the default).  Fitted values searched over a box that
-        admits the boundary may carry non-positive entries (Heywood case);
-        such results are constructed with ``strict=False`` and flagged.
+    sigma_ee : length-p unique variances.  Only shapes are checked: a fit
+        over a box that admits the boundary may return non-positive entries
+        (Heywood case), which ``FitResult.min_unique_variance`` reports.
     """
 
     a: np.ndarray
     sigma_ff: np.ndarray
     sigma_ee: np.ndarray
-    strict: bool = True
 
     def __post_init__(self):
         a = np.atleast_2d(np.array(self.a, dtype=float))
@@ -118,8 +109,6 @@ class ParamVector:
         p = a.shape[0] + k
         if see.size != p:
             raise ValueError(f"sigma_ee has length {see.size}, expected p={p}")
-        if self.strict and np.any(see <= 0):
-            raise ValueError("unique variances must be strictly positive")
         for name, val in (("a", a), ("sigma_ff", sff), ("sigma_ee", see)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -140,7 +129,7 @@ def pack(params):
     )
 
 
-def unpack(v, spec, strict=True):
+def unpack(v, spec):
     """Inverse of :func:`pack` for the dimensions in ``spec``."""
     v = np.asarray(v, dtype=float).ravel()
     p, k = spec.p, spec.k
@@ -153,7 +142,7 @@ def unpack(v, spec, strict=True):
     rows, cols = vech_indices(k)
     sff[rows, cols] = v[n_a : n_a + n_ff]
     sff[cols, rows] = v[n_a : n_a + n_ff]
-    return ParamVector(a=a, sigma_ff=sff, sigma_ee=v[n_a + n_ff :], strict=strict)
+    return ParamVector(a=a, sigma_ff=sff, sigma_ee=v[n_a + n_ff :])
 
 
 def loading_matrix(params):

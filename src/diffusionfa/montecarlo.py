@@ -19,11 +19,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
-from .config import ConfigError, sim_config_to_json
+from .config import ConfigError, sim_config_to_json, spec_to_json
 from .estimator import information, parameter_box, realised_cov
 from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
-from .model import ModelSpec, ParamVector, pack, sigma_of_theta
+from .model import ModelSpec, pack, sigma_of_theta
 from .sde import SimConfig, SimulationError, implied_params, simulate
 
 _MANIFEST_SEED_LIMIT = 10000
@@ -42,9 +42,9 @@ class Experiment:
     """A full replication study.
 
     ``sim`` is the per-replication template (its own seed is ignored);
-    ``truth`` is the generating parameter vector and must be consistent
-    with the template (factor dispersion times its transpose, squared
-    unique dispersions).  Each count in ``k_grid`` is fit and tested by
+    the generating parameters, :attr:`truth`, are implied by it (factor
+    dispersion times its transpose, squared unique dispersions).  Each
+    count in ``k_grid`` is fit and tested by
     :func:`hypothesis_test.test_k`: the fit at the generating count starts
     at the truth, and fits at other counts start from the default
     initializer.  ``bounds_blocks`` optionally maps the block names
@@ -61,7 +61,6 @@ class Experiment:
     """
 
     sim: SimConfig
-    truth: ParamVector
     replications: int
     k_grid: tuple = (None,)
     alphas: tuple = (0.05,)
@@ -106,7 +105,7 @@ class Experiment:
                 raise ConfigError(
                     f"bounds {name!r} must be numbers lower < upper, got {pair!r}")
         # theta draws exist only when the generating count is fit
-        fitted_q = pack(self.truth).size if self.truth.k in k_grid else 0
+        fitted_q = spec.q if spec.k in k_grid else 0
         known = set(_moment_names(spec.p, fitted_q))
         known.update(["all"] + [f"tstat:{k}" for k in k_grid])
         for key in self.keep_draws:
@@ -123,19 +122,15 @@ class Experiment:
         if self.bounds_blocks is not None:
             object.__setattr__(self, "bounds_blocks", {
                 name: (float(lo), float(hi)) for name, (lo, hi) in blocks.items()})
-        implied = implied_params(self.sim)
-        for mine, theirs, name in (
-            (self.truth.a, implied.a, "loading block"),
-            (self.truth.sigma_ff, implied.sigma_ff, "factor covariance"),
-            (self.truth.sigma_ee, implied.sigma_ee, "unique variances"),
-        ):
-            if not np.allclose(mine, theirs, rtol=1e-10, atol=1e-12):
-                raise ConfigError(
-                    f"truth {name} is inconsistent with the simulation template")
 
     @property
     def spec(self):
         return self.sim.spec
+
+    @property
+    def truth(self):
+        """Generating parameters, :func:`sde.implied_params` of ``sim``."""
+        return implied_params(self.sim)
 
 
 @dataclass(frozen=True)
@@ -385,8 +380,7 @@ def write_outputs(agg, outdir, exp):
         "seed_rule": "SeedSequence(seed_base, spawn_key=(r,)) -> uint64",
         "seeds": list(agg.seeds) if agg.replications <= _MANIFEST_SEED_LIMIT else [],
         "exclusions": {str(k): v for k, v in sorted(agg.exclusions.items())},
-        "spec": {"p": agg.spec.p, "k": agg.spec.k, "regime": agg.spec.regime,
-                 "n": agg.spec.n, "h": agg.spec.h},
+        "spec": spec_to_json(agg.spec),
         "truth": [float(v) for v in agg.truth_packed],
         "sim": sim_config_to_json(exp.sim),
         "k_grid": list(exp.k_grid),
@@ -402,14 +396,11 @@ def write_outputs(agg, outdir, exp):
 
 def experiment_from_json(doc):
     """Parse an experiment document (see docs/file-formats.md)."""
-    from .config import _require, sim_config_from_json, params_from_json
+    from .config import _require, sim_config_from_json
 
     sim = sim_config_from_json(_require(doc, "sim"), path="sim")
-    truth = (params_from_json(doc["truth"], path="truth")
-             if "truth" in doc else implied_params(sim))
     return Experiment(
         sim=sim,
-        truth=truth,
         replications=_require(doc, "replications"),
         k_grid=doc.get("k_grid", [sim.spec.k]),
         alphas=doc.get("alphas", [0.05]),

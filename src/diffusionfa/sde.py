@@ -65,16 +65,14 @@ class SimulationError(RuntimeError):
 class DriftSpec:
     """Drift of one diffusion component.
 
-    ``linear_ou`` drifts are x -> -(B x - mu); ``custom`` drifts carry a
-    callable together with a declared global Lipschitz bound, which must be
-    given but is neither used nor verified.
+    ``linear_ou`` drifts are x -> -(B x - mu); ``custom`` drifts carry only
+    a callable, which :func:`simulate` evaluates in its Euler loop.
     """
 
     kind: str
     b: np.ndarray | float | None = None
     mu: np.ndarray | float | None = None
     func: object = None
-    lipschitz_bound: float | None = None
 
     @staticmethod
     def linear_ou(b, mu):
@@ -82,17 +80,14 @@ class DriftSpec:
                          mu=np.asarray(mu, dtype=float))
 
     @staticmethod
-    def custom(func, lipschitz_bound):
-        if not callable(func):
-            raise ValueError("custom drift requires a callable")
-        return DriftSpec(kind="custom", func=func,
-                         lipschitz_bound=float(lipschitz_bound))
+    def custom(func):
+        return DriftSpec(kind="custom", func=func)
 
     def __post_init__(self):
         if self.kind not in ("linear_ou", "custom"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        if self.kind == "custom" and self.lipschitz_bound is None:
-            raise ValueError("custom drift must declare a Lipschitz bound")
+        if self.kind == "custom" and not callable(self.func):
+            raise ValueError("custom drift requires a callable")
 
 
 @dataclass(frozen=True)
@@ -178,14 +173,10 @@ class SamplePath:
 
 
 def implied_params(config):
-    """Generating ParamVector of a config: Sigma_ff = S S^T, sigma^2 = disp^2.
-
-    Built non-strict so degenerate simulation configs (zero dispersion)
-    remain expressible; estimation assumptions are checked elsewhere.
-    """
+    """Generating ParamVector of a config: Sigma_ff = S S^T, sigma^2 = disp^2."""
     s = config.factor_dispersion
     return ParamVector(a=config.a, sigma_ff=s @ s.T,
-                       sigma_ee=config.unique_dispersions ** 2, strict=False)
+                       sigma_ee=config.unique_dispersions ** 2)
 
 
 def _rng_streams(seed, p):

@@ -33,13 +33,13 @@ def truth():
     return ParamVector(a=A_TRUE, sigma_ff=SIGMA_FF_TRUE, sigma_ee=SIGMA_EE_TRUE)
 
 
-def make_spec(n=1000, h=1e-3, k=2, regime="non-ergodic"):
-    return ModelSpec(p=6, k=k, regime=regime, n=n, h=h)
+def make_spec(n=1000, h=1e-3, k=2):
+    return ModelSpec(p=6, k=k, n=n, h=h)
 
 
-def make_sim_config(n=1000, h=1e-3, seed=0, substeps=1, regime="non-ergodic"):
+def make_sim_config(n=1000, h=1e-3, seed=0, substeps=1):
     return SimConfig(
-        spec=make_spec(n=n, h=h, regime=regime),
+        spec=make_spec(n=n, h=h),
         a=A_TRUE,
         factor_drift=DriftSpec.linear_ou(FACTOR_B, FACTOR_MU),
         factor_dispersion=FACTOR_S,

@@ -128,8 +128,8 @@ def test_criterion_04_gradient_check():
                 up[j] += step
                 dn = theta.copy()
                 dn[j] -= step
-                fd[j] = (contrast(rc, unpack(up, spec, strict=False))
-                         - contrast(rc, unpack(dn, spec, strict=False))) / (2 * step)
+                fd[j] = (contrast(rc, unpack(up, spec))
+                         - contrast(rc, unpack(dn, spec))) / (2 * step)
             rel = np.max(np.abs(grad - fd) / (1.0 + np.abs(fd)))
             assert rel <= 1e-5
     elapsed = time.perf_counter() - start
@@ -211,7 +211,7 @@ def test_criterion_09_sqrt_n_shrinkage(nonergodic_run, ergodic_scaled_run):
 
 def test_criterion_10_byte_identical_reruns(tmp_path):
     sim = make_sim_config(n=250, seed=0)
-    exp = Experiment(sim=sim, truth=implied_params(sim), replications=6,
+    exp = Experiment(sim=sim, replications=6,
                      k_grid=(1, 2), keep_draws=("theta:1", "tstat:2"),
                      seed_base=31337)
     outputs = []

@@ -432,3 +432,93 @@ def test_cli_import_and_simulate_leave_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+MODEL_DOC_DEFECTS = [
+    (["k=1"], "'sigma_ee' give p=6, k=2 but spec declares p=6, k=1"),
+    (["a=[[3, 1], [1, 5], [7, -4]]", "sigma_ee=[4, 16, 25, 1, 9]"],
+     "'sigma_ee' give p=5, k=2 but spec declares p=6, k=2"),
+    (["sigma_ee=[4, 16, -25, 1, 9, 4]"], "start theta:14=-25 lies outside"),
+    (["sigma_ff=[13, 13, 1]"], "start Sigma(theta) of fields"),
+]
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "test", "select"])
+@pytest.mark.parametrize("overrides,needle", MODEL_DOC_DEFECTS,
+                         ids=["k", "p", "box", "not_pd"])
+def test_model_doc_inconsistent_with_itself_or_data_exits_2(
+        tmp_path, path_csv, model_doc, subcommand, overrides, needle, capsys):
+    extra = ["--k", "2"] if subcommand == "test" else []
+    for item in overrides:
+        extra += ["--override", item]
+    code = main([subcommand, "--data", path_csv, "--spec", model_doc,
+                 "--out", str(tmp_path / "out.json")] + extra)
+    assert code == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_fit_takes_n_and_h_from_data(tmp_path, path_csv, model_doc):
+    # the model document agrees with the data on n but not on h
+    out = str(tmp_path / "fit.json")
+    code = main(["fit", "--data", path_csv, "--spec", model_doc, "--out", out,
+                 "--override", "n=300", "--override", "h=0.5"])
+    assert code in (0, 3)
+    spec = json.loads(open(out + ".manifest.json").read())["spec"]
+    assert spec == {"p": 6, "k": 2, "n": 300, "h": 0.001}
+
+
+def _small_rcov_doc(tmp_path, q):
+    data = str(tmp_path / "rcov.json")
+    with open(data, "w") as fh:
+        json.dump({"q": q, "n": 1000, "h": 0.001}, fh)
+    spec = str(tmp_path / "model.json")
+    with open(spec, "w") as fh:
+        json.dump({"p": len(q), "k": 1, "n": 1000, "h": 0.001}, fh)
+    return data, spec
+
+
+def test_fit_with_more_parameters_than_moments_exits_4(tmp_path, capsys):
+    data, spec = _small_rcov_doc(tmp_path, [[2.0, 1.0], [1.0, 3.0]])
+    code = main(["fit", "--data", data, "--spec", spec,
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == 4
+    assert "k=1 at p=2 has q=4 parameters, more than the 3 moments" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("q", [[[2.0, 1.0], [1.0, 3.0]],
+                               [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 2.0]]],
+                         ids=["p2", "p3"])
+def test_select_with_no_testable_count_exits_4(tmp_path, q, capsys):
+    data, spec = _small_rcov_doc(tmp_path, q)
+    code = main(["select", "--data", data, "--spec", spec,
+                 "--out", str(tmp_path / "select.json")])
+    assert code == 4
+    assert f"no factor count is testable at p={len(q)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["fit"], ["test", "--k", "1"], ["select"]],
+                         ids=["fit", "test", "select"])
+def test_zero_variance_coordinate_fits_without_traceback(tmp_path, command):
+    # the default start puts a zero unique variance at the fourth coordinate
+    q = [[2.0, 1.0, 0.5, 0.0], [1.0, 3.0, 1.0, 0.0], [0.5, 1.0, 2.0, 0.0],
+         [0.0, 0.0, 0.0, 0.0]]
+    data, spec = _small_rcov_doc(tmp_path, q)
+    code = main(command + ["--data", data, "--spec", spec,
+                           "--out", str(tmp_path / "out.json")])
+    assert code in (0, 3)
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["experiment", "--config", "table6_nonergodic", "--threads", "x"],
+     "argument --threads: must be an integer, got 'x'"),
+    (["select", "--data", "d.csv", "--spec", "m.json", "--alpha", "x"],
+     "argument --alpha: must be a number, got 'x'"),
+], ids=["threads", "alpha"])
+def test_non_numeric_flag_names_expected_type(tmp_path, argv, needle, capsys):
+    # argparse rejects the value before any file is read or worker started
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert needle in capsys.readouterr().err

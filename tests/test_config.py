@@ -13,6 +13,7 @@ from diffusionfa.config import (
     sim_config_from_json,
     sim_config_to_json,
 )
+from diffusionfa.model import pack
 from diffusionfa.montecarlo import experiment_from_json
 
 from conftest import THETA_TRUE, make_spec
@@ -30,14 +31,14 @@ def test_model_document_roundtrip(truth):
 
 def test_model_document_without_params():
     spec, params = model_from_json(
-        {"p": 6, "k": 2, "regime": "ergodic", "n": 10, "h": 0.1})
+        {"p": 6, "k": 2, "n": 10, "h": 0.1})
     assert params is None
     assert spec.p == 6
 
 
 def test_missing_field_names_field():
     with pytest.raises(ConfigError, match="'h'"):
-        model_from_json({"p": 6, "k": 2, "regime": "ergodic", "n": 10})
+        model_from_json({"p": 6, "k": 2, "n": 10})
 
 
 def test_sim_config_roundtrip(sim_config):
@@ -113,18 +114,19 @@ def test_experiment_document_with_dropped_key_loads():
     assert not hasattr(exp, "init_at_truth")
 
 
-def test_experiment_truth_consistency_enforced(sim_config):
+def test_experiment_document_with_dropped_truth_key_loads(sim_config, truth):
+    # truth is implied by the template; documents that still carry the
+    # removed truth (or spec regime) key load, and the key is ignored
+    sim_doc = sim_config_to_json(sim_config)
+    sim_doc["spec"]["regime"] = "non-ergodic"
     doc = {
-        "sim": sim_config_to_json(sim_config),
-        "truth": {
-            "a": sim_config.a.tolist(),
-            "sigma_ff": [13.0, 13.0, 25.0],  # wrong corner entry
-            "sigma_ee": (sim_config.unique_dispersions**2).tolist(),
-        },
+        "sim": sim_doc,
+        "truth": {"a": [[0.0]], "sigma_ff": [13.0, 13.0, 25.0], "sigma_ee": []},
         "replications": 5,
     }
-    with pytest.raises(ConfigError, match="inconsistent"):
-        experiment_from_json(doc)
+    exp = experiment_from_json(doc)
+    assert exp.spec == sim_config.spec
+    assert np.array_equal(pack(exp.truth), pack(truth))
 
 
 def test_experiment_replication_count_validated(sim_config):

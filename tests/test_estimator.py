@@ -125,8 +125,7 @@ def test_contrast_grad_matches_kronecker_oracle(p, k):
 def test_contrast_rejects_indefinite_sigma(truth):
     rc = rcov_from_sigma(SIGMA_TRUE)
     params = ParamVector(a=truth.a, sigma_ff=truth.sigma_ff,
-                         sigma_ee=truth.sigma_ee - [40.0, 0, 0, 0, 0, 0],
-                         strict=False)
+                         sigma_ee=truth.sigma_ee - [40.0, 0, 0, 0, 0, 0])
     assert np.linalg.eigvalsh(sigma_of_theta(params))[0] < 0
     with pytest.raises(WeightMatrixError):
         contrast(rc, params)
@@ -155,8 +154,8 @@ def test_contrast_grad_finite_differences(p, k):
             up[j] += step
             dn = theta.copy()
             dn[j] -= step
-            fd[j] = (contrast(rc, unpack(up, spec, strict=False))
-                     - contrast(rc, unpack(dn, spec, strict=False))) / (2 * step)
+            fd[j] = (contrast(rc, unpack(up, spec))
+                     - contrast(rc, unpack(dn, spec))) / (2 * step)
         assert np.max(np.abs(grad - fd) / (1.0 + np.abs(fd))) < 1e-5
 
 
@@ -175,8 +174,8 @@ def test_hessian_matches_central_differences(p, k):
         up[j] += step
         dn = theta.copy()
         dn[j] -= step
-        fd[:, j] = (_contrast_and_grad(q, unpack(up, spec, strict=False))[1]
-                    - _contrast_and_grad(q, unpack(dn, spec, strict=False))[1]) / (2 * step)
+        fd[:, j] = (_contrast_and_grad(q, unpack(up, spec))[1]
+                    - _contrast_and_grad(q, unpack(dn, spec))[1]) / (2 * step)
     assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -207,7 +206,7 @@ def test_fit_recovers_from_perturbed_start(truth):
     rc = rcov_from_sigma(SIGMA_TRUE)
     spec = make_spec()
     rng = np.random.default_rng(8)
-    start = unpack(pack(truth) + rng.normal(0, 0.3, 17), spec, strict=False)
+    start = unpack(pack(truth) + rng.normal(0, 0.3, 17), spec)
     res = fit(rc, spec, init=start)
     assert res.converged
     assert np.max(np.abs(pack(res.theta_hat) - pack(truth))) < 1e-4
@@ -291,7 +290,7 @@ def _clipped_default_start(rc, spec):
     box = default_bounds(rc, spec)
     margin = 0.01 * (box[:, 1] - box[:, 0])
     x0 = np.clip(pack(default_init(rc, spec)), box[:, 0] + margin, box[:, 1] - margin)
-    return unpack(x0, spec, strict=False)
+    return unpack(x0, spec)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -350,14 +349,14 @@ def test_quasi_loglik_minimizer_agrees_with_contrast_fit(truth):
     # the two objectives share their optimum to o(n^{-1/2}): compare the
     # minimizers on one long simulated path
     n = 10**6
-    path = simulate(make_sim_config(n=n, h=1e-4, seed=2026, regime="ergodic"))
+    path = simulate(make_sim_config(n=n, h=1e-4, seed=2026))
     rc = realised_cov(path)
-    spec = make_spec(n=n, h=1e-4, regime="ergodic")
+    spec = make_spec(n=n, h=1e-4)
     res_f = fit(rc, spec, init=truth)
     assert res_f.converged
 
     def m_objective(theta):
-        return quasi_loglik_excess(rc, unpack(theta, spec, strict=False))
+        return quasi_loglik_excess(rc, unpack(theta, spec))
 
     bounds = default_bounds(rc, spec)
     res_m = minimize(m_objective, pack(res_f.theta_hat), method="Nelder-Mead",

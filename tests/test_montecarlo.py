@@ -7,7 +7,6 @@ import pytest
 from diffusionfa import (
     Experiment,
     figure_data,
-    implied_params,
     replication_seed,
     run,
     theoretical_sd_table,
@@ -22,7 +21,6 @@ def small_experiment():
     sim = make_sim_config(n=200, seed=0)
     return Experiment(
         sim=sim,
-        truth=implied_params(sim),
         replications=8,
         k_grid=(2,),
         alphas=(0.05, 0.01),
@@ -73,7 +71,7 @@ def test_aggregate_quartiles_ordered(small_aggregate):
 
 def test_single_replication_degenerate_sd():
     sim = make_sim_config(n=100, seed=4)
-    exp = Experiment(sim=sim, truth=implied_params(sim), replications=1,
+    exp = Experiment(sim=sim, replications=1,
                      k_grid=(2,), seed_base=9)
     agg = run(exp)
     assert all(r.sample_sd == 0.0 for r in agg.rcov_rows)
@@ -165,7 +163,7 @@ def test_nonconverged_replications_leave_moments_only(tmp_path, monkeypatch, fai
 
     monkeypatch.setattr(montecarlo, "test_k", flaky_test_k)
     sim = make_sim_config(n=200, seed=0)
-    exp = Experiment(sim=sim, truth=implied_params(sim), replications=6,
+    exp = Experiment(sim=sim, replications=6,
                      k_grid=(2,), alphas=(0.05, 0.5), keep_draws=("all",),
                      seed_base=31)
     agg = run(exp)

@@ -90,7 +90,7 @@ def test_factor_stream_independent_of_p():
     # same seed, system extended by one observed coordinate: the factor
     # path must not move (disjoint named substreams)
     base = make_sim_config(n=100, seed=33)
-    spec7 = type(base.spec)(p=7, k=2, regime="non-ergodic", n=100, h=1e-3)
+    spec7 = type(base.spec)(p=7, k=2, n=100, h=1e-3)
     bigger = SimConfig(
         spec=spec7,
         a=np.vstack([A_TRUE, [1.0, 1.0]]),
@@ -125,7 +125,7 @@ def test_simulation_explosion_reports_step():
         a=cfg.a,
         factor_drift=cfg.factor_drift,
         factor_dispersion=cfg.factor_dispersion,
-        unique_drifts=(DriftSpec.custom(lambda e: 1e160 * (e + 1.0), 1e160),)
+        unique_drifts=(DriftSpec.custom(lambda e: 1e160 * (e + 1.0)),)
         + cfg.unique_drifts[1:],
         unique_dispersions=cfg.unique_dispersions,
         f0=cfg.f0,
@@ -143,9 +143,11 @@ def test_simulation_error_pickles_with_step_and_message():
     assert err.step == 7 and str(err) == "replication 3: boom"
 
 
-def test_custom_drift_requires_lipschitz_bound():
-    with pytest.raises(ValueError, match="Lipschitz"):
-        DriftSpec(kind="custom", func=lambda x: -x)
+def test_custom_drift_requires_callable():
+    with pytest.raises(ValueError, match="callable"):
+        DriftSpec.custom(2.0)
+    with pytest.raises(ValueError, match="callable"):
+        DriftSpec(kind="custom")
 
 
 def _custom_twin(cfg):
@@ -153,10 +155,9 @@ def _custom_twin(cfg):
     fb, fmu = cfg.factor_drift.b, cfg.factor_drift.mu
     return replace(
         cfg,
-        factor_drift=DriftSpec.custom(lambda f: fmu - fb @ f, lipschitz_bound=2.0),
+        factor_drift=DriftSpec.custom(lambda f: fmu - fb @ f),
         unique_drifts=tuple(
-            DriftSpec.custom((lambda b: lambda e: -b * e)(float(d.b)),
-                             lipschitz_bound=abs(float(d.b)))
+            DriftSpec.custom((lambda b: lambda e: -b * e)(float(d.b)))
             for d in cfg.unique_drifts))
 
 
@@ -173,7 +174,7 @@ def test_mixed_custom_and_linear_drifts_match_linear_config(substeps):
     cfg = make_sim_config(n=500, seed=21, substeps=substeps)
     b = float(cfg.unique_drifts[2].b)
     mixed = replace(cfg, unique_drifts=cfg.unique_drifts[:2]
-                    + (DriftSpec.custom(lambda e: -b * e, lipschitz_bound=b),)
+                    + (DriftSpec.custom(lambda e: -b * e),)
                     + cfg.unique_drifts[3:])
     linear, loop = simulate(cfg), simulate(mixed)
     assert np.max(np.abs(loop.x - linear.x)) <= 1e-12 * np.max(np.abs(linear.x))
