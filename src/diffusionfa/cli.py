@@ -98,7 +98,8 @@ def _read_data(path):
 def _load_spec(args, rcov):
     """Model document of ``--spec``, checked against itself and the data.
 
-    ``n`` and ``h`` come from the data.  A parameter block is a fit's start:
+    ``n`` and ``h`` come from the data, which needs a positive variance for
+    the default box to scale with.  A parameter block is a fit's start:
     it must have the spec's p and k, lie inside the data's default box (the
     box that fit searches) and give a positive-definite Sigma(theta).
     """
@@ -108,12 +109,16 @@ def _load_spec(args, rcov):
         raise ConfigError(
             f"data has p={rcov.p} coordinates but spec declares p={spec.p}")
     spec = replace(spec, n=rcov.n, h=rcov.h)
+    try:
+        box = default_bounds(rcov, spec)
+    except ValueError as exc:
+        raise ConfigError(f"{args.data}: {exc}") from None
     if params is None:
         return spec, params
     if (params.p, params.k) != (spec.p, spec.k):
         raise ConfigError(f"fields 'a', 'sigma_ff' and 'sigma_ee' give p={params.p}, "
                           f"k={params.k} but spec declares p={spec.p}, k={spec.k}")
-    x, box = pack(params), default_bounds(rcov, spec)
+    x = pack(params)
     outside = np.flatnonzero((x < box[:, 0]) | (x > box[:, 1]))
     if outside.size:
         i = outside[0]
@@ -167,7 +172,8 @@ def cmd_rcov(args):
 def _fit_report(result):
     lines = [
         f"converged: {result.converged} ({result.message}; "
-        f"{result.iterations} iterations, |pg|={result.gradient_norm:.2e})",
+        f"{result.iterations} iterations, {result.evaluations} evaluations, "
+        f"|pg|={result.gradient_norm:.2e})",
         f"contrast: {result.contrast:.6e}   n*contrast: {result.n * result.contrast:.4f}",
         f"{'coord':>6} {'estimate':>12} {'se':>10}",
     ]
@@ -188,6 +194,7 @@ def _fit_json(result):
         "contrast": result.contrast,
         "converged": result.converged,
         "iterations": result.iterations,
+        "evaluations": result.evaluations,
         "gradient_norm": result.gradient_norm,
         "message": result.message,
         "sigma_ff_min_eig": result.sigma_ff_min_eig,

@@ -15,8 +15,12 @@ Browne's (1974) discrepancy
     F(theta) = (1/2) tr[(S R)^2],    R = Q - Sigma(theta),
 
 and its derivative in Sigma is G = -(S R S + S R S R S).  Both are computed
-in closed form from one Cholesky factor of Sigma(theta).  sqrt(n) times the
-estimation error is asymptotically normal with covariance
+in closed form from one Cholesky factor of Sigma(theta), on the packed
+parameter vector: a fit builds its objective once, with the index maps of
+its spec, and forms Lambda, Sigma_ff and Sigma of each point from that
+vector.  The objective keeps S and G of the last point it evaluated, so
+Newton's Hessian at the point just accepted reuses that factorisation.
+sqrt(n) times the estimation error is asymptotically normal with covariance
 (Delta^T W^{-1} Delta)^{-1}; :func:`information` forms Delta^T W^{-1} Delta
 with one solve, for the standard errors, the BFGS precision-floor test and
 the theoretical standard deviations of a replication study.
@@ -37,19 +41,22 @@ step and backtracked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcalc import require_symmetric
+from .matrixcalc import require_symmetric, unvech, vech_indices
 from .model import (
+    ModelSpec,
     ParamVector,
     WeightMatrixError,
     delta_jacobian,
+    gradient_from_blocks,
     pack,
     sigma_curvature_contract,
     sigma_ff_min_eigenvalue,
-    sigma_gradient_contract,
+    sigma_from_blocks,
     sigma_gradient_stack,
     sigma_of_theta,
     unpack,
@@ -107,9 +114,10 @@ class FitResult:
     """Minimum-contrast fit with asymptotic standard errors.
 
     ``avar`` is (Delta^T W^{-1} Delta)^{-1} evaluated at the estimate and
-    ``se[i] = sqrt(avar[i, i] / n)``.  ``sigma_ff_min_eig`` and
-    ``min_unique_variance`` surface boundary (Heywood-style) solutions;
-    they are diagnostics, not errors.
+    ``se[i] = sqrt(avar[i, i] / n)``.  ``evaluations`` counts the contrast
+    and gradient evaluations of the search, the start included.
+    ``sigma_ff_min_eig`` and ``min_unique_variance`` surface boundary
+    (Heywood-style) solutions; they are diagnostics, not errors.
     """
 
     theta_hat: ParamVector
@@ -118,6 +126,7 @@ class FitResult:
     se: np.ndarray
     converged: bool
     iterations: int
+    evaluations: int
     gradient_norm: float
     n: int
     sigma_ff_min_eig: float
@@ -152,47 +161,6 @@ def realised_cov(path):
     return RealisedCov(q=(q + q.T) / 2.0, n=n, h=h)
 
 
-def _contrast_and_grad(q, params, hessian=False):
-    """F = (1/2) tr[(S R)^2], its gradient and, on request, its Hessian in
-    the packed parameters.
-
-    S = Sigma(theta)^{-1} is formed from one Cholesky factor L of
-    Sigma(theta) as L^{-T} L^{-1}, and R = q - Sigma(theta).  The gradient
-    chains the Sigma derivative G = -(S R S + S R S R S) to theta with
-    :func:`sigma_gradient_contract`.  With E_i = dSigma/dtheta_i,
-    B_i = S E_i, P = S q and C = P^2 - P, the Hessian is
-
-        H_ij = tr(B_i B_j C) + tr(B_j B_i C) + tr(B_i P B_j P)
-               + tr(G d2Sigma/dtheta_i dtheta_j).
-
-    Raises WeightMatrixError when Sigma(theta) is not positive definite.
-    """
-    sigma = sigma_of_theta(params)
-    try:
-        chol_inv = np.linalg.inv(np.linalg.cholesky(sigma))
-    except np.linalg.LinAlgError:
-        raise WeightMatrixError("model covariance is not positive definite") from None
-    s = chol_inv.T @ chol_inv
-    sr = s @ (q - sigma)
-    srs = sr @ s
-    f = 0.5 * float(np.sum(sr * sr.T))
-    g = -(srs + sr @ srs)
-    grad = sigma_gradient_contract(params, g)
-    if not hessian:
-        return f, grad
-    b = s @ sigma_gradient_stack(params)
-    sq = s @ q
-    n_q = b.shape[0]
-    b_t = b.transpose(0, 2, 1).reshape(n_q, -1)
-    bp = b @ sq
-    # tr(X Y) = <vec X^T, vec Y>, one matrix product per term
-    cross = b_t @ (b @ (sq @ sq - sq)).reshape(n_q, -1).T
-    h = (cross + cross.T
-         + bp.transpose(0, 2, 1).reshape(n_q, -1) @ bp.reshape(n_q, -1).T
-         + sigma_curvature_contract(params, g))
-    return f, grad, (h + h.T) / 2.0
-
-
 def information(params):
     """Information Delta^T W^{-1} Delta at theta; raises WeightMatrixError
     when Sigma(theta) is not positive definite."""
@@ -206,12 +174,12 @@ def contrast(rcov, params):
     Non-negative, and zero exactly on the zero-residual manifold.  Raises
     WeightMatrixError when Sigma(theta) is not positive definite.
     """
-    return _contrast_and_grad(rcov.q, params)[0]
+    return _Contrast(rcov, ModelSpec(p=params.p, k=params.k)).evaluate(pack(params))[0]
 
 
 def contrast_grad(rcov, params):
     """Analytic gradient of :func:`contrast` in the packed parameters."""
-    return _contrast_and_grad(rcov.q, params)[1]
+    return _Contrast(rcov, ModelSpec(p=params.p, k=params.k)).evaluate(pack(params))[1]
 
 
 def default_init(rcov, spec):
@@ -269,27 +237,92 @@ def parameter_box(spec, loading=(-30.0, 30.0), factor_cov=(-30.0, 30.0),
     return box
 
 
-class _Objective:
-    """Contrast value/gradient on packed vectors; infeasible points map to inf."""
+class _Contrast:
+    """F = (1/2) tr[(S R)^2] of one (rcov, spec) on packed vectors.
+
+    Built once per fit, it holds the index maps of the spec: it fills the
+    loading matrix of each point in place and gathers Sigma_ff from the
+    packed vector, without a ParamVector.  S = Sigma(theta)^{-1} is formed
+    from one Cholesky factor L of Sigma(theta) as L^{-T} L^{-1}, and
+    R = q - Sigma(theta); the gradient chains the Sigma derivative
+    G = -(S R S + S R S R S) to theta.  Calling
+    the object counts an evaluation (``evals``) and maps a point where
+    Sigma(theta) is not positive definite, or F is not finite, to
+    (inf, None).  S and G of the last point evaluated are kept, so
+    :meth:`hessian` at the point a search has just accepted does not factor
+    Sigma(theta) again.
+    """
 
     def __init__(self, rcov, spec):
+        p, k = spec.p, spec.k
         self.q = rcov.q
         self.spec = spec
+        self.n_a = (p - k) * k
+        self.rows, self.cols = vech_indices(k)
+        self.weights = np.where(self.rows == self.cols, 1.0, 2.0)
+        # packed position of each Sigma_ff entry
+        self.ff_index = self.n_a + unvech(np.arange(self.rows.size)).astype(int)
+        self.lam = np.vstack([np.eye(k), np.zeros((p - k, k))])
         self.evals = 0
+        self._last = None  # (x.tobytes(), S, G) of the last point evaluated
 
     def __call__(self, x):
         self.evals += 1
         try:
-            f, grad = _contrast_and_grad(self.q, unpack(x, self.spec))
+            f, grad = self.evaluate(x)
         except WeightMatrixError:
             return np.inf, None
-        if not np.isfinite(f):
+        if not math.isfinite(f):
             return np.inf, None
         return f, grad
 
+    def evaluate(self, x):
+        """F and its gradient at x; raises WeightMatrixError when
+        Sigma(theta) is not positive definite."""
+        self._last = None
+        k, n_a = self.spec.k, self.n_a
+        self.lam[k:] = x[:n_a].reshape((self.spec.p - k, k), order="F")
+        sigma_ff = x[self.ff_index]
+        sigma = sigma_from_blocks(self.lam, sigma_ff, x[n_a + self.rows.size:])
+        try:
+            chol_inv = np.linalg.inv(np.linalg.cholesky(sigma))
+        except np.linalg.LinAlgError:
+            raise WeightMatrixError(
+                "model covariance is not positive definite") from None
+        s = chol_inv.T @ chol_inv
+        sr = s @ (self.q - sigma)
+        srs = sr @ s
+        f = 0.5 * float((sr * sr.T).sum())
+        g = -(srs + sr @ srs)
+        self._last = (x.tobytes(), s, g)
+        return f, gradient_from_blocks(g, self.lam, sigma_ff, self.rows, self.cols,
+                                       self.weights)
+
     def hessian(self, x):
-        """Exact Hessian at a point the search has already accepted."""
-        return _contrast_and_grad(self.q, unpack(x, self.spec), hessian=True)[2]
+        """Exact Hessian of F at x.
+
+        With E_i = dSigma/dtheta_i, B_i = S E_i, P = S q and C = P^2 - P,
+
+            H_ij = tr(B_i B_j C) + tr(B_j B_i C) + tr(B_i P B_j P)
+                   + tr(G d2Sigma/dtheta_i dtheta_j).
+
+        S and G are those of the last evaluation when it was at x.
+        """
+        if self._last is None or self._last[0] != x.tobytes():
+            self.evaluate(x)
+        _, s, g = self._last
+        params = unpack(x, self.spec)
+        b = s @ sigma_gradient_stack(params)
+        sq = s @ self.q
+        n_q = b.shape[0]
+        b_t = b.transpose(0, 2, 1).reshape(n_q, -1)
+        bp = b @ sq
+        # tr(X Y) = <vec X^T, vec Y>, one matrix product per term
+        cross = b_t @ (b @ (sq @ sq - sq)).reshape(n_q, -1).T
+        h = (cross + cross.T
+             + bp.transpose(0, 2, 1).reshape(n_q, -1) @ bp.reshape(n_q, -1).T
+             + sigma_curvature_contract(params, g))
+        return (h + h.T) / 2.0
 
 
 def _projected_gradient(x, g, lo, hi):
@@ -359,7 +392,7 @@ def _bfgs(objective, x, f, g, lo, hi):
             break
         iterations += 1
         d = -h_inv @ g
-        if d @ g > -1e-14 * np.linalg.norm(d) * np.linalg.norm(g):
+        if d @ g > -1e-14 * math.sqrt(d @ d) * math.sqrt(g @ g):
             h_inv, h_fresh, first_update = identity, True, True
             d = -g
         found = line_search(d)
@@ -384,13 +417,13 @@ def _bfgs(objective, x, f, g, lo, hi):
         step = x_new - x
         y = g_new - g
         sy = step @ y
-        if sy > 1e-10 * np.linalg.norm(step) * np.linalg.norm(y):
+        if sy > 1e-10 * math.sqrt(step @ step) * math.sqrt(y @ y):
             if first_update:
                 h_inv = (sy / (y @ y)) * identity
                 first_update = False
             rho = 1.0 / sy
-            v = identity - rho * np.outer(step, y)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(step, step)
+            v = identity - rho * (step[:, None] * y)
+            h_inv = v @ h_inv @ v.T + rho * (step[:, None] * step)
             h_fresh = False
         x, f, g = x_new, f_new, g_new
         pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
@@ -498,7 +531,7 @@ def fit(rcov, spec, init=None, bounds=None):
             raise ValueError("initial point lies outside the box")
         minimize = _bfgs
 
-    objective = _Objective(rcov, spec)
+    objective = _Contrast(rcov, spec)
     f, g = objective(x)
     if g is None:
         raise WeightMatrixError(
@@ -528,6 +561,7 @@ def fit(rcov, spec, init=None, bounds=None):
         se=se,
         converged=converged,
         iterations=iterations,
+        evaluations=objective.evals,
         gradient_norm=pg_norm,
         n=rcov.n,
         sigma_ff_min_eig=sigma_ff_min_eigenvalue(theta_hat),

@@ -152,10 +152,15 @@ def loading_matrix(params):
 
 def sigma_of_theta(params):
     """Implied p x p increment covariance Lambda Sff Lambda^T + Diag(sigma^2)."""
-    lam = loading_matrix(params)
-    sigma = lam @ params.sigma_ff @ lam.T
+    return sigma_from_blocks(loading_matrix(params), params.sigma_ff, params.sigma_ee)
+
+
+def sigma_from_blocks(lam, sigma_ff, sigma_ee):
+    """Sigma(theta) from the p x k loading matrix, Sigma_ff and the unique
+    variances; :func:`sigma_of_theta` on arrays."""
+    sigma = lam @ sigma_ff @ lam.T
     sigma = (sigma + sigma.T) / 2.0
-    sigma[np.diag_indices_from(sigma)] += params.sigma_ee
+    sigma.ravel()[:: sigma.shape[0] + 1] += sigma_ee
     return sigma
 
 
@@ -222,15 +227,21 @@ def sigma_gradient_contract(params, g):
     O(p^2 k) without forming the (q, p, p) stack.  The slices are symmetric,
     so only the symmetric part of ``g`` enters.
     """
+    rows, cols = vech_indices(params.k)
+    return gradient_from_blocks(g, loading_matrix(params), params.sigma_ff,
+                                rows, cols, np.where(rows == cols, 1.0, 2.0))
+
+
+def gradient_from_blocks(g, lam, sigma_ff, rows, cols, weights):
+    """:func:`sigma_gradient_contract` on arrays: ``rows`` and ``cols`` are
+    the vech positions of k and ``weights`` the chain-rule weights of
+    vech Sigma_ff (1 on the diagonal, 2 off it)."""
     g = (g + g.T) / 2.0
-    k = params.k
-    lam = loading_matrix(params)
     m = lam.T @ g @ lam
-    rows, cols = vech_indices(k)
     return np.concatenate([
-        vec(2.0 * (g @ lam @ params.sigma_ff)[k:]),
-        np.where(rows == cols, 1.0, 2.0) * m[rows, cols],
-        np.diag(g),
+        (2.0 * (g @ lam @ sigma_ff)[lam.shape[1]:]).ravel(order="F"),
+        weights * m[rows, cols],
+        g.diagonal(),
     ])
 
 

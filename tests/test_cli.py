@@ -510,6 +510,32 @@ def test_zero_variance_coordinate_fits_without_traceback(tmp_path, command):
     assert code in (0, 3)
 
 
+@pytest.mark.parametrize("command", [["fit"], ["test", "--k", "1"], ["select"]],
+                         ids=["fit", "test", "select"])
+def test_all_zero_realised_covariance_exits_2(tmp_path, command, capsys):
+    # a constant path: the data-scaled default box has no scale
+    data, spec = _small_rcov_doc(tmp_path, [[0.0] * 4] * 4)
+    code = main(command + ["--data", data, "--spec", spec,
+                           "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert data in err and "no positive diagonal entry" in err
+
+
+@pytest.mark.parametrize("command", [["fit"], ["test", "--k", "1"], ["select"]],
+                         ids=["fit", "test", "select"])
+def test_fit_block_reports_evaluations(tmp_path, command, capsys):
+    data, spec = _small_rcov_doc(tmp_path, [[2.0, 1.0, 0.5, 0.2], [1.0, 3.0, 1.0, 0.4],
+                                            [0.5, 1.0, 2.0, 0.3], [0.2, 0.4, 0.3, 1.0]])
+    out = tmp_path / "out.json"
+    assert main(command + ["--data", data, "--spec", spec, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    block = doc["trail"][0]["fit"] if "trail" in doc else doc.get("fit", doc)
+    assert block["evaluations"] >= block["iterations"] + 1
+    if command == ["fit"]:
+        assert f"{block['evaluations']} evaluations" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["experiment", "--config", "table6_nonergodic", "--threads", "x"],
      "argument --threads: must be an integer, got 'x'"),

@@ -26,7 +26,7 @@ from diffusionfa import (
 )
 from diffusionfa.matrixcalc import duplication_pinv, unvec
 from diffusionfa import estimator
-from diffusionfa.estimator import _contrast_and_grad, information
+from diffusionfa.estimator import _Contrast, information
 from diffusionfa.model import sigma_gradient_stack
 
 from conftest import SIGMA_TRUE, make_sim_config, make_spec
@@ -164,8 +164,8 @@ def test_hessian_matches_central_differences(p, k):
     rng = np.random.default_rng(80 + p)
     spec = ModelSpec(p=p, k=k)
     params = random_params_for(rng, spec)
-    q = random_rcov(rng, p).q
-    _, _, hess = _contrast_and_grad(q, params, hessian=True)
+    objective = _Contrast(random_rcov(rng, p), spec)
+    hess = objective.hessian(pack(params))
     theta = pack(params)
     fd = np.zeros_like(hess)
     for j in range(spec.q):
@@ -174,8 +174,8 @@ def test_hessian_matches_central_differences(p, k):
         up[j] += step
         dn = theta.copy()
         dn[j] -= step
-        fd[:, j] = (_contrast_and_grad(q, unpack(up, spec))[1]
-                    - _contrast_and_grad(q, unpack(dn, spec))[1]) / (2 * step)
+        fd[:, j] = (objective.evaluate(up)[1]
+                    - objective.evaluate(dn)[1]) / (2 * step)
     assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -183,9 +183,10 @@ def test_hessian_matches_central_differences(p, k):
 def test_hessian_is_information_at_zero_residual(p, k):
     # at Q = Sigma(theta) the curvature terms vanish and H = 2 Delta' W^-1 Delta
     rng = np.random.default_rng(90 + p)
-    params = random_params_for(rng, ModelSpec(p=p, k=k))
+    spec = ModelSpec(p=p, k=k)
+    params = random_params_for(rng, spec)
     sigma = sigma_of_theta(params)
-    _, _, hess = _contrast_and_grad(sigma, params, hessian=True)
+    hess = _Contrast(rcov_from_sigma(sigma), spec).hessian(pack(params))
     delta = delta_jacobian(params)
     expected = 2.0 * delta.T @ np.linalg.solve(weight_matrix(sigma), delta)
     assert np.max(np.abs(hess - expected)) <= 1e-10 * np.max(np.abs(expected))
@@ -229,6 +230,13 @@ def test_fit_default_init_reaches_truth_basin(truth):
     assert res.converged
     err = np.abs(pack(res.theta_hat) - pack(truth))
     assert np.all(err < 5 * res.se + 1e-8)
+
+
+def test_default_start_fit_counts_its_evaluations():
+    path = simulate(make_sim_config(n=1000, seed=5))
+    res = fit(realised_cov(path), make_spec(k=1))
+    # the start and one accepted trial point per iteration at least
+    assert res.evaluations >= res.iterations + 1
 
 
 def test_fit_reports_standard_errors(truth):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,7 +15,11 @@ from diffusionfa import (
     select_k,
     sigma_of_theta,
 )
+from diffusionfa.config import bundled_config_path, load_json
+from diffusionfa.estimator import realised_cov
 from diffusionfa.hypothesis_test import test_k as run_count_test
+from diffusionfa.montecarlo import experiment_from_json
+from diffusionfa.sde import simulate
 
 from conftest import SIGMA_TRUE, make_spec
 
@@ -142,3 +148,18 @@ def test_start_of_another_count_is_ignored(truth):
     assert np.array_equal(started.fit.theta, plain.fit.theta)
     assert started.fit.iterations == plain.fit.iterations
     assert started.fit.message == plain.fit.message
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_statistic_is_equivariant_under_non_anchor_permutations(seed):
+    # relabelling the coordinates k..p-1 relabels the parameters of the
+    # k-factor model, so T from the default start must not move
+    sim = experiment_from_json(load_json(bundled_config_path("table6_nonergodic"))).sim
+    rc = realised_cov(simulate(replace(sim, seed=seed)))
+    rng = np.random.default_rng(seed)
+    for k in (1, sim.spec.k):
+        order = np.concatenate([np.arange(k), k + rng.permutation(rc.p - k)])
+        permuted = RealisedCov(q=rc.q[np.ix_(order, order)], n=rc.n, h=rc.h)
+        plain = run_count_test(rc, sim.spec, k).statistic
+        assert run_count_test(permuted, sim.spec, k).statistic == pytest.approx(
+            plain, rel=1e-8)
