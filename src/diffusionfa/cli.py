@@ -36,7 +36,8 @@ from .config import (
     sim_config_to_json,
     spec_to_json,
 )
-from .estimator import RealisedCov, contrast, default_bounds, fit, realised_cov
+from .estimator import (RealisedCov, box_violation, contrast, default_bounds, fit,
+                        realised_cov)
 from .hypothesis_test import UntestableError, select_k, test_k
 from .model import WeightMatrixError, pack
 from .montecarlo import experiment_from_json, run, write_outputs
@@ -118,12 +119,9 @@ def _load_spec(args, rcov):
     if (params.p, params.k) != (spec.p, spec.k):
         raise ConfigError(f"fields 'a', 'sigma_ff' and 'sigma_ee' give p={params.p}, "
                           f"k={params.k} but spec declares p={spec.p}, k={spec.k}")
-    x = pack(params)
-    outside = np.flatnonzero((x < box[:, 0]) | (x > box[:, 1]))
-    if outside.size:
-        i = outside[0]
-        raise ConfigError(f"start theta:{i + 1}={x[i]:g} lies outside the data's "
-                          f"default box [{box[i, 0]:g}, {box[i, 1]:g}]")
+    violation = box_violation(pack(params), box)
+    if violation:
+        raise ConfigError(f"start {violation}, the data's default box")
     try:
         contrast(rcov, params)
     except WeightMatrixError:

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .matrixcalc import unvech, vech
+from .matrixcalc import unvech
 from .model import ModelSpec, ParamVector
 from .sde import DriftSpec, SimConfig
 
@@ -74,22 +74,6 @@ def params_from_json(doc, path=""):
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from None
-
-
-def params_to_json(params):
-    return {
-        "a": params.a.tolist(),
-        "sigma_ff": vech(params.sigma_ff, check=False).tolist(),
-        "sigma_ee": params.sigma_ee.tolist(),
-    }
-
-
-def model_to_json(spec, params=None):
-    """Single document carrying the spec and, when given, the parameters."""
-    doc = spec_to_json(spec)
-    if params is not None:
-        doc.update(params_to_json(params))
-    return doc
 
 
 def model_from_json(doc):

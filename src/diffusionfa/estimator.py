@@ -19,7 +19,10 @@ in closed form from one Cholesky factor of Sigma(theta), on the packed
 parameter vector: a fit builds its objective once, with the index maps of
 its spec, and forms Lambda, Sigma_ff and Sigma of each point from that
 vector.  The objective keeps S and G of the last point it evaluated, so
-Newton's Hessian at the point just accepted reuses that factorisation.
+Newton's Hessian at the point just accepted reuses that factorisation; the
+Hessian is built from the rank-2 factors of dSigma/dtheta
+(:func:`model.sigma_derivative_factors`), in O(p^2 q + p q^2) without a
+(q, p, p) stack.
 sqrt(n) times the estimation error is asymptotically normal with covariance
 (Delta^T W^{-1} Delta)^{-1}; :func:`information` forms Delta^T W^{-1} Delta
 with one solve, for the standard errors, the BFGS precision-floor test and
@@ -54,10 +57,9 @@ from .model import (
     delta_jacobian,
     gradient_from_blocks,
     pack,
-    sigma_curvature_contract,
+    sigma_derivative_factors,
     sigma_ff_min_eigenvalue,
     sigma_from_blocks,
-    sigma_gradient_stack,
     sigma_of_theta,
     unpack,
     weight_matrix,
@@ -237,6 +239,16 @@ def parameter_box(spec, loading=(-30.0, 30.0), factor_cov=(-30.0, 30.0),
     return box
 
 
+def box_violation(x, box):
+    """The first coordinate of x outside the (q, 2) box, NaN included, as
+    ``theta:i=value lies outside [lower, upper]``; None when x is inside."""
+    outside = np.flatnonzero(~((x >= box[:, 0]) & (x <= box[:, 1])))
+    if outside.size == 0:
+        return None
+    i = outside[0]
+    return f"theta:{i + 1}={x[i]:g} lies outside [{box[i, 0]:g}, {box[i, 1]:g}]"
+
+
 class _Contrast:
     """F = (1/2) tr[(S R)^2] of one (rcov, spec) on packed vectors.
 
@@ -299,29 +311,51 @@ class _Contrast:
                                        self.weights)
 
     def hessian(self, x):
-        """Exact Hessian of F at x.
+        """Exact Hessian of F at x,
 
-        With E_i = dSigma/dtheta_i, B_i = S E_i, P = S q and C = P^2 - P,
+            H = T(K, K) - T(S, G) - T(S, G)^T + tr(G d2Sigma/dtheta_i dtheta_j)
 
-            H_ij = tr(B_i B_j C) + tr(B_j B_i C) + tr(B_i P B_j P)
-                   + tr(G d2Sigma/dtheta_i dtheta_j).
-
-        S and G are those of the last evaluation when it was at x.
+        with K = S q S and T(X, Y)_ij = tr(E_i X E_j Y), E_i = dSigma/dtheta_i.
+        For the rank-2 factors E_i = u_i v_i^T + v_i u_i^T of
+        :func:`model.sigma_derivative_factors` (w folded into v), T is four
+        elementwise products of the q x q forms U'XU, U'XV, V'XV and those of
+        Y, in O(p^2 q + p q^2).  The last term has two non-zero blocks:
+        2 Sigma_ff x G[k:, k:] for A-A and 2 (G Lambda)[k+r, c] at
+        (A[r, s], Sigma_ff[s, c]).  S and G are those of the last evaluation
+        when it was at x.
         """
         if self._last is None or self._last[0] != x.tobytes():
             self.evaluate(x)
         _, s, g = self._last
-        params = unpack(x, self.spec)
-        b = s @ sigma_gradient_stack(params)
-        sq = s @ self.q
-        n_q = b.shape[0]
-        b_t = b.transpose(0, 2, 1).reshape(n_q, -1)
-        bp = b @ sq
-        # tr(X Y) = <vec X^T, vec Y>, one matrix product per term
-        cross = b_t @ (b @ (sq @ sq - sq)).reshape(n_q, -1).T
-        h = (cross + cross.T
-             + bp.transpose(0, 2, 1).reshape(n_q, -1) @ bp.reshape(n_q, -1).T
-             + sigma_curvature_contract(params, g))
+        g = (g + g.T) / 2.0
+        k, n_a = self.spec.k, self.n_a
+        sigma_ff = x[self.ff_index]
+        u, v, w = sigma_derivative_factors(self.lam, sigma_ff)
+        v = v * w
+
+        def forms(m):
+            mu, mv = m @ u, m @ v
+            return u.T @ mu, u.T @ mv, v.T @ mv
+
+        def trace_products(xuu, xuv, xvv, yuu, yuv, yvv):
+            t = xuv.T * yuv  # in place from here on: q x q temporaries cost
+            t += xuv * yuv.T
+            t += xvv * yuu.T
+            t += xuu * yvv.T
+            return t
+
+        t = trace_products(*forms(s), *forms(g))
+        k_forms = forms(s @ self.q @ s)
+        h = trace_products(*k_forms, *k_forms)
+        h -= t
+        h -= t.T
+        h[:n_a, :n_a] += 2.0 * np.kron(sigma_ff, g[k:, k:])
+        # row A[r, s], column Sigma_ff[s, c] at [s, c, r] after broadcasting
+        a_rows = np.arange(n_a).reshape(k, 1, -1)
+        ff_cols = self.ff_index[:, :, None]
+        a_ff = 2.0 * (g @ self.lam)[k:].T
+        h[a_rows, ff_cols] += a_ff
+        h[ff_cols, a_rows] += a_ff
         return (h + h.T) / 2.0
 
 
@@ -527,8 +561,9 @@ def fit(rcov, spec, init=None, bounds=None):
         minimize = _projected_newton
     else:
         x = pack(init)
-        if np.any(x < lo) or np.any(x > hi):
-            raise ValueError("initial point lies outside the box")
+        violation = box_violation(x, bounds)
+        if violation:
+            raise ValueError(f"initial point {violation}")
         minimize = _bfgs
 
     objective = _Contrast(rcov, spec)
@@ -568,22 +603,3 @@ def fit(rcov, spec, init=None, bounds=None):
         min_unique_variance=float(np.min(theta_hat.sigma_ee)),
         message=message,
     )
-
-
-def quasi_loglik_excess(rcov, params):
-    """Excess of the Gaussian quasi-likelihood optimum over theta.
-
-    Equals log det Sigma(theta) - log det Q + tr(Sigma(theta)^{-1} Q) - p;
-    non-negative, and zero exactly when Sigma(theta) == Q.  Requires a
-    positive-definite Q (n >= p and a nondegenerate path).
-    """
-    q = rcov.q
-    p = q.shape[0]
-    sign_q, logdet_q = np.linalg.slogdet(q)
-    if sign_q <= 0:
-        raise ValueError("realised covariance must be positive definite")
-    sigma = sigma_of_theta(params)
-    sign_s, logdet_s = np.linalg.slogdet(sigma)
-    if sign_s <= 0:
-        raise WeightMatrixError("model covariance is not positive definite")
-    return float(logdet_s - logdet_q + np.trace(np.linalg.solve(sigma, q)) - p)

@@ -7,7 +7,14 @@ independent unique variances sigma_i^2.  The implied increment covariance is
     Sigma(theta) = Lambda Sigma_ff Lambda^T + Diag(sigma_1^2, ..., sigma_p^2)
 
 with the free parameters packed as theta = (vec A, vech Sigma_ff,
-sigma_1^2, ..., sigma_p^2) of length q = (p-k)k + k(k+1)/2 + p.
+sigma_1^2, ..., sigma_p^2) of length q = (p-k)k + k(k+1)/2 + p.  Every
+first derivative of Sigma is rank 2,
+
+    dSigma/dtheta_i = w_i (u_i v_i^T + v_i u_i^T),
+
+and :func:`sigma_derivative_factors` is the one description of them: the
+Jacobian Delta of vech Sigma(theta) and the Hessian of the contrast are
+both built from these factors.
 """
 
 from __future__ import annotations
@@ -185,57 +192,36 @@ def weight_matrix(sigma):
             + sigma[np.ix_(rows, cols)] * sigma[np.ix_(cols, rows)])
 
 
-def sigma_gradient_stack(params):
-    """Partial derivatives of Sigma(theta), stacked as a (q, p, p) array.
+def sigma_derivative_factors(lam, sigma_ff):
+    """First derivatives of Sigma(theta) as rank-2 factors.
 
-    Slice order matches :func:`pack`: the (p-k)k loading entries
-    (column-major), then the k(k+1)/2 vech(Sigma_ff) coordinates, then the
-    p unique variances.  Sigma is quadratic in A and linear in the rest, so
-    every slice is exact.
+    Returns (u, v, w), u and v of shape (p, q) and w of length q, with
+    dSigma/dtheta_i = w_i (u_i v_i^T + v_i u_i^T) for the columns u_i, v_i
+    in :func:`pack` order:
+
+    * A[r, s]: u = e_{k+r}, v = (Lambda Sigma_ff)[:, s], w = 1;
+    * Sigma_ff[a, b]: u = lambda_a, v = lambda_b, w = 1/2 on the diagonal
+      and 1 off it;
+    * sigma_i^2: u = v = e_i, w = 1/2.
+
+    Sigma is quadratic in A and linear in the rest, so these are exact.
     """
-    p, k = params.p, params.k
-    q = (p - k) * k + k * (k + 1) // 2 + p
-    lam = loading_matrix(params)
-    g = lam @ params.sigma_ff  # p x k; column s is d(Sigma)/dA_{rs} up to placement
-    out = np.zeros((q, p, p))
-    pos = 0
-    for s in range(k):
-        for r in range(p - k):
-            m = k + r
-            out[pos, m, :] += g[:, s]
-            out[pos, :, m] += g[:, s]
-            pos += 1
+    p, k = lam.shape
     rows, cols = vech_indices(k)
-    for u, v in zip(rows, cols):
-        lu, lv = lam[:, u], lam[:, v]
-        if u == v:
-            out[pos] = np.outer(lu, lu)
-        else:
-            out[pos] = np.outer(lu, lv) + np.outer(lv, lu)
-        pos += 1
-    for i in range(p):
-        out[pos, i, i] = 1.0
-        pos += 1
-    return out
-
-
-def sigma_gradient_contract(params, g):
-    """Contract a p x p matrix with every slice of :func:`sigma_gradient_stack`.
-
-    Returns sum_{r,c} g[r, c] dSigma[r, c]/dtheta_i for each packed
-    coordinate i, the chain rule from a derivative in Sigma to theta, in
-    O(p^2 k) without forming the (q, p, p) stack.  The slices are symmetric,
-    so only the symmetric part of ``g`` enters.
-    """
-    rows, cols = vech_indices(params.k)
-    return gradient_from_blocks(g, loading_matrix(params), params.sigma_ff,
-                                rows, cols, np.where(rows == cols, 1.0, 2.0))
+    eye = np.eye(p)
+    u = np.hstack([np.tile(eye[:, k:], k), lam[:, rows], eye])
+    v = np.hstack([np.repeat(lam @ sigma_ff, p - k, axis=1), lam[:, cols], eye])
+    w = np.concatenate([np.ones((p - k) * k), np.where(rows == cols, 0.5, 1.0),
+                        np.full(p, 0.5)])
+    return u, v, w
 
 
 def gradient_from_blocks(g, lam, sigma_ff, rows, cols, weights):
-    """:func:`sigma_gradient_contract` on arrays: ``rows`` and ``cols`` are
-    the vech positions of k and ``weights`` the chain-rule weights of
-    vech Sigma_ff (1 on the diagonal, 2 off it)."""
+    """Contract a p x p matrix g with every dSigma/dtheta_i: the chain rule
+    sum_{r,c} g[r, c] dSigma[r, c]/dtheta_i from a derivative in Sigma to
+    theta, in O(p^2 k).  ``rows``, ``cols`` are the vech positions of k and
+    ``weights`` the chain-rule weights of vech Sigma_ff (1 on the diagonal,
+    2 off it); only the symmetric part of g enters."""
     g = (g + g.T) / 2.0
     m = lam.T @ g @ lam
     return np.concatenate([
@@ -245,37 +231,11 @@ def gradient_from_blocks(g, lam, sigma_ff, rows, cols, weights):
     ])
 
 
-def sigma_curvature_contract(params, g):
-    """Contract a p x p matrix with the second derivatives of Sigma(theta).
-
-    Returns the q x q matrix sum_{r,c} g[r, c] d2Sigma[r, c]/dtheta_i dtheta_j.
-    Sigma is linear in vech(Sigma_ff) and the unique variances, so only two
-    blocks are non-zero: A-A, which is 2 (Sigma_ff x g[k:, k:]) in vec(A)
-    order, and A-vech(Sigma_ff), built from Lambda^T g.
-    """
-    g = (g + g.T) / 2.0
-    p, k = params.p, params.k
-    n_a = (p - k) * k
-    rows, cols = vech_indices(k)
-    n_q = n_a + rows.size + p
-    out = np.zeros((n_q, n_q))
-    out[:n_a, :n_a] = 2.0 * np.kron(params.sigma_ff, g[k:, k:])
-    m = (loading_matrix(params).T @ g)[:, k:]
-    for j, (u, v) in enumerate(zip(rows, cols)):
-        block = np.zeros((p - k, k))
-        block[:, u] += m[v]
-        if u != v:
-            block[:, v] += m[u]
-        out[:n_a, n_a + j] = 2.0 * vec(block)
-    out[n_a:n_a + rows.size, :n_a] = out[:n_a, n_a:n_a + rows.size].T
-    return out
-
-
 def delta_jacobian(params):
     """Analytic Jacobian of vech Sigma(theta) in theta, shape (pbar, q)."""
-    stack = sigma_gradient_stack(params)
+    u, v, w = sigma_derivative_factors(loading_matrix(params), params.sigma_ff)
     rows, cols = vech_indices(params.p)
-    return stack[:, rows, cols].T
+    return w * (u[rows] * v[cols] + v[rows] * u[cols])
 
 
 def sigma_ff_min_eigenvalue(params):

@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from . import __version__
 from .config import ConfigError, sim_config_to_json, spec_to_json
-from .estimator import information, parameter_box, realised_cov
+from .estimator import box_violation, information, parameter_box, realised_cov
 from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
 from .model import ModelSpec, pack, sigma_of_theta
@@ -104,6 +104,11 @@ class Experiment:
                     and all(map(_is_number, pair)) and pair[0] < pair[1]):
                 raise ConfigError(
                     f"bounds {name!r} must be numbers lower < upper, got {pair!r}")
+        if self.bounds_blocks is not None and spec.k in k_grid:
+            # the generating-count fit starts at the truth inside this box
+            violation = box_violation(pack(self.truth), parameter_box(spec, **blocks))
+            if violation:
+                raise ConfigError(f"truth {violation}, the study's bounds")
         # theta draws exist only when the generating count is fit
         fitted_q = spec.q if spec.k in k_grid else 0
         known = set(_moment_names(spec.p, fitted_q))

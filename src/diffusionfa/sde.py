@@ -18,8 +18,7 @@ about 3 sqrt(n * substeps) Python iterations instead of n * substeps, and
 agrees with the step-by-step loop to rounding (ulp level).  A custom
 drift, or a chunk whose state grows large enough that a step might
 overflow, takes that loop, so a drift explosion is reported at the grid
-step the loop reports.  An exact Gaussian transition for linear drifts is
-provided as a simulation-accuracy oracle.
+step the loop reports.
 
 Randomness contract
 -------------------
@@ -41,7 +40,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .model import ModelSpec, ParamVector, loading_matrix
 
@@ -123,6 +121,14 @@ class SimConfig:
             raise ValueError(f"factor dispersion must have {k} rows, got {s.shape}")
         if len(self.unique_drifts) != p:
             raise ValueError(f"need {p} unique drifts, got {len(self.unique_drifts)}")
+        drifts = [("factor_drift", self.factor_drift, (k, k), (k,))] + [
+            (f"unique_drifts[{i}]", d, (), ()) for i, d in enumerate(self.unique_drifts)]
+        for where, drift, b_shape, mu_shape in drifts:
+            for name, shape in (("b", b_shape), ("mu", mu_shape)):
+                got = np.shape(getattr(drift, name))
+                if drift.kind == "linear_ou" and got != shape:
+                    raise ValueError(f"{where}.{name} has shape {got}, "
+                                     f"expected {shape or 'a scalar'}")
         if disp.size != p or np.any(disp < 0):
             raise ValueError("unique dispersions must be p non-negative std-devs")
         if f0.size != k or e0.size != p:
@@ -306,60 +312,6 @@ def simulate(config, keep_latent=False):
     if keep_latent:
         return SamplePath(times=times, x=x, f=f, e=e)
     return SamplePath(times=times, x=x)
-
-
-def _flow(a, v, h):
-    """(e^{ah}, int_0^h e^{as} ds v) from e^{[[a, v], [0, 0]] h} (Van Loan 1978)."""
-    d = a.shape[0]
-    aug = np.zeros((d + 1, d + 1))
-    aug[:d, :d] = a
-    aug[:d, d] = v
-    ea = expm(aug * h)
-    return ea[:d, :d], ea[:d, d]
-
-
-def exact_ou_transition(b, mu, s, h):
-    """One-step exact transition of dX = -(B X - mu) dt + S dW over time h.
-
-    Returns (phi, const, cov): X_h | X_0 = x is N(phi @ x + const, cov) with
-    phi = e^{-Bh}, const = int_0^h e^{-Bs} ds mu (= (I - e^{-Bh}) B^{-1} mu
-    for invertible B) and cov = int_0^h e^{-Bs} SS' e^{-B's} ds, whose vec
-    is int_0^h e^{-(I x B + B x I) s} ds vec(SS').  Both come from
-    :func:`_flow`: every exponent decays, so stiff B loses no digits, and
-    singular B needs no inverse.
-    """
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    d = b.shape[0]
-    mu = np.asarray(mu, dtype=float).reshape(d)
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    phi, const = _flow(-b, mu, h)
-    eye = np.eye(d)
-    vec_cov = _flow(-(np.kron(eye, b) + np.kron(b, eye)),
-                    (s @ s.T).ravel(order="F"), h)[1]
-    cov = vec_cov.reshape((d, d), order="F")
-    return phi, const, (cov + cov.T) / 2.0
-
-
-def _psd_factor(cov):
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-
-
-def exact_ou_step(state, b, mu, s, h, noise):
-    """Advance a linear-OU state by one exact Gaussian transition.
-
-    ``noise`` is a standard normal vector of the state dimension; the
-    Gaussian increment is a fixed factor of the exact transition covariance
-    applied to it (lower Cholesky, or the symmetric PSD square root when
-    the covariance is singular).
-    """
-    state = np.asarray(state, dtype=float).ravel()
-    phi, const, cov = exact_ou_transition(b, mu, s, h)
-    noise = np.asarray(noise, dtype=float).reshape(state.size)
-    return phi @ state + const + _psd_factor(cov) @ noise
 
 
 def path_to_csv(path, fileobj):

@@ -314,6 +314,10 @@ BAD_EXPERIMENT_FIELDS = [
     ('bounds={"spin": [0, 1]}', "bounds must map loading"),
     ("sim.spec.h=-0.01", "spec.h must be finite and > 0"),
     ("sim.substeps=2.5", "field 'substeps' must be an integer"),
+    ("sim.factor_drift.b=0.5", "factor_drift.b has shape (), expected (2, 2)"),
+    ("sim.factor_drift.mu=[2]", "factor_drift.mu has shape (1,), expected (2,)"),
+    ('bounds={"loading": [0, 30]}',
+     "truth theta:4=-3 lies outside [0, 30], the study's bounds"),
 ]
 
 
@@ -364,6 +368,7 @@ BAD_SIMULATION_INPUTS = [
     ("spec.n=0", "spec.n must be >= 1"),
     ("spec.h=-0.01", "spec.h must be finite and > 0"),
     ("spec.h=NaN", "spec.h must be finite and > 0"),
+    ("factor_drift.b=[[0.5, 0.3]]", "factor_drift.b has shape (1, 2), expected (2, 2)"),
 ]
 
 
@@ -372,6 +377,25 @@ BAD_SIMULATION_INPUTS = [
 def test_simulate_bad_input_exits_2(tmp_path, override, needle, capsys):
     code = main(["simulate", "--config", "system_p6k2", "--override", override,
                  "--out", str(tmp_path / "path.csv")])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,needle", [
+    ("b", [3.0, 3.0], "unique_drifts[0].b has shape (2,), expected a scalar"),
+    ("mu", [[0.0]], "unique_drifts[0].mu has shape (1, 1), expected a scalar"),
+], ids=["b", "mu"])
+@pytest.mark.parametrize("command,config", [("experiment", "table6_nonergodic"),
+                                            ("simulate", "system_p6k2")],
+                         ids=["experiment", "simulate"])
+def test_unique_drift_of_wrong_shape_exits_2(tmp_path, command, config, field,
+                                             value, needle, capsys):
+    doc = load_json(bundled_config_path(config))
+    sim = doc["sim"] if command == "experiment" else doc
+    sim["unique_drifts"][0][field] = value
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    code = main([command, "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")])
     assert code == 2
     assert needle in capsys.readouterr().err
 
@@ -417,7 +441,8 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 def test_cli_import_and_simulate_leave_scipy_stats_unloaded():
     # scipy.signal pulls in scipy.stats, which adds about 40 MB of resident
-    # memory to every CLI process; neither may be loaded on this path
+    # memory to every CLI process; neither may be loaded on this path, and
+    # nor may scipy.linalg, which no pipeline code needs
     src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
@@ -428,7 +453,8 @@ def test_cli_import_and_simulate_leave_scipy_stats_unloaded():
         "from diffusionfa.config import bundled_config_path, load_json, sim_config_from_json\n"
         "doc = load_json(bundled_config_path('table6_nonergodic'))['sim']\n"
         "simulate(sim_config_from_json(doc))\n"
-        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])\n")
+        "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.linalg')\n"
+        "       if m in sys.modules])\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -440,12 +466,13 @@ MODEL_DOC_DEFECTS = [
      "'sigma_ee' give p=5, k=2 but spec declares p=6, k=2"),
     (["sigma_ee=[4, 16, -25, 1, 9, 4]"], "start theta:14=-25 lies outside"),
     (["sigma_ff=[13, 13, 1]"], "start Sigma(theta) of fields"),
+    (["a=[[null, 1], [1, 5], [7, -4], [-3, 2]]"], "start theta:1=nan lies outside"),
 ]
 
 
 @pytest.mark.parametrize("subcommand", ["fit", "test", "select"])
 @pytest.mark.parametrize("overrides,needle", MODEL_DOC_DEFECTS,
-                         ids=["k", "p", "box", "not_pd"])
+                         ids=["k", "p", "box", "not_pd", "null"])
 def test_model_doc_inconsistent_with_itself_or_data_exits_2(
         tmp_path, path_csv, model_doc, subcommand, overrides, needle, capsys):
     extra = ["--k", "2"] if subcommand == "test" else []

@@ -9,10 +9,10 @@ from diffusionfa.config import (
     bundled_config_path,
     load_json,
     model_from_json,
-    model_to_json,
     sim_config_from_json,
     sim_config_to_json,
 )
+from diffusionfa.matrixcalc import vech
 from diffusionfa.model import pack
 from diffusionfa.montecarlo import experiment_from_json
 
@@ -21,7 +21,9 @@ from conftest import THETA_TRUE, make_spec
 
 def test_model_document_roundtrip(truth):
     spec = make_spec()
-    doc = model_to_json(spec, truth)
+    doc = {"p": spec.p, "k": spec.k, "n": spec.n, "h": spec.h,
+           "a": truth.a.tolist(), "sigma_ff": vech(truth.sigma_ff).tolist(),
+           "sigma_ee": truth.sigma_ee.tolist()}
     spec2, params2 = model_from_json(doc)
     assert spec2 == spec
     assert np.array_equal(params2.a, truth.a)

@@ -16,7 +16,6 @@ from diffusionfa import (
     fit,
     pack,
     parameter_box,
-    quasi_loglik_excess,
     realised_cov,
     sigma_of_theta,
     simulate,
@@ -27,9 +26,9 @@ from diffusionfa import (
 from diffusionfa.matrixcalc import duplication_pinv, unvec
 from diffusionfa import estimator
 from diffusionfa.estimator import _Contrast, information
-from diffusionfa.model import sigma_gradient_stack
 
 from conftest import SIGMA_TRUE, make_sim_config, make_spec
+from oracles import quasi_loglik_excess, sigma_gradient_stack
 
 # (p, k) sizes on which the closed-form contrast is checked against the
 # vech-scale Kronecker weight matrix

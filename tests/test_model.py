@@ -14,13 +14,10 @@ from diffusionfa import (
     weight_matrix,
 )
 from diffusionfa.matrixcalc import duplication_pinv
-from diffusionfa.model import (
-    sigma_ff_min_eigenvalue,
-    sigma_gradient_contract,
-    sigma_gradient_stack,
-)
+from diffusionfa.model import sigma_ff_min_eigenvalue
 
 from conftest import SIGMA_TRUE, THETA_TRUE, make_spec
+from oracles import sigma_gradient_contract, sigma_gradient_stack
 
 
 def random_params(rng, p, k):

@@ -13,6 +13,8 @@ from diffusionfa import (
     write_outputs,
 )
 
+from diffusionfa.config import ConfigError
+
 from conftest import make_sim_config, make_spec
 
 
@@ -75,6 +77,17 @@ def test_single_replication_degenerate_sd():
                      k_grid=(2,), seed_base=9)
     agg = run(exp)
     assert all(r.sample_sd == 0.0 for r in agg.rcov_rows)
+
+
+def test_bounds_must_hold_the_truth_only_where_it_is_the_start():
+    # theta:3 is A[2, 0] = 7 in the truth
+    sim = make_sim_config(n=100, seed=4)
+    with pytest.raises(ConfigError, match=r"truth theta:3=7 lies outside \[-5, 5\]"):
+        Experiment(sim=sim, replications=1, k_grid=(1, 2),
+                   bounds_blocks={"loading": (-5.0, 5.0)})
+    # without the generating count no fit starts at the truth in that box
+    Experiment(sim=sim, replications=1, k_grid=(1,),
+               bounds_blocks={"loading": (-5.0, 5.0)})
 
 
 def test_parallel_matches_serial(small_experiment):

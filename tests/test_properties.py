@@ -14,6 +14,7 @@ from diffusionfa import (
     ParamVector,
     RealisedCov,
     contrast,
+    delta_jacobian,
     duplication_pinv,
     pack,
     sigma_of_theta,
@@ -21,9 +22,13 @@ from diffusionfa import (
     vech,
 )
 from diffusionfa.estimator import _Contrast
-from diffusionfa.model import sigma_gradient_contract
+from diffusionfa.matrixcalc import vech_indices
+
+from oracles import contrast_hessian, sigma_gradient_contract, sigma_gradient_stack
 
 BOUNDED = settings(max_examples=60, deadline=None)
+# the same examples on every run
+DERANDOMISED = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -104,3 +109,17 @@ def test_packed_evaluator_is_bit_identical_to_param_vector_composition(data):
     objective(x + 1e-3)
     assert np.array_equal(cached, objective.hessian(x))
     assert np.array_equal(cached, _Contrast(rcov, spec).hessian(x))
+
+
+@DERANDOMISED
+@given(st.data())
+def test_rank2_hessian_and_delta_match_the_stack_oracle(data):
+    # both consumers of sigma_derivative_factors against the dense
+    # (q, p, p) stack of dSigma/dtheta
+    spec, params, rcov = positive_definite_problem(data, max_p=12)
+    hess = _Contrast(rcov, spec).hessian(pack(params))
+    oracle = contrast_hessian(rcov, params)
+    assert np.max(np.abs(hess - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+    rows, cols = vech_indices(spec.p)
+    assert np.array_equal(delta_jacobian(params),
+                          sigma_gradient_stack(params)[:, rows, cols].T)

@@ -10,8 +10,6 @@ from diffusionfa import (
     DriftSpec,
     SimConfig,
     SimulationError,
-    exact_ou_step,
-    exact_ou_transition,
     implied_params,
     loading_matrix,
     path_from_binary,
@@ -34,6 +32,7 @@ from conftest import (
     make_sim_config,
     make_spec,
 )
+from oracles import exact_ou_transition
 
 
 def series_expm(a, terms=60):
@@ -225,19 +224,6 @@ def test_explosive_linear_ou_reports_loop_step(substeps):
         with pytest.raises(SimulationError) as err:
             simulate(c)
         assert err.value.step == step
-
-
-def test_exact_ou_step_pure_brownian():
-    s = np.diag([2.0, 3.0])
-    noise = np.array([0.4, -1.2])
-    out = exact_ou_step([1.0, 2.0], np.zeros((2, 2)), np.zeros(2), s, 0.25, noise)
-    expected = np.array([1.0, 2.0]) + s @ noise * np.sqrt(0.25)
-    assert np.allclose(out, expected, rtol=0, atol=1e-12)
-
-
-def test_exact_ou_step_deterministic_decay():
-    out = exact_ou_step([4.0], [[2.0]], [0.0], [[0.0]], 0.5, [0.0])
-    assert out[0] == pytest.approx(4.0 * np.exp(-1.0), abs=1e-14)
 
 
 def test_exact_ou_transition_mean_matches_series_expm():
