@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
+    _as_array,
     _as_float,
     _as_int,
-    _require,
     apply_overrides,
     bundled_config_path,
     load_json,
@@ -35,6 +35,7 @@ from .config import (
     sim_config_from_json,
     sim_config_to_json,
     spec_to_json,
+    write_manifest,
 )
 from .estimator import (RealisedCov, box_violation, contrast, default_bounds, fit,
                         realised_cov)
@@ -56,16 +57,6 @@ EXIT_NONCONVERGED = 3
 EXIT_UNTESTABLE = 4
 
 
-def _write_manifest(out_path, payload):
-    payload = dict(payload)
-    payload["version"] = __version__
-    manifest_path = str(out_path) + ".manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest_path
-
-
 def _load_config(args):
     path = args.config
     try:
@@ -85,7 +76,7 @@ def _read_data(path):
     doc = load_json(path) if path.endswith(".json") else None
     try:
         if doc is not None:
-            return RealisedCov(q=np.asarray(_require(doc, "q"), dtype=float),
+            return RealisedCov(q=_as_array(doc, "q"),
                                n=_as_int(doc, "n"), h=_as_float(doc, "h"))
         if path.endswith(".bin"):
             with open(path, "rb") as fh:
@@ -142,7 +133,7 @@ def cmd_simulate(args):
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             path_to_csv(path, fh)
-    manifest = _write_manifest(args.out, {
+    manifest = write_manifest(args.out + ".manifest.json", {
         "subcommand": "simulate",
         "config": sim_config_to_json(config),
         "seed": config.seed,
@@ -160,8 +151,8 @@ def cmd_rcov(args):
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    _write_manifest(args.out, {"subcommand": "rcov", "data": args.data,
-                               "outputs": [args.out]})
+    write_manifest(args.out + ".manifest.json", {
+        "subcommand": "rcov", "data": args.data, "outputs": [args.out]})
     print(f"realised covariance from n={rcov.n} increments (T={rcov.T:g}):")
     print(np.array_str(rcov.q, precision=4))
     return EXIT_OK
@@ -213,9 +204,6 @@ def _write_report(out_path, doc, fmt, csv_rows):
 def cmd_fit(args):
     rcov = _read_data(args.data)
     spec, init = _load_spec(args, rcov)
-    if spec.df < 0:
-        raise UntestableError(f"k={spec.k} at p={spec.p} has q={spec.q} "
-                              f"parameters, more than the {spec.pbar} moments")
     result = fit(rcov, spec, init=init)
     doc = _fit_json(result)
     rows = [("coord", "estimate", "se")] + [
@@ -223,9 +211,9 @@ def cmd_fit(args):
         for j, (est, se) in enumerate(zip(doc["theta"], doc["se"]))
     ]
     _write_report(args.out, doc, args.format, rows)
-    manifest = _write_manifest(args.out, {"subcommand": "fit", "data": args.data,
-                               "spec": spec_to_json(spec),
-                               "outputs": [args.out]})
+    manifest = write_manifest(args.out + ".manifest.json", {
+        "subcommand": "fit", "data": args.data, "spec": spec_to_json(spec),
+        "outputs": [args.out]})
     print(_fit_report(result))
     print(f"wrote {args.out}" + (f" and {manifest}" if args.verbose else ""))
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
@@ -247,14 +235,13 @@ def _test_json(tr):
 def cmd_test(args):
     rcov = _read_data(args.data)
     spec, init = _load_spec(args, rcov)
-    tr = test_k(rcov, spec, args.k, alpha=args.alpha, init=init,
-                df_override=args.df)
+    tr = test_k(rcov, spec, args.k, alpha=args.alpha, init=init)
     rows = [("k", "statistic", "df", "critical", "p_value", "reject"),
             (tr.k_star, tr.statistic, tr.df, tr.critical, tr.p_value, tr.reject)]
     _write_report(args.out, _test_json(tr), args.format, rows)
-    manifest = _write_manifest(args.out, {"subcommand": "test", "data": args.data,
-                               "k": args.k, "alpha": args.alpha,
-                               "outputs": [args.out]})
+    manifest = write_manifest(args.out + ".manifest.json", {
+        "subcommand": "test", "data": args.data, "k": args.k, "alpha": args.alpha,
+        "outputs": [args.out]})
     if args.verbose:
         print(f"wrote {args.out} and {manifest}")
     decision = "reject" if tr.reject else "accept"
@@ -277,8 +264,9 @@ def cmd_select(args):
         for t in sel.trail
     ]
     _write_report(args.out, doc, args.format, rows)
-    manifest = _write_manifest(args.out, {"subcommand": "select", "data": args.data,
-                               "alpha": args.alpha, "outputs": [args.out]})
+    manifest = write_manifest(args.out + ".manifest.json", {
+        "subcommand": "select", "data": args.data, "alpha": args.alpha,
+        "outputs": [args.out]})
     if args.verbose:
         print(f"wrote {args.out} and {manifest}")
     print(f"{'k':>3} {'statistic':>14} {'df':>4} {'critical':>10} decision")
@@ -376,8 +364,6 @@ def build_parser():
     common(p, data=True, spec=True)
     p.add_argument("--k", type=int, required=True, help="hypothesised factor count")
     p.add_argument("--alpha", type=_level, default=0.05)
-    p.add_argument("--df", type=int, default=None,
-                   help="override the chi-squared degrees of freedom")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_test)
 

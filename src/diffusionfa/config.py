@@ -10,11 +10,13 @@ name no field (such as removed ones) are ignored.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
 import numpy as np
 
+from . import __version__
 from .matrixcalc import unvech
 from .model import ModelSpec, ParamVector
 from .sde import DriftSpec, SimConfig
@@ -24,7 +26,34 @@ class ConfigError(ValueError):
     """A configuration document is missing a field or carries a bad value."""
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _named_errors(parse):
+    """Re-raise a model or simulation ValueError of ``parse`` as ConfigError."""
+    @functools.wraps(parse)
+    def wrapper(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return wrapper
+
+
+def _join(path, field):
+    return f"{path}.{field}" if path else field
+
+
 def _require(doc, field, path=""):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'the document'} must be a JSON object, got {doc!r}")
     if field not in doc:
         where = f" in {path}" if path else ""
         raise ConfigError(f"missing field {field!r}{where}")
@@ -33,30 +62,39 @@ def _require(doc, field, path=""):
 
 def _as_float(doc, field, path=""):
     value = _require(doc, field, path)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigError(f"field {field!r} must be a number, got {value!r}")
     return float(value)
 
 
 def _as_int(doc, field, path=""):
     value = _require(doc, field, path)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ConfigError(f"field {field!r} must be an integer, got {value!r}")
     return value
 
 
+def _as_array(doc, field, path=""):
+    """A JSON number or rectangular nested list of numbers as a float array."""
+    name = _join(path, field)
+    level = [_require(doc, field, path)]
+    while any(isinstance(v, list) for v in level):
+        if len({len(v) if isinstance(v, list) else None for v in level}) > 1:
+            raise ConfigError(f"field {name!r} is a ragged array")
+        level = [leaf for v in level for leaf in v]
+    bad = [json.dumps(v) for v in level if not _is_number(v)]
+    if bad:
+        raise ConfigError(f"field {name!r} must hold only numbers, got {bad[0]}")
+    return np.array(doc[field], dtype=float)
+
+
 def spec_from_json(doc, path=""):
-    try:
-        return ModelSpec(
-            p=_as_int(doc, "p", path),
-            k=_as_int(doc, "k", path),
-            n=_as_int(doc, "n", path),
-            h=_as_float(doc, "h", path),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    return ModelSpec(
+        p=_as_int(doc, "p", path),
+        k=_as_int(doc, "k", path),
+        n=_as_int(doc, "n", path),
+        h=_as_float(doc, "h", path),
+    )
 
 
 def spec_to_json(spec):
@@ -64,18 +102,14 @@ def spec_to_json(spec):
 
 
 def params_from_json(doc, path=""):
-    try:
-        return ParamVector(
-            a=np.asarray(_require(doc, "a", path), dtype=float),
-            sigma_ff=unvech(np.asarray(_require(doc, "sigma_ff", path), dtype=float)),
-            sigma_ee=np.asarray(_require(doc, "sigma_ee", path), dtype=float),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    return ParamVector(
+        a=_as_array(doc, "a", path),
+        sigma_ff=unvech(_as_array(doc, "sigma_ff", path)),
+        sigma_ee=_as_array(doc, "sigma_ee", path),
+    )
 
 
+@_named_errors
 def model_from_json(doc):
     """Parse a model document; the parameter block is optional."""
     spec = spec_from_json(doc)
@@ -91,7 +125,7 @@ def _drift_from_json(doc, path):
         raise ConfigError(
             f"drift kind {kind!r} at {path} is not loadable from JSON; "
             "custom drifts are library-only")
-    return DriftSpec.linear_ou(_require(doc, "b", path), _require(doc, "mu", path))
+    return DriftSpec.linear_ou(_as_array(doc, "b", path), _as_array(doc, "mu", path))
 
 
 def _drift_to_json(drift):
@@ -104,33 +138,27 @@ def _drift_to_json(drift):
             "mu": mu.tolist() if mu.ndim else float(mu)}
 
 
+@_named_errors
 def sim_config_from_json(doc, path="sim"):
-    spec = spec_from_json(_require(doc, "spec", path), path=f"{path}.spec")
     drifts_doc = _require(doc, "unique_drifts", path)
-    unique_drifts = tuple(
-        _drift_from_json(d, f"{path}.unique_drifts[{i}]")
-        for i, d in enumerate(drifts_doc)
+    if not isinstance(drifts_doc, list):
+        raise ConfigError(
+            f"{_join(path, 'unique_drifts')} must be a list, got {drifts_doc!r}")
+    return SimConfig(
+        spec=spec_from_json(_require(doc, "spec", path), path=_join(path, "spec")),
+        a=_as_array(doc, "a", path),
+        factor_drift=_drift_from_json(_require(doc, "factor_drift", path),
+                                      _join(path, "factor_drift")),
+        factor_dispersion=_as_array(doc, "factor_dispersion", path),
+        unique_drifts=tuple(
+            _drift_from_json(d, f"{_join(path, 'unique_drifts')}[{i}]")
+            for i, d in enumerate(drifts_doc)),
+        unique_dispersions=_as_array(doc, "unique_dispersions", path),
+        f0=_as_array(doc, "f0", path),
+        e0=_as_array(doc, "e0", path),
+        seed=_as_int(doc, "seed", path) if "seed" in doc else 0,
+        substeps=_as_int(doc, "substeps", path) if "substeps" in doc else 1,
     )
-    try:
-        return SimConfig(
-            spec=spec,
-            a=np.asarray(_require(doc, "a", path), dtype=float),
-            factor_drift=_drift_from_json(_require(doc, "factor_drift", path),
-                                          f"{path}.factor_drift"),
-            factor_dispersion=np.asarray(
-                _require(doc, "factor_dispersion", path), dtype=float),
-            unique_drifts=unique_drifts,
-            unique_dispersions=np.asarray(
-                _require(doc, "unique_dispersions", path), dtype=float),
-            f0=np.asarray(_require(doc, "f0", path), dtype=float),
-            e0=np.asarray(_require(doc, "e0", path), dtype=float),
-            seed=_as_int(doc, "seed", path) if "seed" in doc else 0,
-            substeps=_as_int(doc, "substeps", path) if "substeps" in doc else 1,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
 
 
 def sim_config_to_json(config):
@@ -180,6 +208,15 @@ def load_json(path):
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}") from None
+
+
+def write_manifest(path, payload):
+    """Write ``payload`` and the package version to ``path`` as a run manifest:
+    JSON with a two-space indent, sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump({**payload, "version": __version__}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def bundled_config_path(name):

@@ -53,6 +53,7 @@ from .matrixcalc import require_symmetric, unvech, vech_indices
 from .model import (
     ModelSpec,
     ParamVector,
+    UntestableError,
     WeightMatrixError,
     delta_jacobian,
     gradient_from_blocks,
@@ -215,7 +216,6 @@ def default_bounds(rcov, spec):
         raise ValueError("realised covariance has no positive diagonal entry")
     return parameter_box(
         spec,
-        loading=(-30.0, 30.0),
         factor_cov=(-4.0 * scale, 4.0 * scale),
         unique_var=(1e-8, 2.0 * scale),
     )
@@ -541,11 +541,12 @@ def fit(rcov, spec, init=None, bounds=None):
     projected Newton on the exact Hessian.  A fit that exhausts its
     iteration or evaluation cap (``_MAX_ITER``, ``_MAX_EVALS``) or stalls
     before meeting its convergence test is returned with
-    ``converged=False`` rather than raised.
+    ``converged=False`` rather than raised.  Raises UntestableError when
+    the count has more parameters q than the p(p+1)/2 moments.
     """
     if spec.df < 0:
-        raise ValueError(
-            f"model has more parameters (q={spec.q}) than moments ({spec.pbar})")
+        raise UntestableError(f"k={spec.k} at p={spec.p} has q={spec.q} "
+                              f"parameters, more than the {spec.pbar} moments")
     if bounds is None:
         bounds = default_bounds(rcov, spec)
     bounds = np.asarray(bounds, dtype=float)

@@ -23,11 +23,7 @@ from dataclasses import dataclass, replace
 from scipy.special import chdtrc, chdtri
 
 from .estimator import FitResult, fit
-from .model import ModelSpec
-
-
-class UntestableError(ValueError):
-    """The hypothesised factor count leaves no residual degrees of freedom."""
+from .model import ModelSpec, UntestableError
 
 
 def chi2_sf(df, x):
@@ -71,33 +67,27 @@ class SelectionResult:
     trail: tuple
 
 
-def test_k(rcov, spec, k_star, alpha=0.05, init=None, bounds=None,
-           df_override=None):
+def test_k(rcov, spec, k_star, alpha=0.05, init=None, bounds=None):
     """Test the null that the factor count equals ``k_star``.
 
     This is the one place a count becomes a fit.  ``init`` and ``bounds``
     (a start and its box, e.g. the generating parameters of a study) are
     used only when ``init`` has ``k_star`` factors; every other count starts
     from the default start in the default box.  The statistic is exactly
-    ``rcov.n`` times the minimized contrast of the k_star-factor fit.
-    ``df_override`` substitutes the chi-squared degrees of freedom used for
-    calibration (the statistic itself is unchanged); the default is
-    p(p+1)/2 - q_{k_star}.  Raises UntestableError when k_star is outside
-    1 <= k_star < p or that default is < 1.  A non-converged fit is
-    propagated in the result with its flag, not raised.
+    ``rcov.n`` times the minimized contrast of the k_star-factor fit and is
+    calibrated against chi-squared with df = p(p+1)/2 - q_{k_star}, worked
+    out from p and k_star.  Raises UntestableError when k_star is outside
+    1 <= k_star < p or is not :attr:`ModelSpec.testable`.  A non-converged
+    fit is propagated in the result with its flag, not raised.
     """
     k_star = int(k_star)
     if not 1 <= k_star < spec.p:
         raise UntestableError(f"k={k_star} is outside 1 <= k < p={spec.p}")
     sub_spec = replace(spec, k=k_star)
     df = sub_spec.df
-    if df < 1:
+    if not sub_spec.testable:
         raise UntestableError(
             f"k={k_star} leaves df={df} <= 0 (q={sub_spec.q}, moments={sub_spec.pbar})")
-    if df_override is not None:
-        df = int(df_override)
-        if df < 1:
-            raise UntestableError("df override must be >= 1")
     if init is None or init.k != k_star:
         init = bounds = None
     result = fit(rcov, sub_spec, init=init, bounds=bounds)
@@ -117,13 +107,8 @@ def test_k(rcov, spec, k_star, alpha=0.05, init=None, bounds=None,
 
 
 def max_testable_k(p):
-    """Largest k with positive residual degrees of freedom (and k < p)."""
-    best = 0
-    for k in range(1, p):
-        spec = ModelSpec(p=p, k=k)
-        if spec.df >= 1:
-            best = k
-    return best
+    """Largest k < p whose count is :attr:`ModelSpec.testable`; 0 if none."""
+    return max((k for k in range(1, p) if ModelSpec(p=p, k=k).testable), default=0)
 
 
 def select_k(rcov, spec, alpha=0.05):

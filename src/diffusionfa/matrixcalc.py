@@ -92,39 +92,23 @@ def unvech(v):
 
 
 @lru_cache(maxsize=None)
-def _duplication_cached(p):
-    pbar = p * (p + 1) // 2
-    d = np.zeros((p * p, pbar))
-    rows, cols = vech_indices(p)
-    half_index = np.zeros((p, p), dtype=int)
-    half_index[rows, cols] = np.arange(pbar)
-    half_index[cols, rows] = np.arange(pbar)
-    for j in range(p):
-        for i in range(p):
-            d[p * j + i, half_index[i, j]] = 1.0
-    d.setflags(write=False)
-    return d
-
-
 def duplication(p):
     """The p^2 x p(p+1)/2 duplication matrix D_p (dense, cached, read-only)."""
     if p < 1:
         raise ValueError("dimension must be >= 1")
-    return _duplication_cached(int(p))
+    rows, cols = vech_indices(p)
+    d = np.zeros((p * p, rows.size))
+    # vech position m of (i, j), i >= j, feeds vec positions p*j + i and p*i + j
+    d[[p * cols + rows, p * rows + cols], np.arange(rows.size)] = 1.0
+    d.setflags(write=False)
+    return d
 
 
 @lru_cache(maxsize=None)
-def _duplication_pinv_cached(p):
-    d = _duplication_cached(p)
-    # D.T @ D is diagonal (1 on diagonal positions, 2 off-diagonal), so the
-    # solve is exact in floating point.
-    pinv = np.linalg.solve(d.T @ d, d.T)
+def duplication_pinv(p):
+    """Moore-Penrose left inverse inv(D.T D) @ D.T of D_p (cached, read-only):
+    D.T D is diagonal with D's column sums (1 or 2), so rows of D.T / sums."""
+    d = duplication(p)
+    pinv = d.T / d.sum(axis=0)[:, None]
     pinv.setflags(write=False)
     return pinv
-
-
-def duplication_pinv(p):
-    """Moore-Penrose left inverse of D_p, i.e. inv(D.T D) @ D.T (cached)."""
-    if p < 1:
-        raise ValueError("dimension must be >= 1")
-    return _duplication_pinv_cached(int(p))

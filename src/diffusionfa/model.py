@@ -26,10 +26,16 @@ import numpy as np
 from .matrixcalc import (
     require_symmetric,
     unvec,
+    unvech,
     vec,
     vech,
     vech_indices,
 )
+
+
+class UntestableError(ValueError):
+    """The factor count has more parameters than moments, or df < 1."""
+
 
 class WeightMatrixError(ValueError):
     """The vech-scale weight matrix is not positive definite.
@@ -81,6 +87,7 @@ class ModelSpec:
 
     @property
     def testable(self):
+        """Whether the chi-squared test of this count has df >= 1."""
         return self.df >= 1
 
     @property
@@ -144,12 +151,8 @@ def unpack(v, spec):
         raise ValueError(f"parameter vector has length {v.size}, expected {spec.q}")
     n_a = (p - k) * k
     n_ff = k * (k + 1) // 2
-    a = unvec(v[:n_a], p - k, k)
-    sff = np.zeros((k, k))
-    rows, cols = vech_indices(k)
-    sff[rows, cols] = v[n_a : n_a + n_ff]
-    sff[cols, rows] = v[n_a : n_a + n_ff]
-    return ParamVector(a=a, sigma_ff=sff, sigma_ee=v[n_a + n_ff :])
+    return ParamVector(a=unvec(v[:n_a], p - k, k), sigma_ff=unvech(v[n_a : n_a + n_ff]),
+                       sigma_ee=v[n_a + n_ff :])
 
 
 def loading_matrix(params):

@@ -10,7 +10,6 @@ aggregates byte for byte.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -18,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
-from . import __version__
-from .config import ConfigError, sim_config_to_json, spec_to_json
+from .config import (ConfigError, _is_int, _is_number, _require, sim_config_from_json,
+                     sim_config_to_json, spec_to_json, write_manifest)
 from .estimator import box_violation, information, parameter_box, realised_cov
 from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
@@ -27,14 +26,6 @@ from .model import ModelSpec, pack, sigma_of_theta
 from .sde import SimConfig, SimulationError, implied_params, simulate
 
 _MANIFEST_SEED_LIMIT = 10000
-
-
-def _is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -47,11 +38,13 @@ class Experiment:
     count in ``k_grid`` is fit and tested by
     :func:`hypothesis_test.test_k`: the fit at the generating count starts
     at the truth, and fits at other counts start from the default
-    initializer.  ``bounds_blocks`` optionally maps the block names
-    ``loading`` / ``factor_cov`` / ``unique_var`` to (lower, upper) pairs
-    for the fit at the generating count -- boundary-tolerant studies need a
-    box admitting non-positive unique variances there, or the truncation
-    inflates the test statistic.  Fits at other counts always use the
+    initializer.  ``bounds_blocks`` maps the block names ``loading`` /
+    ``factor_cov`` / ``unique_var`` to the (lower, upper) pairs of the
+    :func:`estimator.parameter_box` that the generating-count fit searches;
+    a block left out, or ``None``, is the flat [-30, 30], and the truth
+    must lie in the box.  Boundary-tolerant studies need a box admitting
+    non-positive unique variances there, or the truncation inflates the
+    test statistic.  Fits at other counts always use the
     data-scaled default box: their pseudo-optima live at the scale of the
     data, which a replication box like [-30, 30] cannot contain.
     ``keep_draws`` lists statistic keys (e.g. ``theta:1``, ``rcov:1,1``,
@@ -85,7 +78,7 @@ class Experiment:
                 f"seed_base must be a non-negative integer, got {self.seed_base!r}")
         k_grid = tuple(spec.k if k is None else k for k in self.k_grid)
         for k in k_grid:
-            if not (_is_int(k) and 1 <= k < spec.p and replace(spec, k=k).df >= 1):
+            if not (_is_int(k) and 1 <= k < spec.p and replace(spec, k=k).testable):
                 raise ConfigError(
                     f"k_grid entry {k!r} is not an integer 1 <= k < p={spec.p} "
                     "leaving df >= 1")
@@ -104,7 +97,7 @@ class Experiment:
                     and all(map(_is_number, pair)) and pair[0] < pair[1]):
                 raise ConfigError(
                     f"bounds {name!r} must be numbers lower < upper, got {pair!r}")
-        if self.bounds_blocks is not None and spec.k in k_grid:
+        if spec.k in k_grid:
             # the generating-count fit starts at the truth inside this box
             violation = box_violation(pack(self.truth), parameter_box(spec, **blocks))
             if violation:
@@ -124,9 +117,8 @@ class Experiment:
                     f"outputs entry {name!r} is not one of rcov, theta, tstat")
         object.__setattr__(self, "k_grid", tuple(int(k) for k in k_grid))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if self.bounds_blocks is not None:
-            object.__setattr__(self, "bounds_blocks", {
-                name: (float(lo), float(hi)) for name, (lo, hi) in blocks.items()})
+        object.__setattr__(self, "bounds_blocks", {
+            name: (float(lo), float(hi)) for name, (lo, hi) in blocks.items()})
 
     @property
     def spec(self):
@@ -210,9 +202,7 @@ def _replicate(exp, r):
             exc.step, f"replication {r} (seed {seed}): {exc}") from None
     rcov = realised_cov(path)
     truth = exp.truth
-    box = None
-    if exp.bounds_blocks is not None:
-        box = parameter_box(replace(exp.spec, k=truth.k), **exp.bounds_blocks)
+    box = parameter_box(exp.spec, **exp.bounds_blocks)
     record = {
         "seed": seed,
         "rcov_vech": vech(rcov.q, check=False),
@@ -378,8 +368,7 @@ def write_outputs(agg, outdir, exp):
         _write_csv(path, fig_header, cols)
         written.append(path)
 
-    manifest = {
-        "version": __version__,
+    path = write_manifest(os.path.join(outdir, "manifest.json"), {
         "replications": agg.replications,
         "seed_base": agg.seed_base,
         "seed_rule": "SeedSequence(seed_base, spawn_key=(r,)) -> uint64",
@@ -390,19 +379,13 @@ def write_outputs(agg, outdir, exp):
         "sim": sim_config_to_json(exp.sim),
         "k_grid": list(exp.k_grid),
         "alphas": list(exp.alphas),
-    }
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     written.append(path)
     return written
 
 
 def experiment_from_json(doc):
     """Parse an experiment document (see docs/file-formats.md)."""
-    from .config import _require, sim_config_from_json
-
     sim = sim_config_from_json(_require(doc, "sim"), path="sim")
     return Experiment(
         sim=sim,

@@ -49,7 +49,7 @@ _NOISE_CHUNK = 65536  # substeps buffered per RNG draw; bounds memory at long n
 
 
 class SimulationError(RuntimeError):
-    """Integration produced a non-finite state (drift explosion)."""
+    """A non-finite state or observation in integration (drift explosion)."""
 
     def __init__(self, step, message=None):
         self.step = step
@@ -255,7 +255,8 @@ def simulate(config, keep_latent=False):
     """Integrate the latent system and return the observed SamplePath.
 
     Deterministic given ``config.seed``.  Raises SimulationError with the
-    offending grid index if the state leaves the finite range.
+    offending grid index if the state, or the observation X = Lambda f + e
+    formed from it, leaves the finite range.
     """
     spec = config.spec
     p, k, n, h = spec.p, spec.k, spec.n, spec.h
@@ -307,7 +308,11 @@ def simulate(config, keep_latent=False):
             euler(start // sub, noise)
 
     f, e = z[:, :k], z[:, k:]
-    x = f @ loading_matrix(implied_params(config)).T + e
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        x = f @ loading_matrix(implied_params(config)).T + e
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise SimulationError(bad[0], f"non-finite observation at grid step {bad[0]}")
     times = np.arange(n + 1) * h
     if keep_latent:
         return SamplePath(times=times, x=x, f=f, e=e)

@@ -466,7 +466,7 @@ MODEL_DOC_DEFECTS = [
      "'sigma_ee' give p=5, k=2 but spec declares p=6, k=2"),
     (["sigma_ee=[4, 16, -25, 1, 9, 4]"], "start theta:14=-25 lies outside"),
     (["sigma_ff=[13, 13, 1]"], "start Sigma(theta) of fields"),
-    (["a=[[null, 1], [1, 5], [7, -4], [-3, 2]]"], "start theta:1=nan lies outside"),
+    (["a=[[null, 1], [1, 5], [7, -4], [-3, 2]]"], "field 'a' must hold only numbers, got null"),
 ]
 
 
@@ -575,3 +575,125 @@ def test_non_numeric_flag_names_expected_type(tmp_path, argv, needle, capsys):
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert needle in capsys.readouterr().err
+
+
+def test_study_without_bounds_checks_the_truth_in_the_flat_box(tmp_path, monkeypatch,
+                                                               capsys):
+    # an absent bounds block is the flat [-30, 30] box, so A[3, 1] = 45
+    # (theta:8) is outside it before any replication runs
+    from diffusionfa import montecarlo
+
+    def no_simulation(config):
+        raise AssertionError("a replication ran before the truth was checked")
+
+    monkeypatch.setattr(montecarlo, "simulate", no_simulation)
+    code = main(["experiment", "--config", "ergodic_scaled", "--override", "replications=1",
+                 "--override", "bounds=null",
+                 "--override", "sim.a=[[3, 1], [1, 5], [7, -4], [-3, 45]]",
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    assert "truth theta:8=45 lies outside [-30, 30]" in capsys.readouterr().err
+
+
+def _first_leaf(value, leaf):
+    """``value`` with its first scalar replaced by ``leaf``."""
+    if isinstance(value, list):
+        return [_first_leaf(value[0], leaf)] + value[1:]
+    return leaf
+
+
+# (subcommand, field path in its document, the name an error gives it)
+ARRAY_FIELDS = [
+    ("simulate", ("a",), "a"),
+    ("simulate", ("factor_dispersion",), "factor_dispersion"),
+    ("simulate", ("unique_dispersions",), "unique_dispersions"),
+    ("simulate", ("f0",), "f0"),
+    ("simulate", ("e0",), "e0"),
+    ("simulate", ("factor_drift", "b"), "factor_drift.b"),
+    ("simulate", ("factor_drift", "mu"), "factor_drift.mu"),
+    ("simulate", ("unique_drifts", 0, "b"), "unique_drifts[0].b"),
+    ("simulate", ("unique_drifts", 0, "mu"), "unique_drifts[0].mu"),
+    ("experiment", ("sim", "factor_drift", "b"), "sim.factor_drift.b"),
+    ("fit", ("a",), "a"),
+    ("fit", ("sigma_ff",), "sigma_ff"),
+    ("fit", ("sigma_ee",), "sigma_ee"),
+    ("rcov", ("q",), "q"),
+]
+ARRAY_DEFECTS = [
+    ("null", lambda v: _first_leaf(v, None), "must hold only numbers, got null"),
+    ("string", lambda v: _first_leaf(v, "1"), 'must hold only numbers, got "1"'),
+    ("bool", lambda v: _first_leaf(v, True), "must hold only numbers, got true"),
+    ("object", lambda v: _first_leaf(v, {}), "must hold only numbers, got {}"),
+    ("ragged", lambda v: [[1.0, 2.0], [3.0]], "is a ragged array"),
+]
+
+
+@pytest.mark.parametrize("defect,spoil,needle", ARRAY_DEFECTS,
+                         ids=[d[0] for d in ARRAY_DEFECTS])
+@pytest.mark.parametrize("command,where,name", ARRAY_FIELDS,
+                         ids=[f"{c}-{n}" for c, _, n in ARRAY_FIELDS])
+def test_bad_numeric_array_exits_2_naming_field(tmp_path, command, where, name,
+                                                defect, spoil, needle, capsys):
+    source = {"simulate": "system_p6k2", "experiment": "table6_nonergodic",
+              "fit": "model_p6k2"}.get(command)
+    doc = (load_json(bundled_config_path(source)) if source
+           else {"q": SIGMA_TRUE.tolist(), "n": 1000, "h": 0.001})
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = spoil(parent[where[-1]])
+    bad = str(tmp_path / "doc.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    if command == "fit":
+        data = str(tmp_path / "path.csv")
+        assert main(["simulate", "--config", "system_p6k2", "--out", data]) == 0
+        argv = ["fit", "--data", data, "--spec", bad]
+    elif command == "rcov":
+        argv = ["rcov", "--data", bad]
+    elif command == "experiment":  # a study that wrongly runs stays small
+        argv = ["experiment", "--config", bad, "--override", "replications=2"]
+    else:
+        argv = [command, "--config", bad]
+    capsys.readouterr()
+    assert main(argv + ["--out", out]) == 2
+    assert f"field '{name}' {needle}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command,config,override,needle", [
+    ("simulate", "system_p6k2", "spec=3", "spec must be a JSON object, got 3"),
+    ("experiment", "table6_nonergodic", "sim=null", "sim must be a JSON object, got None"),
+    ("experiment", "table6_nonergodic", "sim.unique_drifts={}",
+     "sim.unique_drifts must be a list, got {}"),
+    ("experiment", "table6_nonergodic", "sim.unique_drifts=[3]",
+     "sim.unique_drifts[0] must be a JSON object, got 3"),
+], ids=["spec=3", "sim=null", "unique_drifts={}", "unique_drifts=[3]"])
+def test_document_part_that_is_not_an_object_exits_2(tmp_path, command, config,
+                                                     override, needle, capsys):
+    code = main([command, "--config", config, "--override", override,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_observation_exits_2_naming_step(tmp_path, capsys):
+    # the factor state stays finite near mu = 1e308, but x = f Lambda' + e
+    # overflows from grid step 271 on
+    from diffusionfa.montecarlo import replication_seed
+
+    code = main(["simulate", "--config", "system_p6k2",
+                 "--override", "factor_drift.mu=[1e308, 4.0]",
+                 "--out", str(tmp_path / "path.csv")])
+    assert code == 2
+    assert "non-finite observation at grid step 271" in capsys.readouterr().err
+    code = main(["experiment", "--config", "table6_nonergodic",
+                 "--override", "replications=1",
+                 "--override", "sim.factor_drift.mu=[1e308, 4.0]",
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    seed = replication_seed(77, 0)
+    assert (f"replication 0 (seed {seed}): non-finite observation at grid step"
+            in capsys.readouterr().err)

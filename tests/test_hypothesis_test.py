@@ -62,9 +62,6 @@ def test_degrees_of_freedom_by_count():
     assert t2.df == 4
     t1 = run_count_test(rc, spec, 1)
     assert t1.df == 9  # p(p+1)/2 - q_1 from the counting formula
-    t1b = run_count_test(rc, spec, 1, df_override=10)
-    assert t1b.df == 10
-    assert t1b.statistic == t1.statistic
 
 
 def test_statistic_is_n_times_contrast(truth):
