@@ -16,7 +16,6 @@ flows from ``--seed`` or the config seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -35,12 +34,12 @@ from .config import (
     sim_config_from_json,
     sim_config_to_json,
     spec_to_json,
+    write_json,
     write_manifest,
 )
-from .estimator import (RealisedCov, box_violation, contrast, default_bounds, fit,
-                        realised_cov)
+from .estimator import RealisedCov, default_bounds, fit, realised_cov
 from .hypothesis_test import UntestableError, select_k, test_k
-from .model import WeightMatrixError, pack
+from .model import StartError, pack
 from .montecarlo import experiment_from_json, run, write_outputs
 from .sde import (
     SimulationError,
@@ -49,6 +48,7 @@ from .sde import (
     path_to_binary,
     path_to_csv,
     simulate,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -87,38 +87,21 @@ def _read_data(path):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _load_spec(args, rcov):
-    """Model document of ``--spec``, checked against itself and the data.
-
-    ``n`` and ``h`` come from the data, which needs a positive variance for
-    the default box to scale with.  A parameter block is a fit's start:
-    it must have the spec's p and k, lie inside the data's default box (the
-    box that fit searches) and give a positive-definite Sigma(theta).
-    """
-    doc = apply_overrides(load_json(args.spec), args.override or [])
-    spec, params = model_from_json(doc)
+def _load_data_and_spec(args):
+    """``--data`` as a RealisedCov and the ``--spec`` model with its ``n`` and
+    ``h``; the data needs the spec's p and a positive variance for the
+    default box to scale with.  :func:`estimator.fit` checks a start."""
+    rcov = _read_data(args.data)
+    spec, params = model_from_json(apply_overrides(load_json(args.spec),
+                                                   args.override or []))
     if spec.p != rcov.p:
         raise ConfigError(
             f"data has p={rcov.p} coordinates but spec declares p={spec.p}")
-    spec = replace(spec, n=rcov.n, h=rcov.h)
     try:
-        box = default_bounds(rcov, spec)
+        default_bounds(rcov, spec)
     except ValueError as exc:
         raise ConfigError(f"{args.data}: {exc}") from None
-    if params is None:
-        return spec, params
-    if (params.p, params.k) != (spec.p, spec.k):
-        raise ConfigError(f"fields 'a', 'sigma_ff' and 'sigma_ee' give p={params.p}, "
-                          f"k={params.k} but spec declares p={spec.p}, k={spec.k}")
-    violation = box_violation(pack(params), box)
-    if violation:
-        raise ConfigError(f"start {violation}, the data's default box")
-    try:
-        contrast(rcov, params)
-    except WeightMatrixError:
-        raise ConfigError("start Sigma(theta) of fields 'a', 'sigma_ff' and "
-                          "'sigma_ee' is not positive definite") from None
-    return spec, params
+    return rcov, replace(spec, n=rcov.n, h=rcov.h), params
 
 
 def cmd_simulate(args):
@@ -147,10 +130,7 @@ def cmd_simulate(args):
 
 def cmd_rcov(args):
     rcov = _read_data(args.data)
-    doc = {"q": rcov.q.tolist(), "n": rcov.n, "h": rcov.h}
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, {"q": rcov.q.tolist(), "n": rcov.n, "h": rcov.h})
     write_manifest(args.out + ".manifest.json", {
         "subcommand": "rcov", "data": args.data, "outputs": [args.out]})
     print(f"realised covariance from n={rcov.n} increments (T={rcov.T:g}):")
@@ -192,18 +172,14 @@ def _fit_json(result):
 
 
 def _write_report(out_path, doc, fmt, csv_rows):
+    if fmt == "json":
+        return write_json(out_path, doc)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "csv":
-            for row in csv_rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
-        else:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_csv(fh, csv_rows)
 
 
 def cmd_fit(args):
-    rcov = _read_data(args.data)
-    spec, init = _load_spec(args, rcov)
+    rcov, spec, init = _load_data_and_spec(args)
     result = fit(rcov, spec, init=init)
     doc = _fit_json(result)
     rows = [("coord", "estimate", "se")] + [
@@ -215,7 +191,7 @@ def cmd_fit(args):
         "subcommand": "fit", "data": args.data, "spec": spec_to_json(spec),
         "outputs": [args.out]})
     print(_fit_report(result))
-    print(f"wrote {args.out}" + (f" and {manifest}" if args.verbose else ""))
+    print(f"wrote {args.out} and {manifest}")
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
@@ -233,8 +209,7 @@ def _test_json(tr):
 
 
 def cmd_test(args):
-    rcov = _read_data(args.data)
-    spec, init = _load_spec(args, rcov)
+    rcov, spec, init = _load_data_and_spec(args)
     tr = test_k(rcov, spec, args.k, alpha=args.alpha, init=init)
     rows = [("k", "statistic", "df", "critical", "p_value", "reject"),
             (tr.k_star, tr.statistic, tr.df, tr.critical, tr.p_value, tr.reject)]
@@ -242,17 +217,15 @@ def cmd_test(args):
     manifest = write_manifest(args.out + ".manifest.json", {
         "subcommand": "test", "data": args.data, "k": args.k, "alpha": args.alpha,
         "outputs": [args.out]})
-    if args.verbose:
-        print(f"wrote {args.out} and {manifest}")
     decision = "reject" if tr.reject else "accept"
     print(f"H0: k={tr.k_star}  T={tr.statistic:.4f}  df={tr.df}  "
           f"critical={tr.critical:.4f}  p={tr.p_value:.4g}  -> {decision}")
+    print(f"wrote {args.out} and {manifest}")
     return EXIT_OK if tr.fit.converged else EXIT_NONCONVERGED
 
 
 def cmd_select(args):
-    rcov = _read_data(args.data)
-    spec, _ = _load_spec(args, rcov)
+    rcov, spec, _ = _load_data_and_spec(args)
     sel = select_k(rcov, spec, alpha=args.alpha)
     doc = {
         "chosen_k": sel.chosen_k,
@@ -267,8 +240,6 @@ def cmd_select(args):
     manifest = write_manifest(args.out + ".manifest.json", {
         "subcommand": "select", "data": args.data, "alpha": args.alpha,
         "outputs": [args.out]})
-    if args.verbose:
-        print(f"wrote {args.out} and {manifest}")
     print(f"{'k':>3} {'statistic':>14} {'df':>4} {'critical':>10} decision")
     for tr in sel.trail:
         print(f"{tr.k_star:>3} {tr.statistic:>14.4f} {tr.df:>4} "
@@ -277,6 +248,7 @@ def cmd_select(args):
         print("no factor structure: every testable count was rejected")
     else:
         print(f"selected k = {sel.chosen_k}")
+    print(f"wrote {args.out} and {manifest}")
     return EXIT_OK
 
 
@@ -337,8 +309,7 @@ def build_parser():
                            help="path CSV/binary or realised-covariance JSON")
         if spec:
             p.add_argument("--spec", required=True,
-                           help="model JSON (p, k, n, h; optional parameters)")
-            p.add_argument("-v", "--verbose", action="count", default=0)
+                           help="model JSON (p, k; optional parameters)")
         if config or spec:
             p.add_argument("--override", action="append", metavar="KEY=VALUE",
                            help="override a config field (repeatable, dotted paths)")
@@ -390,7 +361,7 @@ def main(argv=None):
     except UntestableError as exc:
         print(f"untestable k: {exc}", file=sys.stderr)
         return EXIT_UNTESTABLE
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, StartError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as exc:

@@ -111,11 +111,15 @@ def params_from_json(doc, path=""):
 
 @_named_errors
 def model_from_json(doc):
-    """Parse a model document; the parameter block is optional."""
-    spec = spec_from_json(doc)
-    params = None
-    if "a" in doc or "sigma_ff" in doc or "sigma_ee" in doc:
-        params = params_from_json(doc)
+    """Parse a model document: ``p``, ``k`` and an optional parameter block
+    of that p and k.  ``n`` and ``h`` are not read: they come with the data."""
+    spec = ModelSpec(p=_as_int(doc, "p"), k=_as_int(doc, "k"))
+    if not ("a" in doc or "sigma_ff" in doc or "sigma_ee" in doc):
+        return spec, None
+    params = params_from_json(doc)
+    if (params.p, params.k) != (spec.p, spec.k):
+        raise ConfigError(f"fields 'a', 'sigma_ff' and 'sigma_ee' give p={params.p}, "
+                          f"k={params.k} but spec declares p={spec.p}, k={spec.k}")
     return spec, params
 
 
@@ -210,13 +214,19 @@ def load_json(path):
         raise ConfigError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}") from None
 
 
-def write_manifest(path, payload):
-    """Write ``payload`` and the package version to ``path`` as a run manifest:
-    JSON with a two-space indent, sorted keys and a final newline."""
+def write_json(path, doc, sort_keys=False):
+    """Write ``doc`` to ``path`` as JSON with a two-space indent and a final
+    newline; returns ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({**payload, "version": __version__}, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
     return path
+
+
+def write_manifest(path, payload):
+    """Write ``payload`` and the package version to ``path`` as a run
+    manifest, with sorted keys."""
+    return write_json(path, {**payload, "version": __version__}, sort_keys=True)
 
 
 def bundled_config_path(name):

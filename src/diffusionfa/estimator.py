@@ -53,6 +53,7 @@ from .matrixcalc import require_symmetric, unvech, vech_indices
 from .model import (
     ModelSpec,
     ParamVector,
+    StartError,
     UntestableError,
     WeightMatrixError,
     delta_jacobian,
@@ -239,14 +240,26 @@ def parameter_box(spec, loading=(-30.0, 30.0), factor_cov=(-30.0, 30.0),
     return box
 
 
-def box_violation(x, box):
-    """The first coordinate of x outside the (q, 2) box, NaN included, as
-    ``theta:i=value lies outside [lower, upper]``; None when x is inside."""
-    outside = np.flatnonzero(~((x >= box[:, 0]) & (x <= box[:, 1])))
-    if outside.size == 0:
-        return None
-    i = outside[0]
-    return f"theta:{i + 1}={x[i]:g} lies outside [{box[i, 0]:g}, {box[i, 1]:g}]"
+def check_start(params, box=None, name="start",
+                fields="fields 'a', 'sigma_ff' and 'sigma_ee'"):
+    """Raise StartError unless ``params`` can start a fit over the (q, 2)
+    ``box``: packed, it has the box's length and lies inside (NaN never
+    does), and Sigma(theta) is positive definite; without a box only the
+    latter.  ``name`` and ``fields`` name the point and what sets Sigma."""
+    x = pack(params)
+    if box is not None:
+        if x.size != len(box):
+            raise StartError(f"{name} has {x.size} coordinates, the box {len(box)}")
+        outside = np.flatnonzero(~((x >= box[:, 0]) & (x <= box[:, 1])))
+        if outside.size:
+            i = outside[0]
+            raise StartError(f"{name} theta:{i + 1}={x[i]:g} lies outside "
+                             f"[{box[i, 0]:g}, {box[i, 1]:g}]")
+    try:
+        np.linalg.cholesky(sigma_of_theta(params))
+    except np.linalg.LinAlgError:
+        raise StartError(
+            f"{name} Sigma(theta) of {fields} is not positive definite") from None
 
 
 class _Contrast:
@@ -534,15 +547,15 @@ def fit(rcov, spec, init=None, bounds=None):
     """Minimize the contrast over the box and report the fit.
 
     ``bounds`` is a (q, 2) array of [lower, upper] per packed coordinate;
-    when omitted the data-scaled :func:`default_bounds` box is used.
-    ``init`` must lie inside the box (it is the caller's responsibility to
-    supply a consistent pair) and is refined by projected BFGS.  With
-    ``init=None`` the fit starts from :func:`default_init` and runs
-    projected Newton on the exact Hessian.  A fit that exhausts its
-    iteration or evaluation cap (``_MAX_ITER``, ``_MAX_EVALS``) or stalls
-    before meeting its convergence test is returned with
-    ``converged=False`` rather than raised.  Raises UntestableError when
-    the count has more parameters q than the p(p+1)/2 moments.
+    when omitted the data-scaled :func:`default_bounds` box is used.  A
+    supplied ``init`` is refined by projected BFGS.  With ``init=None`` the
+    fit starts from :func:`default_init` and runs projected Newton on the
+    exact Hessian.  A fit that exhausts its iteration or evaluation cap
+    (``_MAX_ITER``, ``_MAX_EVALS``) or stalls before meeting its
+    convergence test is returned with ``converged=False`` rather than
+    raised.  Raises UntestableError when the count has more parameters q
+    than the p(p+1)/2 moments, and StartError when the start fails
+    :func:`check_start` or its contrast is not finite.
     """
     if spec.df < 0:
         raise UntestableError(f"k={spec.k} at p={spec.p} has q={spec.q} "
@@ -558,20 +571,18 @@ def fit(rcov, spec, init=None, bounds=None):
         # pull clipped coordinates slightly inside the box: a corner start
         # leaves the first steps nowhere to go
         margin = 0.01 * (hi - lo)
-        x = np.clip(pack(default_init(rcov, spec)), lo + margin, hi - margin)
+        init = unpack(np.clip(pack(default_init(rcov, spec)), lo + margin, hi - margin),
+                      spec)
         minimize = _projected_newton
     else:
-        x = pack(init)
-        violation = box_violation(x, bounds)
-        if violation:
-            raise ValueError(f"initial point {violation}")
         minimize = _bfgs
+    check_start(init, bounds)
 
+    x = pack(init)
     objective = _Contrast(rcov, spec)
     f, g = objective(x)
     if g is None:
-        raise WeightMatrixError(
-            "weight matrix is not positive definite at the initial point")
+        raise StartError("start contrast is not finite")
     x, f, g, iterations, converged, message = minimize(objective, x, f, g, lo, hi)
     pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
 

@@ -37,6 +37,12 @@ class UntestableError(ValueError):
     """The factor count has more parameters than moments, or df < 1."""
 
 
+class StartError(ValueError):
+    """A fit's start is unusable: it has another length than the box, lies
+    outside the box, gives a Sigma(theta) that is not positive definite, or
+    a contrast that is not finite."""
+
+
 class WeightMatrixError(ValueError):
     """The vech-scale weight matrix is not positive definite.
 

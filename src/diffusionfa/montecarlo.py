@@ -19,11 +19,11 @@ from scipy.special import ndtri
 
 from .config import (ConfigError, _is_int, _is_number, _require, sim_config_from_json,
                      sim_config_to_json, spec_to_json, write_manifest)
-from .estimator import box_violation, information, parameter_box, realised_cov
+from .estimator import check_start, information, parameter_box, realised_cov
 from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
-from .model import ModelSpec, pack, sigma_of_theta
-from .sde import SimConfig, SimulationError, implied_params, simulate
+from .model import ModelSpec, StartError, pack, sigma_of_theta
+from .sde import SimConfig, SimulationError, implied_params, simulate, write_csv
 
 _MANIFEST_SEED_LIMIT = 10000
 
@@ -50,7 +50,8 @@ class Experiment:
     ``keep_draws`` lists statistic keys (e.g. ``theta:1``, ``rcov:1,1``,
     ``tstat:2``) whose raw replication draws are retained for figure data;
     ``all`` retains everything.  Every field is checked on construction
-    (see docs/file-formats.md); a bad one raises :class:`ConfigError`.
+    (see docs/file-formats.md), the truth by :func:`estimator.check_start`;
+    a bad one raises :class:`ConfigError`.
     """
 
     sim: SimConfig
@@ -58,14 +59,13 @@ class Experiment:
     k_grid: tuple = (None,)
     alphas: tuple = (0.05,)
     keep_draws: tuple = ()
-    outputs: tuple = ("rcov", "theta", "tstat")
     bounds_blocks: dict | None = None
     seed_base: int = 0
 
     def __post_init__(self):
         # every field is checked here, before any replication is simulated
         spec = self.spec
-        for field in ("k_grid", "alphas", "keep_draws", "outputs"):
+        for field in ("k_grid", "alphas", "keep_draws"):
             value = getattr(self, field)
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{field} must be a list, got {value!r}")
@@ -97,11 +97,14 @@ class Experiment:
                     and all(map(_is_number, pair)) and pair[0] < pair[1]):
                 raise ConfigError(
                     f"bounds {name!r} must be numbers lower < upper, got {pair!r}")
-        if spec.k in k_grid:
-            # the generating-count fit starts at the truth inside this box
-            violation = box_violation(pack(self.truth), parameter_box(spec, **blocks))
-            if violation:
-                raise ConfigError(f"truth {violation}, the study's bounds")
+        # the generating-count fit starts at the truth inside this box; the
+        # theoretical SDs need Sigma(truth) positive definite at every k_grid
+        try:
+            check_start(self.truth, parameter_box(spec, **blocks) if spec.k in k_grid
+                        else None, name="truth",
+                        fields="sim.factor_dispersion and sim.unique_dispersions")
+        except StartError as exc:
+            raise ConfigError(str(exc)) from None
         # theta draws exist only when the generating count is fit
         fitted_q = spec.q if spec.k in k_grid else 0
         known = set(_moment_names(spec.p, fitted_q))
@@ -111,10 +114,6 @@ class Experiment:
                 raise ConfigError(
                     f"keep_draws entry {key!r} is neither 'all' nor a statistic "
                     "of this study")
-        for name in self.outputs:
-            if name not in ("rcov", "theta", "tstat"):
-                raise ConfigError(
-                    f"outputs entry {name!r} is not one of rcov, theta, tstat")
         object.__setattr__(self, "k_grid", tuple(int(k) for k in k_grid))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "bounds_blocks", {
@@ -193,16 +192,17 @@ def _moment_names(p, q):
 
 
 def _replicate(exp, r):
-    """One replication: simulate, realised covariance, test every k."""
+    """One replication: simulate, realised covariance, test every k.  An
+    overflow on the way raises SimulationError naming r and its seed."""
     seed = replication_seed(exp.seed_base, r)
-    try:
-        path = simulate(exp.sim.with_seed(seed))
-    except SimulationError as exc:
-        raise SimulationError(
-            exc.step, f"replication {r} (seed {seed}): {exc}") from None
-    rcov = realised_cov(path)
     truth = exp.truth
     box = parameter_box(exp.spec, **exp.bounds_blocks)
+    try:
+        rcov = realised_cov(simulate(exp.sim.with_seed(seed)))
+        tests = [test_k(rcov, exp.spec, k, init=truth, bounds=box) for k in exp.k_grid]
+    except (SimulationError, ValueError) as exc:  # a non-finite Q, or a StartError
+        raise SimulationError(getattr(exc, "step", None),
+                              f"replication {r} (seed {seed}): {exc}") from None
     record = {
         "seed": seed,
         "rcov_vech": vech(rcov.q, check=False),
@@ -210,8 +210,7 @@ def _replicate(exp, r):
         "theta": None,
         "theta_converged": False,
     }
-    for k in exp.k_grid:
-        tr = test_k(rcov, exp.spec, k, init=truth, bounds=box)
+    for k, tr in zip(exp.k_grid, tests):
         record["stats"][k] = (tr.statistic, tr.fit.converged)
         if k == truth.k:
             record["theta"] = pack(tr.fit.theta_hat)
@@ -321,54 +320,35 @@ def figure_data(agg, statistic):
     return header, np.column_stack([draws, standardized, ref, ecdf])
 
 
-def _format(value):
-    return repr(float(value))
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
 def write_outputs(agg, outdir, exp):
-    """Write the requested tables, figure data and the run manifest.
+    """Write the tables, figure data and the run manifest.
 
     Output is deterministic: identical aggregates produce byte-identical
     files.  Returns the list of paths written.
     """
     os.makedirs(outdir, exist_ok=True)
-    written = []
-    header = ["statistic", "sample_mean", "true", "sample_sd", "theoretical_sd"]
-
-    for family, rows in (("rcov", agg.rcov_rows), ("theta", agg.theta_rows),
-                         ("tstat", agg.tstat_rows)):
-        if family in exp.outputs:
-            path = os.path.join(outdir, f"table_{family}.csv")
-            _write_csv(path, header, [(s.name, s.sample_mean, s.true_value,
-                                       s.sample_sd, s.theoretical_sd) for s in rows])
-            written.append(path)
-    if "tstat" in exp.outputs:
-        path = os.path.join(outdir, "quartiles_tstat.csv")
-        _write_csv(path, ["k", "min", "q1", "median", "q3", "max"],
-                   [(k,) + agg.quartiles[k] for k in sorted(agg.quartiles)])
-        written.append(path)
-        path = os.path.join(outdir, "rejections.csv")
-        _write_csv(path, ["k", "alpha", "rejections", "included", "excluded"],
-                   [(k, alpha, agg.rejections[(k, alpha)], agg.included[k],
-                     agg.exclusions[k])
-                    for (k, alpha) in sorted(agg.rejections)])
-        written.append(path)
-
+    header = ("statistic", "sample_mean", "true", "sample_sd", "theoretical_sd")
+    tables = {f"table_{family}.csv": [header] + [
+        (s.name, s.sample_mean, s.true_value, s.sample_sd, s.theoretical_sd)
+        for s in rows] for family, rows in (("rcov", agg.rcov_rows),
+                                            ("theta", agg.theta_rows),
+                                            ("tstat", agg.tstat_rows))}
+    tables["quartiles_tstat.csv"] = [("k", "min", "q1", "median", "q3", "max")] + [
+        (k,) + agg.quartiles[k] for k in sorted(agg.quartiles)]
+    tables["rejections.csv"] = [("k", "alpha", "rejections", "included", "excluded")] + [
+        (k, alpha, agg.rejections[(k, alpha)], agg.included[k], agg.exclusions[k])
+        for (k, alpha) in sorted(agg.rejections)]
     for key in sorted(agg.draws):
         fig_header, cols = figure_data(agg, key)
-        path = os.path.join(outdir, f"figure_{key.replace(':', '_').replace(',', '_')}.csv")
-        _write_csv(path, fig_header, cols)
-        written.append(path)
+        tables[f"figure_{key.replace(':', '_').replace(',', '_')}.csv"] = [fig_header, *cols]
 
-    path = write_manifest(os.path.join(outdir, "manifest.json"), {
+    written = []
+    for name, rows in tables.items():
+        written.append(os.path.join(outdir, name))
+        with open(written[-1], "w", encoding="utf-8", newline="\n") as fh:
+            write_csv(fh, rows)
+
+    written.append(write_manifest(os.path.join(outdir, "manifest.json"), {
         "replications": agg.replications,
         "seed_base": agg.seed_base,
         "seed_rule": "SeedSequence(seed_base, spawn_key=(r,)) -> uint64",
@@ -379,8 +359,7 @@ def write_outputs(agg, outdir, exp):
         "sim": sim_config_to_json(exp.sim),
         "k_grid": list(exp.k_grid),
         "alphas": list(exp.alphas),
-    })
-    written.append(path)
+    }))
     return written
 
 
@@ -393,7 +372,6 @@ def experiment_from_json(doc):
         k_grid=doc.get("k_grid", [sim.spec.k]),
         alphas=doc.get("alphas", [0.05]),
         keep_draws=doc.get("keep_draws", []),
-        outputs=doc.get("outputs", ["rcov", "theta", "tstat"]),
         bounds_blocks=doc.get("bounds"),
         seed_base=doc.get("seed_base", 0),
     )

@@ -34,7 +34,6 @@ p never perturbs the factor path under the same seed.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -328,11 +327,15 @@ def path_to_csv(path, fileobj):
         k = path.f.shape[1]
         header += [f"f{i + 1}" for i in range(k)] + [f"e{i + 1}" for i in range(p)]
         blocks += [path.f, path.e]
-    data = np.hstack(blocks)
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(header)
-    for row in data:
-        writer.writerow([repr(float(v)) for v in row])
+    write_csv(fileobj, [header, *np.hstack(blocks)])
+
+
+def write_csv(fileobj, rows):
+    """Write rows as comma-separated lines: a float (numpy's too) in
+    shortest round-trip form, anything else by ``str``; nothing is quoted."""
+    for row in rows:
+        fileobj.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row) + "\n")
 
 
 def path_from_csv(fileobj):

@@ -308,7 +308,6 @@ BAD_EXPERIMENT_FIELDS = [
     ('keep_draws=["tstat:3"]', "keep_draws entry 'tstat:3'"),
     ('keep_draws=["rcov:1,2"]', "keep_draws entry 'rcov:1,2'"),
     ('k_grid=[1]', "keep_draws entry 'theta:1'"),
-    ('outputs=["tables"]', "outputs entry 'tables'"),
     ('bounds={"loading": [30, -30]}', "bounds 'loading' must be numbers lower < upper"),
     ('bounds={"loading": ["x", 30]}', "bounds 'loading' must be numbers lower < upper"),
     ('bounds={"spin": [0, 1]}', "bounds must map loading"),
@@ -316,8 +315,10 @@ BAD_EXPERIMENT_FIELDS = [
     ("sim.substeps=2.5", "field 'substeps' must be an integer"),
     ("sim.factor_drift.b=0.5", "factor_drift.b has shape (), expected (2, 2)"),
     ("sim.factor_drift.mu=[2]", "factor_drift.mu has shape (1,), expected (2,)"),
-    ('bounds={"loading": [0, 30]}',
-     "truth theta:4=-3 lies outside [0, 30], the study's bounds"),
+    ('bounds={"loading": [0, 30]}', "truth theta:4=-3 lies outside [0, 30]"),
+    ("sim.unique_dispersions=[0, 0, 0, 0, 0, 0]",
+     "truth Sigma(theta) of sim.factor_dispersion and sim.unique_dispersions "
+     "is not positive definite"),
 ]
 
 
@@ -470,9 +471,13 @@ MODEL_DOC_DEFECTS = [
 ]
 
 
-@pytest.mark.parametrize("subcommand", ["fit", "test", "select"])
-@pytest.mark.parametrize("overrides,needle", MODEL_DOC_DEFECTS,
-                         ids=["k", "p", "box", "not_pd", "null"])
+@pytest.mark.parametrize("overrides,needle,subcommand", [
+    pytest.param(overrides, needle, subcommand, id=f"{name}-{subcommand}")
+    for (overrides, needle), name in zip(MODEL_DOC_DEFECTS,
+                                         ["k", "p", "box", "not_pd", "null"])
+    # a start defect matters only where a start is used: select never does
+    for subcommand in ["fit", "test", "select"]
+    if not (subcommand == "select" and name in ("box", "not_pd"))])
 def test_model_doc_inconsistent_with_itself_or_data_exits_2(
         tmp_path, path_csv, model_doc, subcommand, overrides, needle, capsys):
     extra = ["--k", "2"] if subcommand == "test" else []
@@ -483,6 +488,24 @@ def test_model_doc_inconsistent_with_itself_or_data_exits_2(
     assert code == 2
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("override", ["sigma_ee=[4, 16, -25, 1, 9, 4]",
+                                      "sigma_ff=[13, 13, 1]"], ids=["box", "not_pd"])
+def test_select_ignores_the_start(tmp_path, path_csv, model_doc, override):
+    # select fits every count from the default start, so a parameter block
+    # that could not start a fit changes nothing
+    doc = load_json(model_doc)
+    for field in ("a", "sigma_ff", "sigma_ee"):
+        del doc[field]
+    (tmp_path / "bare_model.json").write_text(json.dumps(doc))
+    bare = str(tmp_path / "bare.json")
+    assert main(["select", "--data", path_csv, "--spec", str(tmp_path / "bare_model.json"),
+                 "--out", bare]) == 0
+    out = str(tmp_path / "select.json")
+    assert main(["select", "--data", path_csv, "--spec", model_doc, "--out", out,
+                 "--override", override]) == 0
+    assert open(out).read() == open(bare).read()
 
 
 def test_fit_takes_n_and_h_from_data(tmp_path, path_csv, model_doc):
@@ -697,3 +720,64 @@ def test_overflowing_observation_exits_2_naming_step(tmp_path, capsys):
     seed = replication_seed(77, 0)
     assert (f"replication 0 (seed {seed}): non-finite observation at grid step"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("h,needle", [
+    # the unstable Euler path stays finite, but dx'dx overflows
+    ("1.5", "realised covariance has non-finite entries"),
+    # Sigma of the first fit's start is positive definite, but F overflows
+    ("1.0", "start contrast is not finite"),
+], ids=["rcov", "contrast"])
+def test_replication_that_overflows_exits_2_naming_seed(tmp_path, h, needle, capsys):
+    from diffusionfa.montecarlo import replication_seed
+
+    code = main(["experiment", "--config", "table6_nonergodic",
+                 "--override", "replications=1", "--override", "sim.spec.n=200",
+                 "--override", f"sim.spec.h={h}", "--out", str(tmp_path / "results")])
+    assert code == 2
+    seed = replication_seed(77, 0)
+    assert f"replication 0 (seed {seed}): {needle}" in capsys.readouterr().err
+
+
+def test_singular_truth_exits_2_without_the_generating_count(tmp_path, monkeypatch,
+                                                             capsys):
+    # no fit starts at the truth, but the theoretical SDs need Sigma(truth)
+    from diffusionfa import montecarlo
+
+    def no_simulation(config):
+        raise AssertionError("a replication ran before the truth was checked")
+
+    monkeypatch.setattr(montecarlo, "simulate", no_simulation)
+    code = main(["experiment", "--config", "ergodic_scaled", "--override", "k_grid=[1]",
+                 "--override", "keep_draws=[]",
+                 "--override", "sim.unique_dispersions=[0, 0, 0, 0, 0, 0]",
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    assert ("truth Sigma(theta) of sim.factor_dispersion and sim.unique_dispersions"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [["fit"], ["test", "--k", "2"], ["select"]],
+                         ids=["fit", "test", "select"])
+def test_report_subcommands_name_the_manifest(tmp_path, path_csv, model_doc, command,
+                                             capsys):
+    out = str(tmp_path / "out.json")
+    assert main(command + ["--data", path_csv, "--spec", model_doc, "--out", out]) in (0, 3)
+    assert capsys.readouterr().out.endswith(f"wrote {out} and {out}.manifest.json\n")
+
+
+def test_docs_flag_table_matches_the_parser():
+    from diffusionfa.cli import build_parser
+
+    docs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "docs", "file-formats.md")
+    text = open(docs, encoding="utf-8").read()
+    table = text.split("## Command-line flags", 1)[1].split("\n\n")[2]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        name, flags = [cell.strip() for cell in line.strip("|").split("|", 1)]
+        documented[name.strip("`")] = {f.split()[0] for f in flags.strip("`").split("`, `")}
+    subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    registered = {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+                  for name, sub in subparsers.choices.items()}
+    assert documented == registered

@@ -25,7 +25,7 @@ def test_model_document_roundtrip(truth):
            "a": truth.a.tolist(), "sigma_ff": vech(truth.sigma_ff).tolist(),
            "sigma_ee": truth.sigma_ee.tolist()}
     spec2, params2 = model_from_json(doc)
-    assert spec2 == spec
+    assert (spec2.p, spec2.k) == (spec.p, spec.k)
     assert np.array_equal(params2.a, truth.a)
     assert np.array_equal(params2.sigma_ff, truth.sigma_ff)
     assert np.array_equal(params2.sigma_ee, truth.sigma_ee)
@@ -39,8 +39,14 @@ def test_model_document_without_params():
 
 
 def test_missing_field_names_field():
-    with pytest.raises(ConfigError, match="'h'"):
-        model_from_json({"p": 6, "k": 2, "n": 10})
+    with pytest.raises(ConfigError, match="'k'"):
+        model_from_json({"p": 6, "n": 10, "h": 0.1})
+
+
+def test_model_document_needs_no_n_or_h():
+    # fit, test and select take n and h from the data
+    spec, params = model_from_json({"p": 6, "k": 2})
+    assert (spec.p, spec.k, params) == (6, 2, None)
 
 
 def test_sim_config_roundtrip(sim_config):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -7,6 +9,7 @@ from diffusionfa import (
     ParamVector,
     RealisedCov,
     SamplePath,
+    StartError,
     WeightMatrixError,
     contrast,
     contrast_grad,
@@ -279,6 +282,25 @@ def test_fit_rejects_init_outside_box(truth):
     box = parameter_box(make_spec(), loading=(-1.0, 1.0))
     with pytest.raises(ValueError, match="outside"):
         fit(rc, make_spec(), init=truth, bounds=box)
+
+
+@pytest.mark.parametrize("defect,needle", [
+    ("length", "start has 14 coordinates, the box 17"),
+    ("not_pd", "start Sigma(theta) of fields 'a', 'sigma_ff' and 'sigma_ee' is not "
+               "positive definite"),
+    ("contrast", "start contrast is not finite"),
+])
+def test_fit_raises_start_error_for_an_unusable_start(truth, defect, needle):
+    rc = rcov_from_sigma(SIGMA_TRUE * (1e300 if defect == "contrast" else 1.0))
+    init = {
+        "length": ParamVector(a=truth.a[1:], sigma_ff=truth.sigma_ff,
+                              sigma_ee=truth.sigma_ee[1:]),
+        "not_pd": ParamVector(a=truth.a, sigma_ff=[[13.0, 13.0], [13.0, 1.0]],
+                              sigma_ee=truth.sigma_ee),
+        "contrast": truth,
+    }[defect]
+    with pytest.raises(StartError, match=re.escape(needle)):
+        fit(rc, make_spec(), init=init, bounds=parameter_box(make_spec()))
 
 
 def test_fit_nonconvergence_returns_partial_result(truth, monkeypatch):
