@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -288,7 +289,9 @@ _level = _flag_type(float, "a number", lambda a: 0.0 < a < 1.0, "lie in (0, 1)")
 _workers = _flag_type(int, "an integer", lambda w: w >= 1, "be >= 1")
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="diffusionfa",
         description=("Latent-factor models for diffusions observed at high "
@@ -354,8 +357,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UntestableError as exc:

@@ -21,8 +21,8 @@ its spec, and forms Lambda, Sigma_ff and Sigma of each point from that
 vector.  The objective keeps S and G of the last point it evaluated, so
 Newton's Hessian at the point just accepted reuses that factorisation; the
 Hessian is built from the rank-2 factors of dSigma/dtheta
-(:func:`model.sigma_derivative_factors`), in O(p^2 q + p q^2) without a
-(q, p, p) stack.
+(:func:`model.sigma_derivative_factors`, whose constant columns are built
+once per (p, k)), in O(p^2 q + p q^2) without a (q, p, p) stack.
 sqrt(n) times the estimation error is asymptotically normal with covariance
 (Delta^T W^{-1} Delta)^{-1}; :func:`information` forms Delta^T W^{-1} Delta
 with one solve, for the standard errors, the BFGS precision-floor test and
@@ -161,7 +161,8 @@ def realised_cov(path):
                          f"{bad[0] + 1} is {steps[bad[0]]!r}, h = {h!r}")
     dx = np.diff(x, axis=0)
     n = dx.shape[0]
-    q = dx.T @ dx / (n * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # RealisedCov judges q
+        q = dx.T @ dx / (n * h)
     return RealisedCov(q=(q + q.T) / 2.0, n=n, h=h)
 
 
@@ -287,6 +288,8 @@ class _Contrast:
         self.weights = np.where(self.rows == self.cols, 1.0, 2.0)
         # packed position of each Sigma_ff entry
         self.ff_index = self.n_a + unvech(np.arange(self.rows.size)).astype(int)
+        # row A[r, s], column Sigma_ff[s, c] at [s, c, r] after broadcasting
+        self.a_ff = (np.arange(self.n_a).reshape(k, 1, -1), self.ff_index[:, :, None])
         self.lam = np.vstack([np.eye(k), np.zeros((p - k, k))])
         self.evals = 0
         self._last = None  # (x.tobytes(), S, G) of the last point evaluated
@@ -362,21 +365,18 @@ class _Contrast:
         h = trace_products(*k_forms, *k_forms)
         h -= t
         h -= t.T
-        h[:n_a, :n_a] += 2.0 * np.kron(sigma_ff, g[k:, k:])
-        # row A[r, s], column Sigma_ff[s, c] at [s, c, r] after broadcasting
-        a_rows = np.arange(n_a).reshape(k, 1, -1)
-        ff_cols = self.ff_index[:, :, None]
+        h[:n_a, :n_a] += 2.0 * (sigma_ff[:, None, :, None]
+                                * g[None, k:, None, k:]).reshape(n_a, n_a)
         a_ff = 2.0 * (g @ self.lam)[k:].T
-        h[a_rows, ff_cols] += a_ff
-        h[ff_cols, a_rows] += a_ff
+        h[self.a_ff] += a_ff
+        h[self.a_ff[::-1]] += a_ff
         return (h + h.T) / 2.0
 
 
-def _projected_gradient(x, g, lo, hi):
-    pg = g.copy()
-    pg[(x <= lo) & (g > 0)] = 0.0
-    pg[(x >= hi) & (g < 0)] = 0.0
-    return pg
+def _pg_norm(x, g, lo, hi):
+    """Max-norm of the projected gradient: g without the entries held at a bound."""
+    blocked = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
+    return float(np.abs(g).max(initial=0.0, where=~blocked))
 
 
 def _bfgs(objective, x, f, g, lo, hi):
@@ -384,15 +384,10 @@ def _bfgs(objective, x, f, g, lo, hi):
 
     Returns (x, f, g, iterations, converged, message).
     """
-    spec = objective.spec
-    identity = np.eye(spec.q)
-    h_inv = identity
-    h_fresh = True
-    first_update = True
-    iterations = 0
-    converged = False
-    message = "max iterations reached"
-    pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
+    identity = np.eye(objective.spec.q)
+    h_inv, h_fresh, first_update = identity, True, True
+    iterations, converged, message = 0, False, "max iterations reached"
+    pg_norm = _pg_norm(x, g, lo, hi)
 
     min_decrease = _MIN_DECREASE_ULPS * np.finfo(float).eps
 
@@ -402,9 +397,9 @@ def _bfgs(objective, x, f, g, lo, hi):
         # feeds rounding noise into the curvature updates
         alpha = 1.0
         while alpha >= _MIN_STEP_FRACTION and objective.evals < _MAX_EVALS:
-            x_try = np.clip(x + alpha * direction, lo, hi)
+            x_try = np.minimum(np.maximum(x + alpha * direction, lo), hi)
             step = x_try - x
-            if np.max(np.abs(step)) == 0.0:
+            if not step.any():
                 return None
             f_try, g_try = objective(x_try)
             if (g_try is not None and f_try <= f + _ARMIJO_C1 * (g @ step)
@@ -418,17 +413,22 @@ def _bfgs(objective, x, f, g, lo, hi):
         # within a safety factor of that bound the point is converged to
         # machine resolution even though the nominal tolerance is unmet
         try:
-            info = 2.0 * information(unpack(x, spec))
+            info = 2.0 * information(unpack(x, objective.spec))
             lam_max = float(np.linalg.eigvalsh(info)[-1])
         except WeightMatrixError:
             return False
         floor = np.sqrt(2.0 * max(lam_max, 1.0) * np.finfo(float).eps * (1.0 + abs(f)))
         return pg_norm <= 10.0 * floor
 
-    while iterations < _MAX_ITER:
+    while True:
         if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
             converged = True
             message = "projected gradient within tolerance"
+            break
+        if iterations >= _MAX_ITER:
+            if at_precision_floor():
+                converged = True
+                message = "iteration cap at the floating-point floor"
             break
         if objective.evals >= _MAX_EVALS:
             if at_precision_floor():
@@ -449,11 +449,8 @@ def _bfgs(objective, x, f, g, lo, hi):
             h_inv, h_fresh, first_update = identity, True, True
             found = line_search(-g)
         if found is None:
-            pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
-            if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
-                converged = True
-                message = "projected gradient within tolerance"
-            elif at_precision_floor():
+            # x, f and g are those the loop head found outside the tolerance
+            if at_precision_floor():
                 converged = True
                 message = "descent exhausted at the floating-point floor"
             else:
@@ -473,14 +470,7 @@ def _bfgs(objective, x, f, g, lo, hi):
             h_inv = v @ h_inv @ v.T + rho * (step[:, None] * step)
             h_fresh = False
         x, f, g = x_new, f_new, g_new
-        pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
-    else:
-        if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
-            converged = True
-            message = "projected gradient within tolerance"
-        elif at_precision_floor():
-            converged = True
-            message = "iteration cap at the floating-point floor"
+        pg_norm = _pg_norm(x, g, lo, hi)
     return x, f, g, iterations, converged, message
 
 
@@ -508,11 +498,11 @@ def _projected_newton(objective, x, f, g, lo, hi):
     iterations = 0
     while True:
         h = objective.hessian(x)
-        eps = np.minimum(_ACTIVE_EPS * (hi - lo),
-                         np.linalg.norm(x - np.clip(x - g, lo, hi)))
+        r = x - np.minimum(np.maximum(x - g, lo), hi)
+        eps = np.minimum(_ACTIVE_EPS * (hi - lo), math.sqrt(r @ r))
         active = ((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0))
         free = ~active
-        lam, vecs = np.linalg.eigh(h[np.ix_(free, free)])
+        lam, vecs = np.linalg.eigh(h[free][:, free])
         lam = np.abs(lam)
         lam = np.maximum(lam, _EIG_FLOOR * max(float(np.max(lam, initial=0.0)),
                                                np.finfo(float).tiny))
@@ -534,7 +524,7 @@ def _projected_newton(objective, x, f, g, lo, hi):
         while True:
             if alpha < _MIN_STEP_FRACTION or objective.evals >= _MAX_EVALS:
                 return x, f, g, iterations, False, "line_search"
-            x_try = np.clip(x + alpha * d, lo, hi)
+            x_try = np.minimum(np.maximum(x + alpha * d, lo), hi)
             f_try, g_try = objective(x_try)
             wanted = alpha * decrement + g[active] @ (x[active] - x_try[active])
             if g_try is not None and f - f_try >= _ARMIJO_C1 * wanted:
@@ -580,26 +570,27 @@ def fit(rcov, spec, init=None, bounds=None):
 
     x = pack(init)
     objective = _Contrast(rcov, spec)
-    f, g = objective(x)
-    if g is None:
-        raise StartError("start contrast is not finite")
-    x, f, g, iterations, converged, message = minimize(objective, x, f, g, lo, hi)
-    pg_norm = float(np.max(np.abs(_projected_gradient(x, g, lo, hi))))
-
-    theta_hat = unpack(x, spec)
-    try:
-        info = information(theta_hat)
+    # F or the information may overflow: the point maps to inf, the SEs are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = objective(x)
+        if g is None:
+            raise StartError("start contrast is not finite")
+        x, f, g, iterations, converged, message = minimize(objective, x, f, g, lo, hi)
+        pg_norm = _pg_norm(x, g, lo, hi)
+        theta_hat = unpack(x, spec)
         try:
-            avar = np.linalg.inv(info)
-        except np.linalg.LinAlgError:
-            avar = np.linalg.pinv(info)
-            message += "; information matrix singular, pseudoinverse used"
-        se = np.sqrt(np.clip(np.diag(avar), 0.0, None) / rcov.n)
-    except WeightMatrixError:
-        avar = np.full((spec.q, spec.q), np.nan)
-        se = np.full(spec.q, np.nan)
-        message += "; weight matrix not PD at the estimate"
-        converged = False
+            info = information(theta_hat)
+            try:
+                avar = np.linalg.inv(info)
+            except np.linalg.LinAlgError:
+                avar = np.linalg.pinv(info)
+                message += "; information matrix singular, pseudoinverse used"
+            se = np.sqrt(np.clip(np.diag(avar), 0.0, None) / rcov.n)
+        except WeightMatrixError:
+            avar = np.full((spec.q, spec.q), np.nan)
+            se = np.full(spec.q, np.nan)
+            message += "; weight matrix not PD at the estimate"
+            converged = False
 
     return FitResult(
         theta_hat=theta_hat,

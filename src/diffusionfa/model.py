@@ -12,14 +12,15 @@ first derivative of Sigma is rank 2,
 
     dSigma/dtheta_i = w_i (u_i v_i^T + v_i u_i^T),
 
-and :func:`sigma_derivative_factors` is the one description of them: the
-Jacobian Delta of vech Sigma(theta) and the Hessian of the contrast are
-both built from these factors.
+and :func:`sigma_derivative_factors`, whose constant columns are built once
+per (p, k), is the one description of them: the Jacobian Delta of vech
+Sigma(theta) and the Hessian of the contrast are both built from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,6 +202,20 @@ def weight_matrix(sigma):
             + sigma[np.ix_(rows, cols)] * sigma[np.ix_(cols, rows)])
 
 
+@lru_cache(maxsize=None)
+def _factor_template(p, k):
+    """:func:`sigma_derivative_factors` with its Lambda columns zero; read-only."""
+    rows, cols = vech_indices(k)
+    eye = np.eye(p)
+    u = np.hstack([np.tile(eye[:, k:], k), np.zeros((p, rows.size)), eye])
+    v = np.hstack([np.zeros((p, (p - k) * k + rows.size)), eye])
+    w = np.concatenate([np.ones((p - k) * k), np.where(rows == cols, 0.5, 1.0),
+                        np.full(p, 0.5)])
+    for m in (u, v, w):
+        m.setflags(write=False)
+    return u, v, w
+
+
 def sigma_derivative_factors(lam, sigma_ff):
     """First derivatives of Sigma(theta) as rank-2 factors.
 
@@ -213,15 +228,17 @@ def sigma_derivative_factors(lam, sigma_ff):
       and 1 off it;
     * sigma_i^2: u = v = e_i, w = 1/2.
 
-    Sigma is quadratic in A and linear in the rest, so these are exact.
+    Sigma is quadratic in A and linear in the rest, so these are exact.  u and
+    v are fresh copies of a template built once per (p, k), with the Lambda
+    columns filled; w is the template's, read-only.
     """
     p, k = lam.shape
     rows, cols = vech_indices(k)
-    eye = np.eye(p)
-    u = np.hstack([np.tile(eye[:, k:], k), lam[:, rows], eye])
-    v = np.hstack([np.repeat(lam @ sigma_ff, p - k, axis=1), lam[:, cols], eye])
-    w = np.concatenate([np.ones((p - k) * k), np.where(rows == cols, 0.5, 1.0),
-                        np.full(p, 0.5)])
+    n_a = (p - k) * k
+    u, v, w = _factor_template(p, k)
+    u, v = u.copy(), v.copy()
+    u[:, n_a:n_a + rows.size], v[:, n_a:n_a + rows.size] = lam[:, rows], lam[:, cols]
+    v[:, :n_a] = np.repeat(lam @ sigma_ff, p - k, axis=1)
     return u, v, w
 
 

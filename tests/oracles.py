@@ -2,9 +2,11 @@
 
 Each one computes a quantity of the pipeline a second, slower way: the
 dense (q, p, p) stack of dSigma/dtheta with its chain rule and curvature
-contractions, the Hessian of the contrast built from that stack, the exact
-Gaussian transition of a linear OU system and the Gaussian quasi-likelihood,
-whose optimum a long-path contrast fit must share.
+contractions, the Hessian of the contrast built from that stack, the rank-2
+factors of dSigma/dtheta assembled column block by column block, the
+projected gradient with its blocked entries zeroed, the exact Gaussian
+transition of a linear OU system and the Gaussian quasi-likelihood, whose
+optimum a long-path contrast fit must share.
 """
 
 import numpy as np
@@ -47,6 +49,29 @@ def sigma_gradient_stack(params):
         out[pos, i, i] = 1.0
         pos += 1
     return out
+
+
+def sigma_derivative_factors(lam, sigma_ff):
+    """(u, v, w) of :func:`model.sigma_derivative_factors`, every column
+    block built afresh: e_{k+r} and (Lambda Sigma_ff)[:, s] for A[r, s],
+    lambda_a and lambda_b for Sigma_ff[a, b], e_i twice for sigma_i^2."""
+    p, k = lam.shape
+    rows, cols = vech_indices(k)
+    eye = np.eye(p)
+    u = np.hstack([np.tile(eye[:, k:], k), lam[:, rows], eye])
+    v = np.hstack([np.repeat(lam @ sigma_ff, p - k, axis=1), lam[:, cols], eye])
+    w = np.concatenate([np.ones((p - k) * k), np.where(rows == cols, 0.5, 1.0),
+                        np.full(p, 0.5)])
+    return u, v, w
+
+
+def projected_gradient(x, g, lo, hi):
+    """g with the entries zeroed that push x further outside [lo, hi] from a
+    bound it sits on."""
+    pg = g.copy()
+    pg[(x <= lo) & (g > 0)] = 0.0
+    pg[(x >= hi) & (g < 0)] = 0.0
+    return pg
 
 
 def sigma_gradient_contract(params, g):

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,7 +86,7 @@ def test_simulate_binary_format(tmp_path, sim_doc):
 def test_rcov_outputs_symmetric_psd(tmp_path, path_csv):
     out = str(tmp_path / "rcov.json")
     assert main(["rcov", "--data", path_csv, "--out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     q = np.asarray(doc["q"])
     assert q.shape == (6, 6)
     assert np.allclose(q, q.T)
@@ -176,7 +178,7 @@ def test_rcov_json_nonpositive_h_or_n_exits_2(tmp_path, field, value, needle, ca
 def test_malformed_path_csv_exits_2(tmp_path, path_csv, col, value, needle,
                                     capsys):
     # row 5 of the h=0.001 grid: a NaN in x2, or t moved off the grid
-    lines = open(path_csv).read().splitlines()
+    lines = Path(path_csv).read_text().splitlines()
     cells = lines[6].split(",")
     cells[col] = value
     lines[6] = ",".join(cells)
@@ -192,7 +194,7 @@ def test_fit_roundtrip_exit_codes(tmp_path, path_csv, model_doc, capsys):
     out = str(tmp_path / "fit.json")
     code = main(["fit", "--data", path_csv, "--spec", model_doc, "--out", out])
     assert code in (0, 3)
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert len(doc["theta"]) == 17
     assert len(doc["se"]) == 17
     assert isinstance(doc["converged"], bool)
@@ -212,7 +214,7 @@ def test_test_subcommand_decision(tmp_path, path_csv, model_doc, capsys):
     code = main(["test", "--data", path_csv, "--spec", model_doc,
                  "--k", "2", "--out", out])
     assert code in (0, 3)
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["df"] == 4
     assert doc["k"] == 2
     assert "reject" in doc
@@ -237,7 +239,7 @@ def test_select_reports_trail(tmp_path, model_doc, capsys):
     out = str(tmp_path / "select.json")
     code = main(["select", "--data", data, "--spec", model_doc, "--out", out])
     assert code == 0
-    sel = json.loads(open(out).read())
+    sel = json.loads(Path(out).read_text())
     assert sel["chosen_k"] == 2
     assert [t["k"] for t in sel["trail"]] == [1, 2]
     text = capsys.readouterr().out
@@ -274,7 +276,7 @@ def test_experiment_override_recorded(tmp_path):
     code = main(["experiment", "--config", str(cfg), "--out", out,
                  "--override", "replications=10"])
     assert code == 0
-    manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["replications"] == 10
 
 
@@ -505,7 +507,7 @@ def test_select_ignores_the_start(tmp_path, path_csv, model_doc, override):
     out = str(tmp_path / "select.json")
     assert main(["select", "--data", path_csv, "--spec", model_doc, "--out", out,
                  "--override", override]) == 0
-    assert open(out).read() == open(bare).read()
+    assert Path(out).read_text() == Path(bare).read_text()
 
 
 def test_fit_takes_n_and_h_from_data(tmp_path, path_csv, model_doc):
@@ -514,7 +516,7 @@ def test_fit_takes_n_and_h_from_data(tmp_path, path_csv, model_doc):
     code = main(["fit", "--data", path_csv, "--spec", model_doc, "--out", out,
                  "--override", "n=300", "--override", "h=0.5"])
     assert code in (0, 3)
-    spec = json.loads(open(out + ".manifest.json").read())["spec"]
+    spec = json.loads(Path(out + ".manifest.json").read_text())["spec"]
     assert spec == {"p": 6, "k": 2, "n": 300, "h": 0.001}
 
 
@@ -731,9 +733,13 @@ def test_overflowing_observation_exits_2_naming_step(tmp_path, capsys):
 def test_replication_that_overflows_exits_2_naming_seed(tmp_path, h, needle, capsys):
     from diffusionfa.montecarlo import replication_seed
 
-    code = main(["experiment", "--config", "table6_nonergodic",
-                 "--override", "replications=1", "--override", "sim.spec.n=200",
-                 "--override", f"sim.spec.h={h}", "--out", str(tmp_path / "results")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["experiment", "--config", "table6_nonergodic",
+                     "--override", "replications=1", "--override", "sim.spec.n=200",
+                     "--override", f"sim.spec.h={h}", "--out", str(tmp_path / "results")])
+    # the overflow is judged and reported, so numpy's warnings stay quiet
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code == 2
     seed = replication_seed(77, 0)
     assert f"replication 0 (seed {seed}): {needle}" in capsys.readouterr().err
@@ -766,12 +772,39 @@ def test_report_subcommands_name_the_manifest(tmp_path, path_csv, model_doc, com
     assert capsys.readouterr().out.endswith(f"wrote {out} and {out}.manifest.json\n")
 
 
+def test_cached_parser_carries_no_flag_into_the_next_call(tmp_path, monkeypatch):
+    # build_parser() is built once per process; a flag one call sets must
+    # not become the default of the next
+    from diffusionfa import cli
+
+    doc = load_json(bundled_config_path("table6_nonergodic"))
+    doc.update(replications=2, seed_base=77)
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps(doc))
+    seen = []
+    real_run = cli.run
+
+    def spy(exp, n_jobs=1):
+        seen.append((exp.replications, exp.seed_base, n_jobs))
+        return real_run(exp)
+
+    monkeypatch.setattr(cli, "run", spy)
+    study = ["experiment", "--config", str(config)]
+    assert main(study + ["--seed", "5", "--override", "replications=1",
+                         "--threads", "2", "--out", str(tmp_path / "first")]) == 0
+    assert main(study + ["--out", str(tmp_path / "second")]) == 0
+    assert seen == [(1, 5, 2), (2, 77, 1)]
+    manifest = json.loads(Path(tmp_path, "second", "manifest.json").read_text())
+    assert (manifest["replications"], manifest["seed_base"]) == (2, 77)
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_docs_flag_table_matches_the_parser():
     from diffusionfa.cli import build_parser
 
     docs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "docs", "file-formats.md")
-    text = open(docs, encoding="utf-8").read()
+    text = Path(docs).read_text(encoding="utf-8")
     table = text.split("## Command-line flags", 1)[1].split("\n\n")[2]
     documented = {}
     for line in table.splitlines()[2:]:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -299,8 +300,12 @@ def test_fit_raises_start_error_for_an_unusable_start(truth, defect, needle):
                               sigma_ee=truth.sigma_ee),
         "contrast": truth,
     }[defect]
-    with pytest.raises(StartError, match=re.escape(needle)):
-        fit(rc, make_spec(), init=init, bounds=parameter_box(make_spec()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StartError, match=re.escape(needle)):
+            fit(rc, make_spec(), init=init, bounds=parameter_box(make_spec()))
+    # an overflowing contrast is judged by the fit, so numpy stays quiet
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_fit_nonconvergence_returns_partial_result(truth, monkeypatch):
