@@ -105,6 +105,14 @@ def _load_data_and_spec(args):
     return rcov, replace(spec, n=rcov.n, h=rcov.h), params
 
 
+def _wrote(args, **fields):
+    """Write the run manifest next to ``args.out`` (the subcommand, its
+    ``fields`` and the output) and print the line naming both files."""
+    manifest = write_manifest(args.out + ".manifest.json", {
+        "subcommand": args.subcommand, **fields, "outputs": [args.out]})
+    print(f"wrote {args.out} and {manifest}")
+
+
 def cmd_simulate(args):
     doc = _load_config(args)
     if args.seed is not None:
@@ -117,25 +125,18 @@ def cmd_simulate(args):
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             path_to_csv(path, fh)
-    manifest = write_manifest(args.out + ".manifest.json", {
-        "subcommand": "simulate",
-        "config": sim_config_to_json(config),
-        "seed": config.seed,
-        "outputs": [args.out],
-    })
     print(f"simulated {path.n + 1} observations of a {path.p}-dimensional path "
           f"on [0, {path.times[-1]:g}] with h={path.h:g}")
-    print(f"wrote {args.out} and {manifest}")
+    _wrote(args, config=sim_config_to_json(config), seed=config.seed)
     return EXIT_OK
 
 
 def cmd_rcov(args):
     rcov = _read_data(args.data)
     write_json(args.out, {"q": rcov.q.tolist(), "n": rcov.n, "h": rcov.h})
-    write_manifest(args.out + ".manifest.json", {
-        "subcommand": "rcov", "data": args.data, "outputs": [args.out]})
     print(f"realised covariance from n={rcov.n} increments (T={rcov.T:g}):")
     print(np.array_str(rcov.q, precision=4))
+    _wrote(args, data=args.data)
     return EXIT_OK
 
 
@@ -188,11 +189,8 @@ def cmd_fit(args):
         for j, (est, se) in enumerate(zip(doc["theta"], doc["se"]))
     ]
     _write_report(args.out, doc, args.format, rows)
-    manifest = write_manifest(args.out + ".manifest.json", {
-        "subcommand": "fit", "data": args.data, "spec": spec_to_json(spec),
-        "outputs": [args.out]})
     print(_fit_report(result))
-    print(f"wrote {args.out} and {manifest}")
+    _wrote(args, data=args.data, spec=spec_to_json(spec))
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
@@ -215,13 +213,10 @@ def cmd_test(args):
     rows = [("k", "statistic", "df", "critical", "p_value", "reject"),
             (tr.k_star, tr.statistic, tr.df, tr.critical, tr.p_value, tr.reject)]
     _write_report(args.out, _test_json(tr), args.format, rows)
-    manifest = write_manifest(args.out + ".manifest.json", {
-        "subcommand": "test", "data": args.data, "k": args.k, "alpha": args.alpha,
-        "outputs": [args.out]})
     decision = "reject" if tr.reject else "accept"
     print(f"H0: k={tr.k_star}  T={tr.statistic:.4f}  df={tr.df}  "
           f"critical={tr.critical:.4f}  p={tr.p_value:.4g}  -> {decision}")
-    print(f"wrote {args.out} and {manifest}")
+    _wrote(args, data=args.data, k=args.k, alpha=args.alpha)
     return EXIT_OK if tr.fit.converged else EXIT_NONCONVERGED
 
 
@@ -238,9 +233,6 @@ def cmd_select(args):
         for t in sel.trail
     ]
     _write_report(args.out, doc, args.format, rows)
-    manifest = write_manifest(args.out + ".manifest.json", {
-        "subcommand": "select", "data": args.data, "alpha": args.alpha,
-        "outputs": [args.out]})
     print(f"{'k':>3} {'statistic':>14} {'df':>4} {'critical':>10} decision")
     for tr in sel.trail:
         print(f"{tr.k_star:>3} {tr.statistic:>14.4f} {tr.df:>4} "
@@ -249,7 +241,7 @@ def cmd_select(args):
         print("no factor structure: every testable count was rejected")
     else:
         print(f"selected k = {sel.chosen_k}")
-    print(f"wrote {args.out} and {manifest}")
+    _wrote(args, data=args.data, alpha=args.alpha)
     return EXIT_OK
 
 
@@ -261,7 +253,7 @@ def cmd_experiment(args):
     agg = run(exp, n_jobs=args.threads)
     written = write_outputs(agg, args.out, exp)
     print(f"ran {agg.replications} replications "
-          f"(n={agg.spec.n}, h={agg.spec.h:g}, k_grid={list(exp.k_grid)})")
+          f"(n={exp.spec.n}, h={exp.spec.h:g}, k_grid={list(exp.k_grid)})")
     for (k, alpha), count in sorted(agg.rejections.items()):
         print(f"  H0 k={k}: {count}/{agg.included[k]} rejections at alpha={alpha}"
               + (f" ({agg.exclusions[k]} excluded)" if agg.exclusions[k] else ""))

@@ -37,9 +37,9 @@ runs projected BFGS to a relative projected-gradient tolerance.
 box are used only at their own count (the generating count of a study,
 started at the truth), and every other count gets the default start in the
 default box.
-Both backtrack along the projection arc with an Armijo test; a trial point
-where Sigma(theta) is not positive definite is treated as an infeasible
-step and backtracked.
+Both backtrack in :func:`_arc_search`, the one projected backtracking loop,
+each with its own Armijo test; a trial where Sigma(theta) is not PD or F is
+not finite is rejected.  ``_Contrast.evaluate`` counts the evaluations.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .model import (
 
 _ARMIJO_C1 = 1e-4
 _MIN_STEP_FRACTION = 1e-13
-_MIN_DECREASE_ULPS = 4.0
+_MIN_DECREASE = 4.0 * np.finfo(float).eps  # four ulps of 1
 _ACTIVE_EPS = 1e-3
 _EIG_FLOOR = 1e-10
 _DECREMENT_TOL = 1e-10
@@ -271,10 +271,8 @@ class _Contrast:
     packed vector, without a ParamVector.  S = Sigma(theta)^{-1} is formed
     from one Cholesky factor L of Sigma(theta) as L^{-T} L^{-1}, and
     R = q - Sigma(theta); the gradient chains the Sigma derivative
-    G = -(S R S + S R S R S) to theta.  Calling
-    the object counts an evaluation (``evals``) and maps a point where
-    Sigma(theta) is not positive definite, or F is not finite, to
-    (inf, None).  S and G of the last point evaluated are kept, so
+    G = -(S R S + S R S R S) to theta.  :meth:`evaluate` counts the
+    evaluations (``evals``).  S and G of the last point evaluated are kept, so
     :meth:`hessian` at the point a search has just accepted does not factor
     Sigma(theta) again.
     """
@@ -294,19 +292,10 @@ class _Contrast:
         self.evals = 0
         self._last = None  # (x.tobytes(), S, G) of the last point evaluated
 
-    def __call__(self, x):
-        self.evals += 1
-        try:
-            f, grad = self.evaluate(x)
-        except WeightMatrixError:
-            return np.inf, None
-        if not math.isfinite(f):
-            return np.inf, None
-        return f, grad
-
     def evaluate(self, x):
-        """F and its gradient at x; raises WeightMatrixError when
-        Sigma(theta) is not positive definite."""
+        """F and its gradient at x, counted in ``evals``; raises
+        WeightMatrixError when Sigma(theta) is not positive definite."""
+        self.evals += 1
         self._last = None
         k, n_a = self.spec.k, self.n_a
         self.lam[k:] = x[:n_a].reshape((self.spec.p - k, k), order="F")
@@ -379,6 +368,26 @@ def _pg_norm(x, g, lo, hi):
     return float(np.abs(g).max(initial=0.0, where=~blocked))
 
 
+def _arc_search(objective, x, d, lo, hi, alpha, accept):
+    """Backtrack along the projection arc clip(x + alpha d), halving alpha
+    until ``accept(alpha, x_try - x, f_try)`` holds where Sigma(theta) is PD
+    and F finite; return (x_try, f_try, g_try), or None when the trial does
+    not move, alpha falls below _MIN_STEP_FRACTION or _MAX_EVALS is spent."""
+    while alpha >= _MIN_STEP_FRACTION and objective.evals < _MAX_EVALS:
+        x_try = np.minimum(np.maximum(x + alpha * d, lo), hi)
+        step = x_try - x
+        if not step.any():
+            return None
+        try:
+            f_try, g_try = objective.evaluate(x_try)
+        except WeightMatrixError:
+            f_try = math.inf
+        if math.isfinite(f_try) and accept(alpha, step, f_try):
+            return x_try, f_try, g_try
+        alpha *= 0.5
+    return None
+
+
 def _bfgs(objective, x, f, g, lo, hi):
     """Projected BFGS with Armijo backtracking; the loop for supplied starts.
 
@@ -386,75 +395,39 @@ def _bfgs(objective, x, f, g, lo, hi):
     """
     identity = np.eye(objective.spec.q)
     h_inv, h_fresh, first_update = identity, True, True
-    iterations, converged, message = 0, False, "max iterations reached"
+    iterations = 0
     pg_norm = _pg_norm(x, g, lo, hi)
 
-    min_decrease = _MIN_DECREASE_ULPS * np.finfo(float).eps
-
-    def line_search(direction):
-        # Armijo backtracking on the projected path; a step must decrease f
-        # by an amount resolvable in float64, otherwise ulp-sized "progress"
+    def sufficient(alpha, step, f_try):
+        # Armijo, and a decrease resolvable in float64: ulp-sized "progress"
         # feeds rounding noise into the curvature updates
-        alpha = 1.0
-        while alpha >= _MIN_STEP_FRACTION and objective.evals < _MAX_EVALS:
-            x_try = np.minimum(np.maximum(x + alpha * direction, lo), hi)
-            step = x_try - x
-            if not step.any():
-                return None
-            f_try, g_try = objective(x_try)
-            if (g_try is not None and f_try <= f + _ARMIJO_C1 * (g @ step)
-                    and f - f_try >= min_decrease * (1.0 + abs(f))):
-                return x_try, f_try, g_try
-            alpha *= 0.5
-        return None
-
-    def at_precision_floor():
-        # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64;
-        # within a safety factor of that bound the point is converged to
-        # machine resolution even though the nominal tolerance is unmet
-        try:
-            info = 2.0 * information(unpack(x, objective.spec))
-            lam_max = float(np.linalg.eigvalsh(info)[-1])
-        except WeightMatrixError:
-            return False
-        floor = np.sqrt(2.0 * max(lam_max, 1.0) * np.finfo(float).eps * (1.0 + abs(f)))
-        return pg_norm <= 10.0 * floor
+        return (f_try <= f + _ARMIJO_C1 * (g @ step)
+                and f - f_try >= _MIN_DECREASE * (1.0 + abs(f)))
 
     while True:
         if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
-            converged = True
-            message = "projected gradient within tolerance"
-            break
+            return x, f, g, iterations, True, "projected gradient within tolerance"
+        # each exit names itself plainly, and as met at the floating-point floor
         if iterations >= _MAX_ITER:
-            if at_precision_floor():
-                converged = True
-                message = "iteration cap at the floating-point floor"
+            plain, floor_stop = "max iterations reached", "iteration cap"
             break
         if objective.evals >= _MAX_EVALS:
-            if at_precision_floor():
-                converged = True
-                message = "evaluation budget reached at the floating-point floor"
-            else:
-                message = "evaluation budget exhausted"
+            plain, floor_stop = "evaluation budget exhausted", "evaluation budget reached"
             break
         iterations += 1
         d = -h_inv @ g
         if d @ g > -1e-14 * math.sqrt(d @ d) * math.sqrt(g @ g):
             h_inv, h_fresh, first_update = identity, True, True
             d = -g
-        found = line_search(d)
+        found = _arc_search(objective, x, d, lo, hi, 1.0, sufficient)
         if found is None and not h_fresh:
             # stale curvature produces unusable directions along the box;
             # restart from steepest descent before giving up
             h_inv, h_fresh, first_update = identity, True, True
-            found = line_search(-g)
+            found = _arc_search(objective, x, -g, lo, hi, 1.0, sufficient)
         if found is None:
             # x, f and g are those the loop head found outside the tolerance
-            if at_precision_floor():
-                converged = True
-                message = "descent exhausted at the floating-point floor"
-            else:
-                message = "line search failed to make progress"
+            plain, floor_stop = "line search failed to make progress", "descent exhausted"
             break
 
         x_new, f_new, g_new = found
@@ -471,7 +444,19 @@ def _bfgs(objective, x, f, g, lo, hi):
             h_fresh = False
         x, f, g = x_new, f_new, g_new
         pg_norm = _pg_norm(x, g, lo, hi)
-    return x, f, g, iterations, converged, message
+
+    # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64; within
+    # a safety factor of that bound the point is converged to machine
+    # resolution even though the nominal tolerance is unmet
+    try:
+        lam_max = float(np.linalg.eigvalsh(
+            2.0 * information(unpack(x, objective.spec)))[-1])
+    except WeightMatrixError:
+        return x, f, g, iterations, False, plain
+    floor = np.sqrt(2.0 * max(lam_max, 1.0) * np.finfo(float).eps * (1.0 + abs(f)))
+    if pg_norm <= 10.0 * floor:
+        return x, f, g, iterations, True, f"{floor_stop} at the floating-point floor"
+    return x, f, g, iterations, False, plain
 
 
 def _projected_newton(objective, x, f, g, lo, hi):
@@ -496,6 +481,10 @@ def _projected_newton(objective, x, f, g, lo, hi):
     ``max_iter`` or ``line_search``.
     """
     iterations = 0
+
+    def wanted(alpha, step, f_try):
+        return f - f_try >= _ARMIJO_C1 * (alpha * decrement - g[active] @ step[active])
+
     while True:
         h = objective.hessian(x)
         r = x - np.minimum(np.maximum(x - g, lo), hi)
@@ -520,17 +509,11 @@ def _projected_newton(objective, x, f, g, lo, hi):
         iterations += 1
         d[active] = -g[active] / np.maximum(np.abs(np.diag(h))[active],
                                             np.finfo(float).tiny)
-        alpha = 1.0 / (1.0 + np.sqrt(decrement / (1.0 + abs(f))))
-        while True:
-            if alpha < _MIN_STEP_FRACTION or objective.evals >= _MAX_EVALS:
-                return x, f, g, iterations, False, "line_search"
-            x_try = np.minimum(np.maximum(x + alpha * d, lo), hi)
-            f_try, g_try = objective(x_try)
-            wanted = alpha * decrement + g[active] @ (x[active] - x_try[active])
-            if g_try is not None and f - f_try >= _ARMIJO_C1 * wanted:
-                break
-            alpha *= 0.5
-        x, f, g = x_try, f_try, g_try
+        found = _arc_search(objective, x, d, lo, hi,
+                            1.0 / (1.0 + np.sqrt(decrement / (1.0 + abs(f)))), wanted)
+        if found is None:
+            return x, f, g, iterations, False, "line_search"
+        x, f, g = found
 
 
 def fit(rcov, spec, init=None, bounds=None):
@@ -572,8 +555,8 @@ def fit(rcov, spec, init=None, bounds=None):
     objective = _Contrast(rcov, spec)
     # F or the information may overflow: the point maps to inf, the SEs are not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        f, g = objective(x)
-        if g is None:
+        f, g = objective.evaluate(x)  # check_start saw this Sigma(theta) PD
+        if not math.isfinite(f):
             raise StartError("start contrast is not finite")
         x, f, g, iterations, converged, message = minimize(objective, x, f, g, lo, hi)
         pg_norm = _pg_norm(x, g, lo, hi)

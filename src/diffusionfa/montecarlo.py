@@ -22,7 +22,7 @@ from .config import (ConfigError, _is_int, _is_number, _require, sim_config_from
 from .estimator import check_start, information, parameter_box, realised_cov
 from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
-from .model import ModelSpec, StartError, pack, sigma_of_theta
+from .model import StartError, pack, sigma_of_theta
 from .sde import SimConfig, SimulationError, implied_params, simulate, write_csv
 
 _MANIFEST_SEED_LIMIT = 10000
@@ -140,7 +140,8 @@ class StatSummary:
 
 @dataclass(frozen=True)
 class Aggregate:
-    """Order-independent reduction of a replication study."""
+    """Order-independent reduction of a replication study; the study's own
+    facts (spec, truth, seed base) stay with its :class:`Experiment`."""
 
     rcov_rows: tuple
     theta_rows: tuple
@@ -149,13 +150,9 @@ class Aggregate:
     included: dict  # k -> replications entering moment aggregates
     exclusions: dict  # k -> non-converged replications (moments only)
     quartiles: dict  # k -> (min, q1, median, q3, max) of the statistic
-    df_by_k: dict
     draws: dict  # statistic key -> ndarray of retained raw draws
     replications: int
-    seed_base: int
     seeds: tuple
-    spec: ModelSpec
-    truth_packed: np.ndarray
 
 
 def replication_seed(seed_base, r):
@@ -238,19 +235,18 @@ def run(exp, n_jobs=1):
         records = [_replicate(exp, r) for r in range(R)]
 
     spec = exp.spec
-    theta0 = pack(exp.truth)
     thetas = [rec["theta"] for rec in records if rec["theta_converged"]]
     columns = [*np.vstack([rec["rcov_vech"] for rec in records]).T,
-               *np.reshape(thetas, (-1, theta0.size)).T]
+               *np.reshape(thetas, (-1, spec.q)).T]
     # name -> (moment draws, true value, theoretical SD); tstat moments use
     # converged fits only, while decisions, order statistics and draws use
     # every replication: the statistic is well defined either way
     stats = {name: (col, true, sd) for (name, true, sd), col
              in zip(theoretical_sd_table(exp.truth, spec), columns)}
     draw_sets = {name: col for name, (col, _, _) in stats.items()}
-    rejections, included, exclusions, quartiles, df_by_k = {}, {}, {}, {}, {}
+    rejections, included, exclusions, quartiles = {}, {}, {}, {}
     for k in exp.k_grid:
-        df = df_by_k[k] = replace(spec, k=k).df
+        df = replace(spec, k=k).df
         all_stats = np.array([rec["stats"][k][0] for rec in records])
         good = np.array([rec["stats"][k][1] for rec in records], dtype=bool)
         stats[f"tstat:{k}"] = (all_stats[good], float(df), float(np.sqrt(2.0 * df)))
@@ -280,13 +276,9 @@ def run(exp, n_jobs=1):
         included=included,
         exclusions=exclusions,
         quartiles=quartiles,
-        df_by_k=df_by_k,
         draws=draws,
         replications=R,
-        seed_base=exp.seed_base,
         seeds=tuple(rec["seed"] for rec in records),
-        spec=spec,
-        truth_packed=theta0,
     )
 
 
@@ -310,9 +302,8 @@ def figure_data(agg, statistic):
     row = next(row for row in agg.rcov_rows + agg.theta_rows + agg.tstat_rows
                if row.name == statistic)
     standardized = (draws - row.true_value) / row.theoretical_sd
-    if statistic.startswith("tstat:"):
-        df = agg.df_by_k[int(statistic.split(":")[1])]
-        ref = np.array([chi2_quantile(df, 1.0 - pr) for pr in probs])
+    if statistic.startswith("tstat:"):  # its true value is its df
+        ref = np.array([chi2_quantile(row.true_value, 1.0 - pr) for pr in probs])
     else:
         ref = ndtri(probs)
     ecdf = np.arange(1, R + 1) / R
@@ -350,12 +341,12 @@ def write_outputs(agg, outdir, exp):
 
     written.append(write_manifest(os.path.join(outdir, "manifest.json"), {
         "replications": agg.replications,
-        "seed_base": agg.seed_base,
+        "seed_base": exp.seed_base,
         "seed_rule": "SeedSequence(seed_base, spawn_key=(r,)) -> uint64",
         "seeds": list(agg.seeds) if agg.replications <= _MANIFEST_SEED_LIMIT else [],
         "exclusions": {str(k): v for k, v in sorted(agg.exclusions.items())},
-        "spec": spec_to_json(agg.spec),
-        "truth": [float(v) for v in agg.truth_packed],
+        "spec": spec_to_json(exp.spec),
+        "truth": [float(v) for v in pack(exp.truth)],
         "sim": sim_config_to_json(exp.sim),
         "k_grid": list(exp.k_grid),
         "alphas": list(exp.alphas),

@@ -34,6 +34,7 @@ p never perturbs the factor path under the same seed.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -339,11 +340,14 @@ def write_csv(fileobj, rows):
 
 
 def path_from_csv(fileobj):
-    """Read a SamplePath written by :func:`path_to_csv`."""
+    """Read a SamplePath written by :func:`path_to_csv`; a cut last row is refused."""
     header = fileobj.readline().strip().split(",")
     if not header or header[0] != "t":
         raise ValueError("not a sample-path CSV: first column must be t")
-    data = np.loadtxt(fileobj, delimiter=",", ndmin=2)
+    rows = fileobj.read()
+    if rows and not rows.endswith("\n"):
+        raise ValueError("the last row has no final newline: the file is cut short")
+    data = np.loadtxt(io.StringIO(rows), delimiter=",", ndmin=2)
     p = sum(1 for c in header if c.startswith("x"))
     k = sum(1 for c in header if c.startswith("f"))
     times = data[:, 0]

@@ -763,13 +763,69 @@ def test_singular_truth_exits_2_without_the_generating_count(tmp_path, monkeypat
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", [["fit"], ["test", "--k", "2"], ["select"]],
-                         ids=["fit", "test", "select"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", "system_p6k2"], ["rcov", "--data", "DATA"],
+    ["fit", "--data", "DATA", "--spec", "SPEC"],
+    ["test", "--k", "2", "--data", "DATA", "--spec", "SPEC"],
+    ["select", "--data", "DATA", "--spec", "SPEC"]],
+    ids=["simulate", "rcov", "fit", "test", "select"])
 def test_report_subcommands_name_the_manifest(tmp_path, path_csv, model_doc, command,
                                              capsys):
-    out = str(tmp_path / "out.json")
-    assert main(command + ["--data", path_csv, "--spec", model_doc, "--out", out]) in (0, 3)
+    # every subcommand that writes one file ends by naming it and its manifest
+    out = str(tmp_path / "out")
+    argv = [{"DATA": path_csv, "SPEC": model_doc}.get(a, a) for a in command]
+    assert main(argv + ["--out", out]) in (0, 3)
     assert capsys.readouterr().out.endswith(f"wrote {out} and {out}.manifest.json\n")
+
+
+@pytest.mark.parametrize("command", [["rcov"], ["fit", "--spec", "SPEC"]],
+                         ids=["rcov", "fit"])
+@pytest.mark.parametrize("cut", [1, 4, 30])
+def test_path_csv_cut_inside_its_last_row_exits_2(tmp_path, path_csv, model_doc, command,
+                                                  cut, capsys):
+    # path_to_csv ends every row with a newline; a last row without one was cut
+    text = Path(path_csv).read_text()
+    Path(path_csv).write_text(text[:-cut])
+    argv = [{"SPEC": model_doc}.get(a, a) for a in command]
+    assert main(argv + ["--data", path_csv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert path_csv in err and "cut short" in err
+
+
+def test_path_csv_cut_after_a_newline_is_a_shorter_panel(tmp_path, path_csv):
+    lines = Path(path_csv).read_text().splitlines(keepends=True)
+    Path(path_csv).write_text("".join(lines[:-1]))
+    out = tmp_path / "r.json"
+    assert main(["rcov", "--data", path_csv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == len(lines) - 3
+
+
+def test_names_a_benchmark_tracer_wraps_are_called_through_their_modules(tmp_path,
+                                                                        monkeypatch):
+    # a tracer that times these names where each module looks them up gets
+    # no call, and an empty per-layer metric, from a name called another way
+    from diffusionfa import cli, estimator, hypothesis_test, montecarlo
+
+    wrapped = {montecarlo: ["simulate", "realised_cov", "theoretical_sd_table",
+                            "_replicate"],
+               hypothesis_test: ["fit"], estimator: ["weight_matrix"],
+               cli: ["run", "write_outputs", "load_json"]}
+    calls = {}
+    for module, names in wrapped.items():
+        for name in names:
+            key = f"{module.__name__}.{name}"
+
+            def counted(*args, _real=getattr(module, name), _key=key, **kwargs):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    for config in ("table6_nonergodic", "ergodic_scaled"):
+        calls.clear()
+        assert main(["experiment", "--config", config, "--override", "replications=1",
+                     "--out", str(tmp_path / config)]) == 0
+        assert sorted(calls) == sorted(f"{m.__name__}.{n}"
+                                       for m, names in wrapped.items() for n in names)
 
 
 def test_cached_parser_carries_no_flag_into_the_next_call(tmp_path, monkeypatch):

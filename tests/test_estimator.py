@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from diffusionfa import (
     vech,
     weight_matrix,
 )
+from diffusionfa.config import (bundled_config_path, load_json, model_from_json,
+                                sim_config_from_json)
 from diffusionfa.matrixcalc import duplication_pinv, unvec
 from diffusionfa import estimator
 from diffusionfa.estimator import _Contrast, information
@@ -317,6 +320,44 @@ def test_fit_nonconvergence_returns_partial_result(truth, monkeypatch):
     assert res.message == "max_iter"
     assert res.iterations <= 2
     assert np.isfinite(res.contrast)
+
+
+def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(truth):
+    objective = _Contrast(rcov_from_sigma(SIGMA_TRUE), make_spec())
+    x = pack(truth)
+    d = np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
+    # every coordinate sits on the bound that d pushes against
+    lo, hi = np.where(d < 0, x, x - 1.0), np.where(d > 0, x, x + 1.0)
+    assert estimator._arc_search(objective, x, d, lo, hi, 1.0, lambda *_: True) is None
+    assert objective.evals == 0
+
+
+def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
+    # the flat box admits negative unique variances: lowering every one by
+    # 1.5 lambda_min(Sigma) leaves Sigma indefinite, half of that does not
+    spec = make_spec()
+    objective = _Contrast(rcov_from_sigma(SIGMA_TRUE), spec)
+    box = parameter_box(spec)
+    x = pack(truth)
+    d = np.zeros_like(x)
+    d[-spec.p:] = -1.5 * np.linalg.eigvalsh(SIGMA_TRUE)[0]
+    with pytest.raises(WeightMatrixError):
+        _Contrast(rcov_from_sigma(SIGMA_TRUE), spec).evaluate(x + d)
+    found = estimator._arc_search(objective, x, d, box[:, 0], box[:, 1], 1.0,
+                                  lambda *_: True)
+    assert np.array_equal(found[0], x + 0.5 * d)
+    assert objective.evals == 2
+
+
+def test_bfgs_stall_at_the_floating_point_floor_is_converged():
+    # the bundled system at seed 1, fit from the bundled model's parameters:
+    # the search stalls with the projected gradient inside its float64 floor
+    doc = load_json(bundled_config_path("system_p6k2"))
+    rc = realised_cov(simulate(sim_config_from_json(dict(doc, seed=1), path="")))
+    spec, params = model_from_json(load_json(bundled_config_path("model_p6k2")))
+    res = fit(rc, replace(spec, n=rc.n, h=rc.h), init=params)
+    assert res.converged
+    assert res.message == "descent exhausted at the floating-point floor"
 
 
 def _clipped_default_start(rc, spec):

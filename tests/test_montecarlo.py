@@ -63,7 +63,7 @@ def test_aggregate_tables_have_expected_rows(small_aggregate):
     assert [r.name for r in small_aggregate.tstat_rows] == ["tstat:2"]
     assert small_aggregate.included[2] + small_aggregate.exclusions[2] == 8
     assert set(small_aggregate.rejections) == {(2, 0.05), (2, 0.01)}
-    assert small_aggregate.df_by_k[2] == 4
+    assert small_aggregate.tstat_rows[0].true_value == 4
 
 
 def test_aggregate_quartiles_ordered(small_aggregate):

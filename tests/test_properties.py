@@ -107,13 +107,13 @@ def test_packed_evaluator_is_bit_identical_to_param_vector_composition(data):
 
     x = pack(params)
     objective = _Contrast(rcov, spec)
-    f_x, grad_x = objective(x)
+    f_x, grad_x = objective.evaluate(x)
     assert f_x == f
     assert np.array_equal(grad_x, grad)
     # the Hessian reuses the factorisation of the last point evaluated only
     # when that point is x
     cached = objective.hessian(x)
-    objective(x + 1e-3)
+    objective.evaluate(x + 1e-3)
     assert np.array_equal(cached, objective.hessian(x))
     assert np.array_equal(cached, _Contrast(rcov, spec).hessian(x))
 
@@ -161,7 +161,7 @@ def test_hessian_on_one_objective_equals_a_fresh_one_at_each_point(data):
     objective = _Contrast(rcov, spec)
     for x in points + points[:1]:
         assert np.array_equal(objective.hessian(x), _Contrast(rcov, spec).hessian(x))
-        objective(points[-1])
+        objective.evaluate(points[-1])
 
 
 @BOUNDED
