@@ -15,18 +15,20 @@ Browne's (1974) discrepancy
     F(theta) = (1/2) tr[(S R)^2],    R = Q - Sigma(theta),
 
 and its derivative in Sigma is G = -(S R S + S R S R S).  Both are computed
-in closed form from one Cholesky factor of Sigma(theta), on the packed
-parameter vector: a fit builds its objective once, with the index maps of
-its spec, and forms Lambda, Sigma_ff and Sigma of each point from that
-vector.  The objective keeps S and G of the last point it evaluated, so
-Newton's Hessian at the point just accepted reuses that factorisation; the
-Hessian is built from the rank-2 factors of dSigma/dtheta
+in closed form from one Cholesky factor of Sigma(theta) (by LAPACK, through
+:func:`matrixcalc.inverse_cholesky`), on the packed parameter vector: a fit
+builds its objective once, with the index maps of its spec, and forms
+Lambda, Sigma_ff and Sigma of each point from that vector.  A search reads F
+at each trial and forms the gradient only at the trial it accepts, where
+the objective keeps S and G, so Newton's Hessian reuses that factorisation;
+the Hessian is built from the rank-2 factors of dSigma/dtheta
 (:func:`model.sigma_derivative_factors`, whose constant columns are built
 once per (p, k)), in O(p^2 q + p q^2) without a (q, p, p) stack.
 sqrt(n) times the estimation error is asymptotically normal with covariance
 (Delta^T W^{-1} Delta)^{-1}; :func:`information` forms Delta^T W^{-1} Delta
-with one solve, for the standard errors, the BFGS precision-floor test and
-the theoretical standard deviations of a replication study.
+with one solve, for the standard errors, the BFGS precision-floor test
+(whose matrix the standard errors reuse) and the theoretical standard
+deviations of a replication study.
 
 Two box-constrained minimizers share the objective and the end-of-fit
 standard errors.  A fit without a supplied start (``init=None``) runs
@@ -39,7 +41,7 @@ started at the truth), and every other count gets the default start in the
 default box.
 Both backtrack in :func:`_arc_search`, the one projected backtracking loop,
 each with its own Armijo test; a trial where Sigma(theta) is not PD or F is
-not finite is rejected.  ``_Contrast.evaluate`` counts the evaluations.
+not finite is rejected.  ``_Contrast.value`` counts the trials evaluated.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcalc import require_symmetric, unvech, vech_indices
+from .matrixcalc import eigh, inverse_cholesky, require_symmetric, unvech, vech_indices
 from .model import (
     ModelSpec,
     ParamVector,
@@ -119,7 +121,7 @@ class FitResult:
 
     ``avar`` is (Delta^T W^{-1} Delta)^{-1} evaluated at the estimate and
     ``se[i] = sqrt(avar[i, i] / n)``.  ``evaluations`` counts the contrast
-    and gradient evaluations of the search, the start included.
+    evaluations of the search, one per trial point, the start included.
     ``sigma_ff_min_eig`` and ``min_unique_variance`` surface boundary
     (Heywood-style) solutions; they are diagnostics, not errors.
     """
@@ -179,7 +181,7 @@ def contrast(rcov, params):
     Non-negative, and zero exactly on the zero-residual manifold.  Raises
     WeightMatrixError when Sigma(theta) is not positive definite.
     """
-    return _Contrast(rcov, ModelSpec(p=params.p, k=params.k)).evaluate(pack(params))[0]
+    return _Contrast(rcov, ModelSpec(p=params.p, k=params.k)).value(pack(params))
 
 
 def contrast_grad(rcov, params):
@@ -256,11 +258,8 @@ def check_start(params, box=None, name="start",
             i = outside[0]
             raise StartError(f"{name} theta:{i + 1}={x[i]:g} lies outside "
                              f"[{box[i, 0]:g}, {box[i, 1]:g}]")
-    try:
-        np.linalg.cholesky(sigma_of_theta(params))
-    except np.linalg.LinAlgError:
-        raise StartError(
-            f"{name} Sigma(theta) of {fields} is not positive definite") from None
+    if inverse_cholesky(sigma_of_theta(params)) is None:
+        raise StartError(f"{name} Sigma(theta) of {fields} is not positive definite")
 
 
 class _Contrast:
@@ -268,13 +267,12 @@ class _Contrast:
 
     Built once per fit, it holds the index maps of the spec: it fills the
     loading matrix of each point in place and gathers Sigma_ff from the
-    packed vector, without a ParamVector.  S = Sigma(theta)^{-1} is formed
-    from one Cholesky factor L of Sigma(theta) as L^{-T} L^{-1}, and
-    R = q - Sigma(theta); the gradient chains the Sigma derivative
-    G = -(S R S + S R S R S) to theta.  :meth:`evaluate` counts the
-    evaluations (``evals``).  S and G of the last point evaluated are kept, so
-    :meth:`hessian` at the point a search has just accepted does not factor
-    Sigma(theta) again.
+    packed vector, without a ParamVector.  :meth:`value` forms F from
+    S = Sigma(theta)^{-1} = L^{-T} L^{-1}, L the Cholesky factor of
+    Sigma(theta), and R = q - Sigma(theta), and counts it in ``evals``;
+    :meth:`gradient` chains G = -(S R S + S R S R S) at that point to theta,
+    and a search calls it only at the trial it accepts.  S and G are kept,
+    so :meth:`hessian` there does not factor Sigma(theta) again.
     """
 
     def __init__(self, rcov, spec):
@@ -282,38 +280,55 @@ class _Contrast:
         self.q = rcov.q
         self.spec = spec
         self.n_a = (p - k) * k
-        self.rows, self.cols = vech_indices(k)
-        self.weights = np.where(self.rows == self.cols, 1.0, 2.0)
+        rows, cols = vech_indices(k)
+        self.ff_flat = rows * k + cols
+        self.weights = np.where(rows == cols, 1.0, 2.0)
         # packed position of each Sigma_ff entry
-        self.ff_index = self.n_a + unvech(np.arange(self.rows.size)).astype(int)
+        self.ff_index = self.n_a + unvech(np.arange(rows.size)).astype(int)
         # row A[r, s], column Sigma_ff[s, c] at [s, c, r] after broadcasting
         self.a_ff = (np.arange(self.n_a).reshape(k, 1, -1), self.ff_index[:, :, None])
         self.lam = np.vstack([np.eye(k), np.zeros((p - k, k))])
         self.evals = 0
-        self._last = None  # (x.tobytes(), S, G) of the last point evaluated
+        self._point = None  # (x, Sigma_ff, S, S R) of the last value
+        self._last = None  # (x.tobytes(), S, G) of the last gradient
+        self._info = None  # (x.tobytes(), information) of the last one built
 
-    def evaluate(self, x):
-        """F and its gradient at x, counted in ``evals``; raises
-        WeightMatrixError when Sigma(theta) is not positive definite."""
+    def value(self, x):
+        """F at x, counted in ``evals``; raises WeightMatrixError when
+        Sigma(theta) is not positive definite."""
         self.evals += 1
-        self._last = None
+        self._point = self._last = None
         k, n_a = self.spec.k, self.n_a
         self.lam[k:] = x[:n_a].reshape((self.spec.p - k, k), order="F")
         sigma_ff = x[self.ff_index]
-        sigma = sigma_from_blocks(self.lam, sigma_ff, x[n_a + self.rows.size:])
-        try:
-            chol_inv = np.linalg.inv(np.linalg.cholesky(sigma))
-        except np.linalg.LinAlgError:
-            raise WeightMatrixError(
-                "model covariance is not positive definite") from None
-        s = chol_inv.T @ chol_inv
-        sr = s @ (self.q - sigma)
-        srs = sr @ s
-        f = 0.5 * float((sr * sr.T).sum())
-        g = -(srs + sr @ srs)
+        sigma = sigma_from_blocks(self.lam, sigma_ff, x[n_a + self.weights.size:])
+        chol_inv = inverse_cholesky(sigma)
+        if chol_inv is None:
+            raise WeightMatrixError("model covariance is not positive definite")
+        # ndarray.dot makes the BLAS call of @ without the ufunc dispatch
+        s = chol_inv.T.dot(chol_inv)
+        sr = s.dot(self.q - sigma)
+        self._point = (x, sigma_ff, s, sr)
+        return 0.5 * float((sr * sr.T).sum())
+
+    def gradient(self):
+        """The gradient of F at the point of the last :meth:`value`."""
+        x, sigma_ff, s, sr = self._point
+        srs = sr.dot(s)
+        g = -(srs + sr.dot(srs))
         self._last = (x.tobytes(), s, g)
-        return f, gradient_from_blocks(g, self.lam, sigma_ff, self.rows, self.cols,
-                                       self.weights)
+        return gradient_from_blocks(g, self.lam, sigma_ff, self.ff_flat, self.weights)
+
+    def evaluate(self, x):
+        """F and its gradient at x, one evaluation."""
+        return self.value(x), self.gradient()
+
+    def information(self, x):
+        """:func:`information` at x, kept for the last x: the standard errors
+        of a fit reuse the one its BFGS floor test built."""
+        if self._info is None or self._info[0] != x.tobytes():
+            self._info = (x.tobytes(), information(unpack(x, self.spec)))
+        return self._info[1]
 
     def hessian(self, x):
         """Exact Hessian of F at x,
@@ -371,19 +386,20 @@ def _pg_norm(x, g, lo, hi):
 def _arc_search(objective, x, d, lo, hi, alpha, accept):
     """Backtrack along the projection arc clip(x + alpha d), halving alpha
     until ``accept(alpha, x_try - x, f_try)`` holds where Sigma(theta) is PD
-    and F finite; return (x_try, f_try, g_try), or None when the trial does
-    not move, alpha falls below _MIN_STEP_FRACTION or _MAX_EVALS is spent."""
+    and F finite; return (x_try, f_try, g_try), g formed there alone, or None
+    when the trial does not move, alpha falls below _MIN_STEP_FRACTION or
+    _MAX_EVALS is spent."""
     while alpha >= _MIN_STEP_FRACTION and objective.evals < _MAX_EVALS:
         x_try = np.minimum(np.maximum(x + alpha * d, lo), hi)
         step = x_try - x
-        if not step.any():
+        if not np.count_nonzero(step):
             return None
         try:
-            f_try, g_try = objective.evaluate(x_try)
+            f_try = objective.value(x_try)
         except WeightMatrixError:
             f_try = math.inf
         if math.isfinite(f_try) and accept(alpha, step, f_try):
-            return x_try, f_try, g_try
+            return x_try, f_try, objective.gradient()
         alpha *= 0.5
     return None
 
@@ -449,8 +465,7 @@ def _bfgs(objective, x, f, g, lo, hi):
     # a safety factor of that bound the point is converged to machine
     # resolution even though the nominal tolerance is unmet
     try:
-        lam_max = float(np.linalg.eigvalsh(
-            2.0 * information(unpack(x, objective.spec)))[-1])
+        lam_max = float(np.linalg.eigvalsh(2.0 * objective.information(x))[-1])
     except WeightMatrixError:
         return x, f, g, iterations, False, plain
     floor = np.sqrt(2.0 * max(lam_max, 1.0) * np.finfo(float).eps * (1.0 + abs(f)))
@@ -491,7 +506,7 @@ def _projected_newton(objective, x, f, g, lo, hi):
         eps = np.minimum(_ACTIVE_EPS * (hi - lo), math.sqrt(r @ r))
         active = ((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0))
         free = ~active
-        lam, vecs = np.linalg.eigh(h[free][:, free])
+        lam, vecs = eigh(h[free][:, free])
         lam = np.abs(lam)
         lam = np.maximum(lam, _EIG_FLOOR * max(float(np.max(lam, initial=0.0)),
                                                np.finfo(float).tiny))
@@ -562,7 +577,7 @@ def fit(rcov, spec, init=None, bounds=None):
         pg_norm = _pg_norm(x, g, lo, hi)
         theta_hat = unpack(x, spec)
         try:
-            info = information(theta_hat)
+            info = objective.information(x)
             try:
                 avar = np.linalg.inv(info)
             except np.linalg.LinAlgError:

@@ -13,7 +13,8 @@ Conventions (0-based internally, 1-based in the formulas below):
   satisfies ``pinv(D) @ vec(A) == vech(A)``.
 
 All functions are pure and operate on / return plain ndarrays; they are
-safe to call concurrently.
+safe to call concurrently.  :func:`inverse_cholesky` and :func:`eigh` call
+numpy.linalg's LAPACK gufuncs without its per-call checks, for the same bits.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 def require_symmetric(a, rtol=1e-10, name="matrix"):
@@ -43,6 +45,23 @@ def require_symmetric(a, rtol=1e-10, name="matrix"):
             f"exceeds tolerance {rtol * scale:.3e}"
         )
     return (a + a.T) / 2.0
+
+
+def inverse_cholesky(a):
+    """``np.linalg.inv(np.linalg.cholesky(a))`` of a float64 matrix, bit for
+    bit, or None where that raises: ``a`` is not positive definite."""
+    # the gufuncs flag exactly the failures numpy.linalg turns into LinAlgError
+    with np.errstate(all="ignore", invalid="raise"):
+        try:
+            return _umath_linalg.inv(_umath_linalg.cholesky_lo(a, signature="d->d"),
+                                     signature="d->d")
+        except FloatingPointError:
+            return None
+
+
+def eigh(a):
+    """``np.linalg.eigh(a)`` bit for bit; NaN-filled, with a warning, where that raises."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
 def vec(a):

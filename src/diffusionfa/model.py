@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matrixcalc import (
+    inverse_cholesky,
     require_symmetric,
     unvec,
     unvech,
@@ -175,7 +176,7 @@ def sigma_of_theta(params):
 def sigma_from_blocks(lam, sigma_ff, sigma_ee):
     """Sigma(theta) from the p x k loading matrix, Sigma_ff and the unique
     variances; :func:`sigma_of_theta` on arrays."""
-    sigma = lam @ sigma_ff @ lam.T
+    sigma = lam.dot(sigma_ff).dot(lam.T)
     sigma = (sigma + sigma.T) / 2.0
     sigma.ravel()[:: sigma.shape[0] + 1] += sigma_ee
     return sigma
@@ -191,12 +192,9 @@ def weight_matrix(sigma):
     equivalent to W not being positive definite).
     """
     sigma = require_symmetric(sigma, name="sigma")
-    try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
+    if inverse_cholesky(sigma) is None:
         raise WeightMatrixError(
-            "covariance is not positive definite; weight matrix undefined"
-        ) from None
+            "covariance is not positive definite; weight matrix undefined")
     rows, cols = vech_indices(sigma.shape[0])
     return (sigma[np.ix_(rows, rows)] * sigma[np.ix_(cols, cols)]
             + sigma[np.ix_(rows, cols)] * sigma[np.ix_(cols, rows)])
@@ -242,19 +240,21 @@ def sigma_derivative_factors(lam, sigma_ff):
     return u, v, w
 
 
-def gradient_from_blocks(g, lam, sigma_ff, rows, cols, weights):
+def gradient_from_blocks(g, lam, sigma_ff, ff_flat, weights):
     """Contract a p x p matrix g with every dSigma/dtheta_i: the chain rule
     sum_{r,c} g[r, c] dSigma[r, c]/dtheta_i from a derivative in Sigma to
-    theta, in O(p^2 k).  ``rows``, ``cols`` are the vech positions of k and
-    ``weights`` the chain-rule weights of vech Sigma_ff (1 on the diagonal,
+    theta, in O(p^2 k).  ``ff_flat`` holds the flat k x k positions of
+    vech Sigma_ff and ``weights`` its chain-rule weights (1 on the diagonal,
     2 off it); only the symmetric part of g enters."""
+    p, k = lam.shape
+    n_a = (p - k) * k
     g = (g + g.T) / 2.0
-    m = lam.T @ g @ lam
-    return np.concatenate([
-        (2.0 * (g @ lam @ sigma_ff)[lam.shape[1]:]).ravel(order="F"),
-        weights * m[rows, cols],
-        g.diagonal(),
-    ])
+    out = np.empty(n_a + weights.size + p)
+    # vec of the (p - k) x k A block is the C order of its transpose
+    np.multiply(2.0, g.dot(lam).dot(sigma_ff)[k:].T, out=out[:n_a].reshape(k, p - k))
+    np.multiply(weights, lam.T.dot(g).dot(lam).take(ff_flat), out=out[n_a:-p])
+    out[-p:] = g.diagonal()
+    return out
 
 
 def delta_jacobian(params):

@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 from diffusionfa import WeightMatrixError
 from diffusionfa.matrixcalc import vec, vech_indices
-from diffusionfa.model import gradient_from_blocks, loading_matrix, sigma_of_theta
+from diffusionfa.model import loading_matrix, sigma_of_theta
 
 
 def sigma_gradient_stack(params):
@@ -82,9 +82,17 @@ def sigma_gradient_contract(params, g):
     O(p^2 k) without forming the (q, p, p) stack.  The slices are symmetric,
     so only the symmetric part of ``g`` enters.
     """
+    # the three blocks gathered by index pairs and concatenated: a second
+    # route to model.gradient_from_blocks, which writes them into one buffer
+    g = (g + g.T) / 2.0
+    lam = loading_matrix(params)
     rows, cols = vech_indices(params.k)
-    return gradient_from_blocks(g, loading_matrix(params), params.sigma_ff,
-                                rows, cols, np.where(rows == cols, 1.0, 2.0))
+    m = lam.T @ g @ lam
+    return np.concatenate([
+        (2.0 * (g @ lam @ params.sigma_ff)[params.k:]).ravel(order="F"),
+        np.where(rows == cols, 1.0, 2.0) * m[rows, cols],
+        g.diagonal(),
+    ])
 
 
 def sigma_curvature_contract(params, g):

@@ -133,10 +133,16 @@ def test_contrast_rejects_indefinite_sigma(truth):
     params = ParamVector(a=truth.a, sigma_ff=truth.sigma_ff,
                          sigma_ee=truth.sigma_ee - [40.0, 0, 0, 0, 0, 0])
     assert np.linalg.eigvalsh(sigma_of_theta(params))[0] < 0
-    with pytest.raises(WeightMatrixError):
-        contrast(rc, params)
-    with pytest.raises(WeightMatrixError):
-        contrast_grad(rc, params)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(WeightMatrixError):
+            contrast(rc, params)
+        with pytest.raises(WeightMatrixError):
+            contrast_grad(rc, params)
+        with pytest.raises(WeightMatrixError):
+            _Contrast(rc, make_spec()).evaluate(pack(params))
+    # the failed factorisation is judged, not warned about
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_contrast_grad_zero_at_zero_residual(truth):
@@ -349,15 +355,41 @@ def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
     assert objective.evals == 2
 
 
-def test_bfgs_stall_at_the_floating_point_floor_is_converged():
+def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
+    # the full step is refused by the predicate, the half step accepted: two
+    # counted evaluations, one gradient, and it is the accepted point's
+    objective = _Contrast(rcov_from_sigma(SIGMA_TRUE), make_spec())
+    gradients = []
+    plain_gradient = objective.gradient
+    objective.gradient = lambda: gradients.append(None) or plain_gradient()
+    x = pack(truth)
+    d = np.full_like(x, 1e-3)
+    box = parameter_box(make_spec())
+    x_try, f_try, g_try = estimator._arc_search(
+        objective, x, d, box[:, 0], box[:, 1], 1.0, lambda alpha, *_: alpha < 1.0)
+    assert np.array_equal(x_try, x + 0.5 * d)
+    assert objective.evals == 2
+    assert len(gradients) == 1
+    f_ref, g_ref = _Contrast(rcov_from_sigma(SIGMA_TRUE), make_spec()).evaluate(x_try)
+    assert f_try == f_ref
+    assert np.array_equal(g_try, g_ref)
+
+
+def test_bfgs_stall_at_the_floating_point_floor_is_converged(monkeypatch):
     # the bundled system at seed 1, fit from the bundled model's parameters:
     # the search stalls with the projected gradient inside its float64 floor
     doc = load_json(bundled_config_path("system_p6k2"))
     rc = realised_cov(simulate(sim_config_from_json(dict(doc, seed=1), path="")))
     spec, params = model_from_json(load_json(bundled_config_path("model_p6k2")))
+    built = []
+    monkeypatch.setattr(estimator, "weight_matrix",
+                        lambda sigma: built.append(None) or weight_matrix(sigma))
     res = fit(rc, replace(spec, n=rc.n, h=rc.h), init=params)
     assert res.converged
     assert res.message == "descent exhausted at the floating-point floor"
+    # the floor test and the standard errors share one information matrix
+    assert len(built) == 1
+    assert np.array_equal(res.avar, np.linalg.inv(information(res.theta_hat)))
 
 
 def _clipped_default_start(rc, spec):

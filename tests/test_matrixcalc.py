@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from diffusionfa import duplication, duplication_pinv, unvech, vec, vech
-from diffusionfa.matrixcalc import require_symmetric, unvec
+from diffusionfa.matrixcalc import eigh, inverse_cholesky, require_symmetric, unvec
 
 from conftest import SIGMA_FF_TRUE, SIGMA_TRUE
 
@@ -89,3 +92,44 @@ def test_duplication_identities_all_dims(p):
         a = random_symmetric(rng, p)
         assert np.allclose(d @ vech(a), vec(a), rtol=0, atol=1e-12)
         assert np.allclose(pinv @ vec(a), vech(a), rtol=0, atol=1e-12)
+
+
+# matrixcalc calls numpy.linalg's private LAPACK gufuncs; these hold each
+# direct call to the bits of its public function, so a numpy upgrade that
+# changed them fails here instead of moving a fit
+@pytest.mark.parametrize("p", [6, 20, 40])
+def test_direct_lapack_calls_equal_numpy_linalg(p):
+    m = np.random.default_rng(500 + p).standard_normal((p, p))
+    a = m @ m.T + p * np.eye(p)
+    chol = _umath_linalg.cholesky_lo(a, signature="d->d")
+    assert np.array_equal(chol, np.linalg.cholesky(a))
+    assert np.array_equal(_umath_linalg.inv(chol, signature="d->d"), np.linalg.inv(chol))
+    assert np.array_equal(inverse_cholesky(a), np.linalg.inv(np.linalg.cholesky(a)))
+
+
+@pytest.mark.parametrize("q", [13, 17])
+def test_direct_eigh_equals_numpy_linalg(q):
+    h = random_symmetric(np.random.default_rng(600 + q), q)  # indefinite, as a Hessian
+    w, v = eigh(h)
+    w_ref, v_ref = np.linalg.eigh(h)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (3, 3), (5, 0), (0, 5)])
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_inverse_cholesky_is_none_exactly_where_numpy_raises(entry, value):
+    a = SIGMA_TRUE.copy()
+    a[entry] = value
+    try:
+        expected = np.linalg.inv(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        expected = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = inverse_cholesky(a)
+    assert caught == []
+    if expected is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, expected, equal_nan=True)

@@ -95,9 +95,12 @@ def test_contrast_equals_kronecker_duplication_oracle(data):
 @given(st.data())
 def test_packed_evaluator_is_bit_identical_to_param_vector_composition(data):
     spec, params, rcov = positive_definite_problem(data, max_p=7)
-    # the composition through ParamVector: Sigma(theta), one Cholesky
-    # factor, the closed form and the chain rule
-    sigma = sigma_of_theta(params)
+    # the composition through ParamVector, written with @: Sigma(theta), one
+    # Cholesky factor, the closed form and the chain rule
+    lam = loading_matrix(params)
+    sigma = lam @ params.sigma_ff @ lam.T
+    sigma = (sigma + sigma.T) / 2.0 + np.diag(params.sigma_ee)
+    assert np.array_equal(sigma, sigma_of_theta(params))
     chol_inv = np.linalg.inv(np.linalg.cholesky(sigma))
     s = chol_inv.T @ chol_inv
     sr = s @ (rcov.q - sigma)
