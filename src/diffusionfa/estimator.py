@@ -42,6 +42,8 @@ default box.
 Both backtrack in :func:`_arc_search`, the one projected backtracking loop,
 each with its own Armijo test; a trial where Sigma(theta) is not PD or F is
 not finite is rejected.  ``_Contrast.value`` counts the trials evaluated.
+A speed rewrite of these loops keeps every floating-point operation, operand
+and order (``ndarray.dot`` for ``@``, in-place forms), never re-associating.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ from .model import (
 
 _ARMIJO_C1 = 1e-4
 _MIN_STEP_FRACTION = 1e-13
-_MIN_DECREASE = 4.0 * np.finfo(float).eps  # four ulps of 1
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_MIN_DECREASE = 4.0 * _EPS  # four ulps of 1
 _ACTIVE_EPS = 1e-3
 _EIG_FLOOR = 1e-10
 _DECREMENT_TOL = 1e-10
@@ -92,9 +95,9 @@ class RealisedCov:
     h: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.q)):
-            raise ValueError("realised covariance has non-finite entries")
         q = require_symmetric(self.q, name="realised covariance")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("realised covariance has non-finite entries")
         min_eig = float(np.linalg.eigvalsh(q)[0])
         if min_eig < -1e-10 * np.max(np.abs(np.diag(q))):
             raise ValueError("realised covariance is not positive semidefinite: "
@@ -309,7 +312,7 @@ class _Contrast:
         s = chol_inv.T.dot(chol_inv)
         sr = s.dot(self.q - sigma)
         self._point = (x, sigma_ff, s, sr)
-        return 0.5 * float((sr * sr.T).sum())
+        return 0.5 * float(np.add.reduce(sr * sr.T, axis=None))
 
     def gradient(self):
         """The gradient of F at the point of the last :meth:`value`."""
@@ -351,11 +354,11 @@ class _Contrast:
         k, n_a = self.spec.k, self.n_a
         sigma_ff = x[self.ff_index]
         u, v, w = sigma_derivative_factors(self.lam, sigma_ff)
-        v = v * w
+        v *= w
 
         def forms(m):
-            mu, mv = m @ u, m @ v
-            return u.T @ mu, u.T @ mv, v.T @ mv
+            mu, mv = m.dot(u), m.dot(v)
+            return u.T.dot(mu), u.T.dot(mv), v.T.dot(mv)
 
         def trace_products(xuu, xuv, xvv, yuu, yuv, yvv):
             t = xuv.T * yuv  # in place from here on: q x q temporaries cost
@@ -365,13 +368,13 @@ class _Contrast:
             return t
 
         t = trace_products(*forms(s), *forms(g))
-        k_forms = forms(s @ self.q @ s)
+        k_forms = forms(s.dot(self.q).dot(s))
         h = trace_products(*k_forms, *k_forms)
         h -= t
         h -= t.T
         h[:n_a, :n_a] += 2.0 * (sigma_ff[:, None, :, None]
                                 * g[None, k:, None, k:]).reshape(n_a, n_a)
-        a_ff = 2.0 * (g @ self.lam)[k:].T
+        a_ff = 2.0 * g.dot(self.lam)[k:].T
         h[self.a_ff] += a_ff
         h[self.a_ff[::-1]] += a_ff
         return (h + h.T) / 2.0
@@ -379,16 +382,18 @@ class _Contrast:
 
 def _pg_norm(x, g, lo, hi):
     """Max-norm of the projected gradient: g without the entries held at a bound."""
-    blocked = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
-    return float(np.abs(g).max(initial=0.0, where=~blocked))
+    pg = np.abs(g)
+    if np.count_nonzero((x <= lo) | (x >= hi)):
+        pg[((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))] = 0.0
+    return float(np.maximum.reduce(pg, initial=0.0))
 
 
 def _arc_search(objective, x, d, lo, hi, alpha, accept):
     """Backtrack along the projection arc clip(x + alpha d), halving alpha
-    until ``accept(alpha, x_try - x, f_try)`` holds where Sigma(theta) is PD
-    and F finite; return (x_try, f_try, g_try), g formed there alone, or None
-    when the trial does not move, alpha falls below _MIN_STEP_FRACTION or
-    _MAX_EVALS is spent."""
+    until ``accept(alpha, step, f_try)``, step = x_try - x, holds where
+    Sigma(theta) is PD and F finite; return (x_try, f_try, g_try, step), g
+    formed there alone, or None when the trial does not move, alpha falls
+    below _MIN_STEP_FRACTION or _MAX_EVALS is spent."""
     while alpha >= _MIN_STEP_FRACTION and objective.evals < _MAX_EVALS:
         x_try = np.minimum(np.maximum(x + alpha * d, lo), hi)
         step = x_try - x
@@ -399,7 +404,7 @@ def _arc_search(objective, x, d, lo, hi, alpha, accept):
         except WeightMatrixError:
             f_try = math.inf
         if math.isfinite(f_try) and accept(alpha, step, f_try):
-            return x_try, f_try, objective.gradient()
+            return x_try, f_try, objective.gradient(), step
         alpha *= 0.5
     return None
 
@@ -417,7 +422,7 @@ def _bfgs(objective, x, f, g, lo, hi):
     def sufficient(alpha, step, f_try):
         # Armijo, and a decrease resolvable in float64: ulp-sized "progress"
         # feeds rounding noise into the curvature updates
-        return (f_try <= f + _ARMIJO_C1 * (g @ step)
+        return (f_try <= f + _ARMIJO_C1 * g.dot(step)
                 and f - f_try >= _MIN_DECREASE * (1.0 + abs(f)))
 
     while True:
@@ -431,8 +436,8 @@ def _bfgs(objective, x, f, g, lo, hi):
             plain, floor_stop = "evaluation budget exhausted", "evaluation budget reached"
             break
         iterations += 1
-        d = -h_inv @ g
-        if d @ g > -1e-14 * math.sqrt(d @ d) * math.sqrt(g @ g):
+        d = (-h_inv).dot(g)
+        if d.dot(g) > -1e-14 * math.sqrt(d.dot(d)) * math.sqrt(g.dot(g)):
             h_inv, h_fresh, first_update = identity, True, True
             d = -g
         found = _arc_search(objective, x, d, lo, hi, 1.0, sufficient)
@@ -446,19 +451,17 @@ def _bfgs(objective, x, f, g, lo, hi):
             plain, floor_stop = "line search failed to make progress", "descent exhausted"
             break
 
-        x_new, f_new, g_new = found
-        step = x_new - x
-        y = g_new - g
-        sy = step @ y
-        if sy > 1e-10 * math.sqrt(step @ step) * math.sqrt(y @ y):
+        y = found[2] - g
+        x, f, g, step = found
+        sy, yy = step.dot(y), y.dot(y)
+        if sy > 1e-10 * math.sqrt(step.dot(step)) * math.sqrt(yy):
             if first_update:
-                h_inv = (sy / (y @ y)) * identity
+                h_inv = (sy / yy) * identity
                 first_update = False
             rho = 1.0 / sy
             v = identity - rho * (step[:, None] * y)
-            h_inv = v @ h_inv @ v.T + rho * (step[:, None] * step)
+            h_inv = v.dot(h_inv).dot(v.T) + rho * (step[:, None] * step)
             h_fresh = False
-        x, f, g = x_new, f_new, g_new
         pg_norm = _pg_norm(x, g, lo, hi)
 
     # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64; within
@@ -468,7 +471,7 @@ def _bfgs(objective, x, f, g, lo, hi):
         lam_max = float(np.linalg.eigvalsh(2.0 * objective.information(x))[-1])
     except WeightMatrixError:
         return x, f, g, iterations, False, plain
-    floor = np.sqrt(2.0 * max(lam_max, 1.0) * np.finfo(float).eps * (1.0 + abs(f)))
+    floor = math.sqrt(2.0 * max(lam_max, 1.0) * _EPS * (1.0 + abs(f)))
     if pg_norm <= 10.0 * floor:
         return x, f, g, iterations, True, f"{floor_stop} at the floating-point floor"
     return x, f, g, iterations, False, plain
@@ -498,37 +501,35 @@ def _projected_newton(objective, x, f, g, lo, hi):
     iterations = 0
 
     def wanted(alpha, step, f_try):
-        return f - f_try >= _ARMIJO_C1 * (alpha * decrement - g[active] @ step[active])
+        return f - f_try >= _ARMIJO_C1 * (alpha * decrement - g[active].dot(step[active]))
 
     while True:
         h = objective.hessian(x)
         r = x - np.minimum(np.maximum(x - g, lo), hi)
-        eps = np.minimum(_ACTIVE_EPS * (hi - lo), math.sqrt(r @ r))
+        eps = np.minimum(_ACTIVE_EPS * (hi - lo), math.sqrt(r.dot(r)))
         active = ((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0))
         free = ~active
         lam, vecs = eigh(h[free][:, free])
-        lam = np.abs(lam)
-        lam = np.maximum(lam, _EIG_FLOOR * max(float(np.max(lam, initial=0.0)),
-                                               np.finfo(float).tiny))
+        np.abs(lam, out=lam)
+        np.maximum(lam, _EIG_FLOOR * max(float(lam.max(initial=0.0)), _TINY), out=lam)
         d = np.zeros_like(x)
-        d[free] = -vecs @ ((vecs.T @ g[free]) / lam)
-        decrement = float(-g[free] @ d[free])
+        d[free] = d_free = (-vecs).dot(vecs.T.dot(g[free]) / lam)
+        decrement = float((-g[free]).dot(d_free))
         if (decrement <= _DECREMENT_TOL * (1.0 + abs(f))
-                and np.all((x[active] == lo[active]) | (x[active] == hi[active]))):
-            if np.any(active):
+                and ((x[active] == lo[active]) | (x[active] == hi[active])).all()):
+            if active.any():
                 coords = ", ".join(f"theta:{i + 1}" for i in np.flatnonzero(active))
                 return x, f, g, iterations, True, f"decrement_at_bound ({coords})"
             return x, f, g, iterations, True, "decrement"
         if iterations >= _MAX_ITER:
             return x, f, g, iterations, False, "max_iter"
         iterations += 1
-        d[active] = -g[active] / np.maximum(np.abs(np.diag(h))[active],
-                                            np.finfo(float).tiny)
+        d[active] = -g[active] / np.maximum(np.abs(h.diagonal()[active]), _TINY)
         found = _arc_search(objective, x, d, lo, hi,
-                            1.0 / (1.0 + np.sqrt(decrement / (1.0 + abs(f)))), wanted)
+                            1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f)))), wanted)
         if found is None:
             return x, f, g, iterations, False, "line_search"
-        x, f, g = found
+        x, f, g, _ = found
 
 
 def fit(rcov, spec, init=None, bounds=None):

@@ -32,19 +32,20 @@ def require_symmetric(a, rtol=1e-10, name="matrix"):
     with the transpose (realised covariances accumulate rounding); larger
     asymmetry raises ``ValueError``.
 
-    Returns the (symmetrized) array as float64.
+    Returns the (symmetrized) array as float64, inf where that overflows.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    gap = np.max(np.abs(a - a.T)) if a.size else 0.0
-    scale = 1.0 + (np.max(np.abs(a)) if a.size else 0.0)
-    if gap > rtol * scale:
-        raise ValueError(
-            f"{name} is not symmetric: max|a_ij - a_ji| = {gap:.3e} "
-            f"exceeds tolerance {rtol * scale:.3e}"
-        )
-    return (a + a.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.max(np.abs(a - a.T)) if a.size else 0.0
+        scale = 1.0 + (np.max(np.abs(a)) if a.size else 0.0)
+        if gap > rtol * scale:
+            raise ValueError(
+                f"{name} is not symmetric: max|a_ij - a_ji| = {gap:.3e} "
+                f"exceeds tolerance {rtol * scale:.3e}"
+            )
+        return (a + a.T) / 2.0
 
 
 def inverse_cholesky(a):

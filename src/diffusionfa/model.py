@@ -196,8 +196,8 @@ def weight_matrix(sigma):
         raise WeightMatrixError(
             "covariance is not positive definite; weight matrix undefined")
     rows, cols = vech_indices(sigma.shape[0])
-    return (sigma[np.ix_(rows, rows)] * sigma[np.ix_(cols, cols)]
-            + sigma[np.ix_(rows, cols)] * sigma[np.ix_(cols, rows)])
+    r, c = rows[:, None], cols[:, None]  # np.ix_ pairs, without its per-call checks
+    return sigma[r, rows] * sigma[c, cols] + sigma[r, cols] * sigma[c, rows]
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +236,7 @@ def sigma_derivative_factors(lam, sigma_ff):
     u, v, w = _factor_template(p, k)
     u, v = u.copy(), v.copy()
     u[:, n_a:n_a + rows.size], v[:, n_a:n_a + rows.size] = lam[:, rows], lam[:, cols]
-    v[:, :n_a] = np.repeat(lam @ sigma_ff, p - k, axis=1)
+    v[:, :n_a].reshape(p, k, p - k)[...] = lam.dot(sigma_ff)[:, :, None]  # a view of v
     return u, v, w
 
 

@@ -9,16 +9,16 @@ Scheme: Euler-Maruyama with an optional number of substeps per observation
 interval (default 1) on the joint state z = (f, e), whose drift is mu - B z
 with B = blockdiag(B_f, diag(b_i)) for linear (Ornstein-Uhlenbeck) drifts;
 a custom drift overrides its block of mu - B z.  Each noise chunk is drawn
-once as (S xi_f, sigma xi_e) sqrt(delta).  With linear drifts only, the
-step z + (mu - B z) delta + noise is affine in z and is evaluated as a
-blocked scan (Blelloch 1990): each chunk is cut into about sqrt(chunk)
-blocks, the in-block steps run vectorised across blocks from zero, and one
-short loop carries (I - B delta)^{j+1} z_start into each block.  That is
-about 3 sqrt(n * substeps) Python iterations instead of n * substeps, and
-agrees with the step-by-step loop to rounding (ulp level).  A custom
-drift, or a chunk whose state grows large enough that a step might
-overflow, takes that loop, so a drift explosion is reported at the grid
-step the loop reports.
+as (S xi_f, sigma xi_e) sqrt(delta).  With linear drifts only, the step
+z + (mu - B z) delta + noise is affine in z and is evaluated as a blocked
+scan (Blelloch 1990) in one array the noise is drawn into: each chunk is
+cut into about sqrt(chunk) blocks, the in-block steps run vectorised across
+blocks from zero, and short loops carry (I - B delta)^{j+1} z_start into
+each block.  That is about 3 sqrt(n * substeps) Python iterations instead
+of n * substeps, and agrees with the step-by-step loop to rounding.  A
+custom drift, or a chunk whose state grows large enough that a step might
+overflow, takes that loop (drawing the chunk again from the same generator
+states), so a drift explosion is reported at the grid step the loop reports.
 
 Randomness contract
 -------------------
@@ -180,9 +180,9 @@ class SamplePath:
 
 def implied_params(config):
     """Generating ParamVector of a config: Sigma_ff = S S^T, sigma^2 = disp^2."""
-    s = config.factor_dispersion
-    return ParamVector(a=config.a, sigma_ff=s @ s.T,
-                       sigma_ee=config.unique_dispersions ** 2)
+    s, disp = config.factor_dispersion, config.unique_dispersions
+    with np.errstate(over="ignore"):  # judged where the parameters are used
+        return ParamVector(a=config.a, sigma_ff=s @ s.T, sigma_ee=disp ** 2)
 
 
 def _rng_streams(seed, p):
@@ -219,36 +219,36 @@ def _joint_drift(config):
     return b, mu, custom
 
 
-def _affine_scan(step, z0, u):
+def _affine_scan(step, z0, m, fill):
     """Rows z_1..z_m of z_t = z_{t-1} + step @ z_{t-1} + u_t from z_0, as a
-    blocked scan.
+    blocked scan; ``fill(out)`` writes u into the (m, d) ``out`` and returns it.
 
-    The m steps are cut into blocks of L = ceil(sqrt(m)).  L - 1 vectorised
+    The m steps are cut into blocks of L = ceil(sqrt(m)), whose rows in order
+    are the steps, so u is written and z read in place.  L - 1 vectorised
     steps run every block from zero; one loop over the blocks carries each
     block's start state c_b, and ``(I + step)^{j+1} c_b`` adds it to step j
-    of block b in one product.  That is about 3 sqrt(m) Python iterations.
+    of every block, row by row.  That is about 3 sqrt(m) Python iterations.
     Powers are kept as ``(I + step)^j - I`` and states are updated by
     increments, as the Euler loop does, so no ``1 - b delta`` is rounded.
     """
-    m, d = u.shape
+    d = len(z0)
     size = math.isqrt(m - 1) + 1
     blocks = -(-m // size)
-    full = m // size
-    y = np.zeros((size, blocks, d))  # y[j, b] is step b * size + j
-    y[:, :full] = u[:full * size].reshape(full, size, d).transpose(1, 0, 2)
-    y[:m - full * size, full:] = u[full * size:, None]
+    y = np.zeros((blocks, size, d))  # y[b, j] is step b * size + j
+    path = fill(y.reshape(blocks * size, d)[:m])
     powers = np.empty((size, d, d))
     powers[0] = step
     for j in range(1, size):
-        y[j] += y[j - 1] + y[j - 1] @ step.T
+        y[:, j] += y[:, j - 1] + y[:, j - 1] @ step.T
         powers[j] = powers[j - 1] + (step + step @ powers[j - 1])
     starts = np.empty((blocks, d))
     starts[0] = z0
     for b in range(1, blocks):
-        starts[b] = starts[b - 1] + (powers[-1] @ starts[b - 1] + y[-1, b - 1])
-    y += starts @ powers.transpose(0, 2, 1)
-    y += starts
-    return y.transpose(1, 0, 2).reshape(blocks * size, d)[:m]
+        starts[b] = starts[b - 1] + (powers[-1] @ starts[b - 1] + y[b - 1, -1])
+    for j in range(size):
+        y[:, j] += starts @ powers[j].T
+    y += starts[:, None]
+    return path
 
 
 def simulate(config, keep_latent=False):
@@ -263,28 +263,38 @@ def simulate(config, keep_latent=False):
     sub = config.substeps
     delta = h / sub
     b, mu, custom = _joint_drift(config)
-    step = -b * delta
-    # |z| <= guard keeps every intermediate of an Euler step inside the
-    # float range, so a chunk the loop could overflow in goes back to it
-    guard = np.finfo(float).max / (
-        4.0 * (1.0 + np.abs(b).sum(axis=1).max()) * max(1.0, delta))
+    # |z| <= guard keeps every Euler step inside the float range, so a chunk the
+    # loop could overflow in goes back to it (every chunk, if this overflows)
+    with np.errstate(over="ignore"):
+        step = -b * delta
+        guard = np.finfo(float).max / (
+            4.0 * (1.0 + np.abs(b).sum(axis=1).max()) * max(1.0, delta))
 
     rng_f, rng_e = _rng_streams(config.seed, p)
     z = np.empty((n + 1, k + p))
     z[0] = np.concatenate([config.f0, config.e0])
 
-    def scan(row, noise):
+    def draw(out):  # the noise (S xi_f, sigma xi_e) sqrt(delta) of len(out) substeps
+        out[:, :k] = rng_f.standard_normal((len(out), config.r)) @ config.factor_dispersion.T
+        for i, (g, sd) in enumerate(zip(rng_e, config.unique_dispersions), start=k):
+            out[:, i] = sd * g.standard_normal(len(out))
+        out *= math.sqrt(delta)
+        return out
+
+    def scan(row, m):
         with np.errstate(over="ignore", invalid="ignore"):  # judged by guard
-            path = _affine_scan(step, z[row], mu * delta + noise)
+            path = _affine_scan(step, z[row], m,
+                                lambda u: np.add(draw(u), mu * delta, out=u))
         if not -guard <= path.min() <= path.max() <= guard:  # False on NaN too
             return False
-        z[row + 1:row + 1 + len(path) // sub] = path[sub - 1::sub]
+        z[row + 1:row + 1 + m // sub] = path[sub - 1::sub]
         return True
 
-    def euler(row, noise):
+    def euler(row, m):
         state = z[row]
         # a non-finite state is reported below, so its warnings are not
         with np.errstate(over="ignore", invalid="ignore"):
+            noise = draw(np.empty((m, k + p)))
             for i, block in enumerate(noise.reshape(-1, sub, k + p), start=row + 1):
                 for w in block:
                     drift = mu - b @ state
@@ -298,14 +308,12 @@ def simulate(config, keep_latent=False):
     total = n * sub
     chunk = max(sub, (_NOISE_CHUNK // sub) * sub) if sub <= _NOISE_CHUNK else sub
     for start in range(0, total, chunk):
-        m = min(chunk, total - start)
-        noise = np.hstack([
-            rng_f.standard_normal((m, config.r)) @ config.factor_dispersion.T,
-            config.unique_dispersions
-            * np.column_stack([g.standard_normal(m) for g in rng_e]),
-        ]) * np.sqrt(delta)
-        if custom or not scan(start // sub, noise):
-            euler(start // sub, noise)
+        m, row = min(chunk, total - start), start // sub
+        states = [g.bit_generator.state for g in (rng_f, *rng_e)]
+        if custom or not scan(row, m):
+            for g, state in zip((rng_f, *rng_e), states):  # the loop redraws the noise
+                g.bit_generator.state = state
+            euler(row, m)
 
     f, e = z[:, :k], z[:, k:]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below

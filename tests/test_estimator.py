@@ -31,6 +31,7 @@ from diffusionfa import (
 from diffusionfa.config import (bundled_config_path, load_json, model_from_json,
                                 sim_config_from_json)
 from diffusionfa.matrixcalc import duplication_pinv, unvec
+from diffusionfa.montecarlo import experiment_from_json, replication_seed
 from diffusionfa import estimator
 from diffusionfa.estimator import _Contrast, information
 
@@ -357,7 +358,8 @@ def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
 
 def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     # the full step is refused by the predicate, the half step accepted: two
-    # counted evaluations, one gradient, and it is the accepted point's
+    # counted evaluations, one gradient, and it is the accepted point's, as
+    # is the step returned
     objective = _Contrast(rcov_from_sigma(SIGMA_TRUE), make_spec())
     gradients = []
     plain_gradient = objective.gradient
@@ -365,9 +367,10 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     x = pack(truth)
     d = np.full_like(x, 1e-3)
     box = parameter_box(make_spec())
-    x_try, f_try, g_try = estimator._arc_search(
+    x_try, f_try, g_try, step = estimator._arc_search(
         objective, x, d, box[:, 0], box[:, 1], 1.0, lambda alpha, *_: alpha < 1.0)
     assert np.array_equal(x_try, x + 0.5 * d)
+    assert np.array_equal(step, x_try - x)
     assert objective.evals == 2
     assert len(gradients) == 1
     f_ref, g_ref = _Contrast(rcov_from_sigma(SIGMA_TRUE), make_spec()).evaluate(x_try)
@@ -470,3 +473,89 @@ def test_quasi_loglik_minimizer_agrees_with_contrast_fit(truth):
                      options=dict(maxiter=20000, xatol=1e-9, fatol=1e-14))
     gap = np.abs(res_m.x - pack(res_f.theta_hat))
     assert np.all(gap <= 0.1 * res_f.se)
+
+
+# Fits recorded before the minimisers' loops were rewritten in ndarray.dot and
+# in-place forms, which keep every floating-point operation: the searches must
+# take the same path, to the same counts and message.  The 1e-12 tolerance
+# leaves room for another BLAS; a transposed or re-associated product moves a
+# converged theta by 1e-15 to 1e-12, so it need not show here.  Rows are
+# (study, k, replication, iterations, evaluations, message, F, theta); k = 2
+# is BFGS from the truth in the study box, k = 1 Newton from the default start.
+FIT_FINGERPRINT = [
+    ('table6_nonergodic', 2, 0, 146, 150, 'projected gradient within tolerance',
+     0.001700711248703202,
+     [2.998482385970164, 1.2308951470012555, 6.805421164845674, -2.8823091491335955,
+      1.0729406462994433, 4.907149154652302, -3.929445213104988, 1.9601264040186945,
+      13.633957285317802, 13.81652619326865, 27.49648221493272, 3.92318547632486,
+      16.59326158326302, 24.28620636400983, -0.0412130278071908, 9.194780884477543,
+      3.8272055448039275]),
+    ('table6_nonergodic', 2, 1, 144, 147, 'projected gradient within tolerance',
+     0.007875538993049287,
+     [2.884189867477115, 0.8693937790310224, 6.954991376521379, -2.9592143616200737,
+      1.1165157314729197, 5.054004780193299, -3.9134294183721545, 1.94561453000953,
+      12.33731195055591, 12.430926890277652, 26.119497270800565, 4.088200789011857,
+      15.360945112906652, 22.936333348732987, 8.147355090631253, 8.551022137058965,
+      3.572667694667067]),
+    ('table6_nonergodic', 2, 2, 143, 146, 'projected gradient within tolerance',
+     0.002138560958305159,
+     [2.759370111610729, 0.7941459148728536, 6.989471174810445, -2.992916234239003,
+      1.0616148505678045, 5.052077272444788, -4.092882746764576, 2.0393402891486323,
+      13.229281128945424, 13.097623975024208, 25.966555822502237, 4.044624106113957,
+      14.84676883658148, 23.582518203074482, 4.349006877931245, 8.754774757813289,
+      4.137711454732124]),
+    ('table6_nonergodic', 1, 0, 22, 26, 'decrement_at_bound (theta:9)',
+     1.2137523777713484,
+     [1.2639465101275194, 4.796668158002096, 7.473566767208878, 1.8026077681540247,
+      -0.38391806609078144, 11.622191796500115, 6.403086028751354, 35.13688385582673,
+      1e-08, 386.9229292699074, 1089.8969501917795, 472.2643057125135]),
+    ('table6_nonergodic', 1, 1, 21, 25, 'decrement_at_bound (theta:9)',
+     1.2268431735051786,
+     [1.3312575021818065, 4.815181421640536, 7.513942211255757, 1.8058644463018003,
+      -0.4077553525473525, 10.269611315817784, 6.692896185618541, 32.418373986928174,
+      1e-08, 386.82049290308913, 1566.698406271983, 382.6801552958729]),
+    ('table6_nonergodic', 1, 2, 20, 25, 'decrement_at_bound (theta:9)',
+     1.2199192521978819,
+     [1.2609042582594363, 4.559129307884162, 7.164487389815848, 1.8083734643604172,
+      -0.41934211545308003, 11.079296227533161, 6.697252448237991, 32.19467320258369,
+      1e-08, 410.0212141886265, 1542.7499629293118, 341.55457622216306]),
+    ('ergodic_scaled', 2, 0, 119, 121, 'projected gradient within tolerance',
+     0.00015279742778143062,
+     [2.9628469550398524, 0.9096026688412913, 7.01503831624705, -3.0132476284922136,
+      1.0132537807157875, 5.001254559417923, -3.941588122183633, 1.9767762010036187,
+      13.194674283968672, 13.147885550715733, 26.48786380759665, 4.0715580577442845,
+      16.615825638146774, 25.561231903715502, 1.232401325194534, 9.18433308621012,
+      3.993029410813743]),
+    ('ergodic_scaled', 2, 1, 147, 151, 'projected gradient within tolerance',
+     0.000499946396703108,
+     [2.9774840865765424, 1.0174464773799787, 6.909163669283826, -2.959029698406289,
+      1.0340156178400834, 4.966626255308706, -3.9235550629278544, 1.9586999627038686,
+      12.895694344364566, 12.867986652060715, 25.842844164793423, 4.047233001929717,
+      16.002738875999327, 24.402982218506363, 2.712077568563658, 9.55077330487629,
+      3.8745114236082197]),
+    ('ergodic_scaled', 2, 2, 143, 146, 'projected gradient within tolerance',
+     0.00043567804419998167,
+     [2.990275156528271, 1.0050911432620422, 6.96983512171106, -2.9799615620907525,
+      1.0256118072317002, 4.995949091508604, -3.9869638648341907, 1.9930841670170938,
+      12.863267558744507, 12.830278147051954, 25.65555575029342, 4.094907666377134,
+      16.684202824235197, 24.867578379611107, 1.630147043999345, 8.804920476732818,
+      4.096401965504258]),
+
+]
+
+
+@pytest.mark.parametrize("study, k, r, iterations, evaluations, message, f, theta",
+                         FIT_FINGERPRINT)
+def test_fit_fingerprint_is_unchanged(study, k, r, iterations, evaluations, message,
+                                      f, theta):
+    exp = experiment_from_json(load_json(bundled_config_path(study)))
+    rc = realised_cov(simulate(exp.sim.with_seed(replication_seed(exp.seed_base, r))))
+    if k == exp.spec.k:
+        res = fit(rc, exp.spec, init=exp.truth,
+                  bounds=parameter_box(exp.spec, **exp.bounds_blocks))
+    else:
+        res = fit(rc, replace(exp.spec, k=k))
+    assert (res.iterations, res.evaluations, res.message) == (iterations, evaluations,
+                                                              message)
+    assert res.contrast == pytest.approx(f, rel=1e-12, abs=0)
+    assert np.allclose(res.theta, theta, rtol=1e-12, atol=0)

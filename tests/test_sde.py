@@ -189,7 +189,12 @@ def test_affine_scan_matches_recursion(m):
     for ut in u:
         z = z + step @ z + ut
         expected.append(z)
-    assert np.allclose(_affine_scan(step, z0, u), expected, rtol=1e-13, atol=1e-13)
+
+    def fill(out):
+        out[...] = u
+        return out
+
+    assert np.allclose(_affine_scan(step, z0, m, fill), expected, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [1000, 10000])
