@@ -326,11 +326,13 @@ class _Contrast:
         """F and its gradient at x, one evaluation."""
         return self.value(x), self.gradient()
 
-    def information(self, x):
+    def information(self, x, params=None):
         """:func:`information` at x, kept for the last x: the standard errors
-        of a fit reuse the one its BFGS floor test built."""
+        of a fit reuse the one its BFGS floor test built.  ``params`` is x
+        unpacked, when the caller already holds it."""
         if self._info is None or self._info[0] != x.tobytes():
-            self._info = (x.tobytes(), information(unpack(x, self.spec)))
+            self._info = (x.tobytes(), information(
+                unpack(x, self.spec) if params is None else params))
         return self._info[1]
 
     def hessian(self, x):
@@ -578,7 +580,7 @@ def fit(rcov, spec, init=None, bounds=None):
         pg_norm = _pg_norm(x, g, lo, hi)
         theta_hat = unpack(x, spec)
         try:
-            info = objective.information(x)
+            info = objective.information(x, theta_hat)
             try:
                 avar = np.linalg.inv(info)
             except np.linalg.LinAlgError:

@@ -13,14 +13,12 @@ conclusion is that the data carry no factor structure.
 
 Chi-squared tail probabilities and quantiles come from
 ``scipy.special.chdtrc`` / ``chdtri`` (Cephes), the routines behind
-``scipy.stats.chi2``.
+``scipy.stats.chi2``; ``scipy.special`` is imported at the first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-from scipy.special import chdtrc, chdtri
 
 from .estimator import FitResult, fit
 from .model import ModelSpec, UntestableError
@@ -32,6 +30,7 @@ def chi2_sf(df, x):
         raise ValueError("degrees of freedom must be >= 1")
     if x < 0:
         raise ValueError("argument must be non-negative")
+    from scipy.special import chdtrc
     return float(chdtrc(df, x))
 
 
@@ -41,6 +40,7 @@ def chi2_quantile(df, alpha):
         raise ValueError("degrees of freedom must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    from scipy.special import chdtri
     return float(chdtri(df, alpha))
 
 

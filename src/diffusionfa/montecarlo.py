@@ -5,17 +5,16 @@ counts, quartiles and figure data (histogram / QQ / ECDF columns).
 Replication r draws its simulation seed deterministically from
 ``SeedSequence(seed_base, spawn_key=(r,))``, so runs are reproducible and
 independent of execution order; serial and parallel runs produce identical
-aggregates byte for byte.
+aggregates byte for byte.  ``scipy.special`` and the process pool are
+imported at first use, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .config import (ConfigError, _is_int, _is_number, _require, sim_config_from_json,
                      sim_config_to_json, spec_to_json, write_manifest)
@@ -227,6 +226,7 @@ def run(exp, n_jobs=1):
     """
     R = exp.replications
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             chunk = max(1, R // (8 * n_jobs))
             records = list(pool.map(_replicate, [exp] * R, range(R),
@@ -305,6 +305,7 @@ def figure_data(agg, statistic):
     if statistic.startswith("tstat:"):  # its true value is its df
         ref = np.array([chi2_quantile(row.true_value, 1.0 - pr) for pr in probs])
     else:
+        from scipy.special import ndtri
         ref = ndtri(probs)
     ecdf = np.arange(1, R + 1) / R
     header = ["draw", "standardized", "reference_quantile", "ecdf"]

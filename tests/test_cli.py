@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from diffusionfa.cli import main
 from diffusionfa.config import bundled_config_path, load_json, sim_config_to_json
@@ -442,25 +443,78 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_import_and_simulate_leave_scipy_stats_unloaded():
-    # scipy.signal pulls in scipy.stats, which adds about 40 MB of resident
-    # memory to every CLI process; neither may be loaded on this path, and
-    # nor may scipy.linalg, which no pipeline code needs
+def run_fresh(code, *args):
+    """The JSON last stdout line of ``code`` run by a fresh interpreter that
+    imports this tree, with ``args`` as its argv."""
     src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "import diffusionfa.cli\n"
-        "from diffusionfa import simulate\n"
-        "from diffusionfa.config import bundled_config_path, load_json, sim_config_from_json\n"
-        "doc = load_json(bundled_config_path('table6_nonergodic'))['sim']\n"
-        "simulate(sim_config_from_json(doc))\n"
-        "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.linalg')\n"
-        "       if m in sys.modules])\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_simulate_rcov_fit_leave_scipy_and_the_pool_unloaded(tmp_path):
+    # scipy.special costs about 0.3 s and 20-25 MB of every process that loads
+    # it (it pulls in numpy.testing, unittest and email); only the chi-squared
+    # and normal quantiles need it, and only --threads > 1 needs the pool.
+    # The bundled table6_nonergodic system goes through simulate -> rcov ->
+    # fit on CSV data, and each step lists the scipy and pool modules loaded.
+    code = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+seen = []
+def loaded(step):
+    seen.append([step, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                              or m == "concurrent.futures.process")])
+import diffusionfa
+loaded("import diffusionfa")
+import diffusionfa.cli
+loaded("import diffusionfa.cli")
+from diffusionfa.cli import main
+from diffusionfa.config import bundled_config_path, load_json
+tmp = sys.argv[1]
+sim = os.path.join(tmp, "sim.json")
+with open(sim, "w") as fh:
+    json.dump(load_json(bundled_config_path("table6_nonergodic"))["sim"], fh)
+path = os.path.join(tmp, "path.csv")
+for argv in (["simulate", "--config", sim, "--out", path],
+             ["rcov", "--data", path, "--out", os.path.join(tmp, "rcov.json")],
+             ["fit", "--data", path, "--spec", bundled_config_path("model_p6k2"),
+              "--out", os.path.join(tmp, "fit.json")]):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded(argv[0])
+print(json.dumps(seen))
+"""
+    seen = run_fresh(code, tmp_path)
+    assert [step for step, _ in seen] == [
+        "import diffusionfa", "import diffusionfa.cli", "simulate", "rcov", "fit"]
+    assert seen == [[step, []] for step, _ in seen]
+
+
+def test_test_and_experiment_load_scipy_special_at_their_first_quantile(tmp_path, path_csv):
+    code = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+from diffusionfa.cli import main
+from diffusionfa.config import bundled_config_path
+from diffusionfa.hypothesis_test import chi2_quantile
+path, tmp = sys.argv[1:]
+seen = []
+for argv in (["test", "--data", path, "--k", "2",
+              "--spec", bundled_config_path("model_p6k2"),
+              "--out", os.path.join(tmp, "test.json")],
+             ["experiment", "--config", "table6_nonergodic",
+              "--override", "replications=2", "--out", os.path.join(tmp, "study")]):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    seen.append("scipy.special" in sys.modules)
+print(json.dumps([seen, chi2_quantile(4, 0.05)]))
+"""
+    seen, quantile = run_fresh(code, path_csv, tmp_path)
+    assert seen == [True, True]
+    assert quantile == pytest.approx(stats.chi2.isf(0.05, 4), rel=1e-12, abs=0)
 
 
 MODEL_DOC_DEFECTS = [

@@ -11,7 +11,10 @@ round every copy runs the same seed, one call after the other, in an order
 that rotates from round to round.  For each study it prints the median over
 the rounds of the CPU-time ratio t_A / t_B (above 1: the change is
 faster), its quartiles, and the same ratio t_A / t_A' of the two identical
-copies, which shows what the method reads when nothing changed.
+copies, which shows what the method reads when nothing changed.  Then it
+times 30 rounds of a fresh interpreter running ``import <copy>.cli`` for
+each copy, interleaved the same way, and prints the same two ratios of the
+child's CPU time: the start-up cost every CLI process pays.
 
 Timing the two trees in separate processes on a shared machine measures
 the load of the moment as much as the code: on a shared 2-vCPU VM the same
@@ -25,14 +28,17 @@ import contextlib
 import importlib
 import io
 import os
+import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
 STUDIES = ("table6_nonergodic", "ergodic_scaled")
 WARMUP = 3
+IMPORT_ROUNDS = 30
 
 
 def load(src, name, root):
@@ -56,6 +62,33 @@ def call(cli, study, seed, out):
     return elapsed
 
 
+def fresh_import(cli, root):
+    """CPU seconds of a fresh interpreter importing ``cli`` from ``root``."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    subprocess.run([sys.executable, "-c", f"import {cli.__name__}"], check=True,
+                   env={**os.environ, "PYTHONPATH": root})
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+
+
+def interleave(copies, rounds, timed):
+    """Median [q1, q3] of t_A / t_B and of t_A / t_A' over ``rounds`` rounds
+    of ``timed(copy, r)``, the copies taken in an order that rotates."""
+    ratios, controls = [], []
+    order = list(copies)
+    for r in range(rounds):
+        t = {key: timed(copies[key], r) for key in order[r % 3:] + order[:r % 3]}
+        ratios.append(t["A"] / t["B"])
+        controls.append(t["A"] / t["A'"])
+    return quartiles(ratios), quartiles(controls)
+
+
+def report(label, rounds, ratios, controls):
+    (b1, b2, b3), (c1, c2, c3) = ratios, controls
+    print(f"{label:<18} {rounds:>6}  {b2:.3f} [{b1:.3f}, {b3:.3f}]"
+          f"{'':<6} {c2:.3f} [{c1:.3f}, {c3:.3f}]")
+
+
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
@@ -77,16 +110,12 @@ def main(argv):
             for seed in range(WARMUP):
                 for cli in copies.values():
                     call(cli, study, seed, out)
-            ratios, controls = [], []
-            order = list(copies)
-            for r in range(rounds):
-                t = {key: call(copies[key], study, WARMUP + r, out)
-                     for key in order[r % 3:] + order[:r % 3]}
-                ratios.append(t["A"] / t["B"])
-                controls.append(t["A"] / t["A'"])
-            (b1, b2, b3), (c1, c2, c3) = quartiles(ratios), quartiles(controls)
-            print(f"{study:<18} {rounds:>6}  {b2:.3f} [{b1:.3f}, {b3:.3f}]"
-                  f"{'':<6} {c2:.3f} [{c1:.3f}, {c3:.3f}]")
+            report(study, rounds, *interleave(
+                copies, rounds, lambda cli, r: call(cli, study, WARMUP + r, out)))
+        for cli in copies.values():
+            fresh_import(cli, root)
+        report("import cli", IMPORT_ROUNDS, *interleave(
+            copies, IMPORT_ROUNDS, lambda cli, r: fresh_import(cli, root)))
 
 
 if __name__ == "__main__":
