@@ -27,8 +27,8 @@ once per (p, k)), in O(p^2 q + p q^2) without a (q, p, p) stack.
 sqrt(n) times the estimation error is asymptotically normal with covariance
 (Delta^T W^{-1} Delta)^{-1}; :func:`information` forms Delta^T W^{-1} Delta
 with one solve, for the standard errors, the BFGS precision-floor test
-(whose matrix the standard errors reuse) and the theoretical standard
-deviations of a replication study.
+and the theoretical standard deviations of a replication study; the floor
+test and the standard errors each build their own.
 
 Two box-constrained minimizers share the objective and the end-of-fit
 standard errors.  A fit without a supplied start (``init=None``) runs
@@ -168,7 +168,7 @@ def realised_cov(path):
     n = dx.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # RealisedCov judges q
         q = dx.T @ dx / (n * h)
-    return RealisedCov(q=(q + q.T) / 2.0, n=n, h=h)
+    return RealisedCov(q=q, n=n, h=h)
 
 
 def information(params):
@@ -274,8 +274,9 @@ class _Contrast:
     S = Sigma(theta)^{-1} = L^{-T} L^{-1}, L the Cholesky factor of
     Sigma(theta), and R = q - Sigma(theta), and counts it in ``evals``;
     :meth:`gradient` chains G = -(S R S + S R S R S) at that point to theta,
-    and a search calls it only at the trial it accepts.  S and G are kept,
-    so :meth:`hessian` there does not factor Sigma(theta) again.
+    and a search calls it only at the trial it accepts.  It keeps one record
+    of the last point, S and G included, so :meth:`hessian` there does not
+    factor Sigma(theta) again.
     """
 
     def __init__(self, rcov, spec):
@@ -292,15 +293,15 @@ class _Contrast:
         self.a_ff = (np.arange(self.n_a).reshape(k, 1, -1), self.ff_index[:, :, None])
         self.lam = np.vstack([np.eye(k), np.zeros((p - k, k))])
         self.evals = 0
-        self._point = None  # (x, Sigma_ff, S, S R) of the last value
-        self._last = None  # (x.tobytes(), S, G) of the last gradient
-        self._info = None  # (x.tobytes(), information) of the last one built
+        # [x, Sigma_ff, S, S R, x.tobytes(), G] of the last value; gradient
+        # fills the last two
+        self._point = None
 
     def value(self, x):
         """F at x, counted in ``evals``; raises WeightMatrixError when
         Sigma(theta) is not positive definite."""
         self.evals += 1
-        self._point = self._last = None
+        self._point = None
         k, n_a = self.spec.k, self.n_a
         self.lam[k:] = x[:n_a].reshape((self.spec.p - k, k), order="F")
         sigma_ff = x[self.ff_index]
@@ -311,29 +312,20 @@ class _Contrast:
         # ndarray.dot makes the BLAS call of @ without the ufunc dispatch
         s = chol_inv.T.dot(chol_inv)
         sr = s.dot(self.q - sigma)
-        self._point = (x, sigma_ff, s, sr)
+        self._point = [x, sigma_ff, s, sr, None, None]
         return 0.5 * float(np.add.reduce(sr * sr.T, axis=None))
 
     def gradient(self):
         """The gradient of F at the point of the last :meth:`value`."""
-        x, sigma_ff, s, sr = self._point
+        x, sigma_ff, s, sr, _, _ = self._point
         srs = sr.dot(s)
         g = -(srs + sr.dot(srs))
-        self._last = (x.tobytes(), s, g)
+        self._point[4:] = x.tobytes(), g
         return gradient_from_blocks(g, self.lam, sigma_ff, self.ff_flat, self.weights)
 
     def evaluate(self, x):
         """F and its gradient at x, one evaluation."""
         return self.value(x), self.gradient()
-
-    def information(self, x, params=None):
-        """:func:`information` at x, kept for the last x: the standard errors
-        of a fit reuse the one its BFGS floor test built.  ``params`` is x
-        unpacked, when the caller already holds it."""
-        if self._info is None or self._info[0] != x.tobytes():
-            self._info = (x.tobytes(), information(
-                unpack(x, self.spec) if params is None else params))
-        return self._info[1]
 
     def hessian(self, x):
         """Exact Hessian of F at x,
@@ -349,9 +341,9 @@ class _Contrast:
         (A[r, s], Sigma_ff[s, c]).  S and G are those of the last evaluation
         when it was at x.
         """
-        if self._last is None or self._last[0] != x.tobytes():
+        if self._point is None or self._point[4] != x.tobytes():
             self.evaluate(x)
-        _, s, g = self._last
+        _, _, s, _, _, g = self._point
         g = (g + g.T) / 2.0
         k, n_a = self.spec.k, self.n_a
         sigma_ff = x[self.ff_index]
@@ -470,7 +462,7 @@ def _bfgs(objective, x, f, g, lo, hi):
     # a safety factor of that bound the point is converged to machine
     # resolution even though the nominal tolerance is unmet
     try:
-        lam_max = float(np.linalg.eigvalsh(2.0 * objective.information(x))[-1])
+        lam_max = float(np.linalg.eigvalsh(2.0 * information(unpack(x, objective.spec)))[-1])
     except WeightMatrixError:
         return x, f, g, iterations, False, plain
     floor = math.sqrt(2.0 * max(lam_max, 1.0) * _EPS * (1.0 + abs(f)))
@@ -580,7 +572,7 @@ def fit(rcov, spec, init=None, bounds=None):
         pg_norm = _pg_norm(x, g, lo, hi)
         theta_hat = unpack(x, spec)
         try:
-            info = objective.information(x, theta_hat)
+            info = information(theta_hat)
             try:
                 avar = np.linalg.inv(info)
             except np.linalg.LinAlgError:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .estimator import FitResult, fit
 from .model import ModelSpec, UntestableError
 
@@ -35,13 +37,16 @@ def chi2_sf(df, x):
 
 
 def chi2_quantile(df, alpha):
-    """Upper alpha point: the x with chi2_sf(df, x) == alpha."""
+    """Upper alpha point: the x with chi2_sf(df, x) == alpha; a float for a
+    scalar alpha, an array of points for an array of levels."""
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    if not 0.0 < alpha < 1.0:
+    levels = np.asarray(alpha, dtype=float)
+    if not ((levels > 0.0) & (levels < 1.0)).all():
         raise ValueError("alpha must lie strictly between 0 and 1")
     from scipy.special import chdtri
-    return float(chdtri(df, alpha))
+    x = chdtri(df, levels)
+    return x if x.ndim else float(x)
 
 
 @dataclass(frozen=True)

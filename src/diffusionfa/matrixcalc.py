@@ -24,13 +24,15 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+_SYMMETRY_RTOL = 1e-10
 
-def require_symmetric(a, rtol=1e-10, name="matrix"):
+
+def require_symmetric(a, name="matrix"):
     """Validate that ``a`` is square and symmetric within tolerance.
 
-    Asymmetry up to ``rtol * (1 + max|a_ij|)`` is repaired by averaging
-    with the transpose (realised covariances accumulate rounding); larger
-    asymmetry raises ``ValueError``.
+    Asymmetry up to ``_SYMMETRY_RTOL * (1 + max|a_ij|)`` is repaired by
+    averaging with the transpose (realised covariances accumulate rounding);
+    larger asymmetry raises ``ValueError``.
 
     Returns the (symmetrized) array as float64, inf where that overflows.
     """
@@ -40,10 +42,10 @@ def require_symmetric(a, rtol=1e-10, name="matrix"):
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.max(np.abs(a - a.T)) if a.size else 0.0
         scale = 1.0 + (np.max(np.abs(a)) if a.size else 0.0)
-        if gap > rtol * scale:
+        if gap > _SYMMETRY_RTOL * scale:
             raise ValueError(
                 f"{name} is not symmetric: max|a_ij - a_ji| = {gap:.3e} "
-                f"exceeds tolerance {rtol * scale:.3e}"
+                f"exceeds tolerance {_SYMMETRY_RTOL * scale:.3e}"
             )
         return (a + a.T) / 2.0
 

@@ -303,7 +303,7 @@ def figure_data(agg, statistic):
                if row.name == statistic)
     standardized = (draws - row.true_value) / row.theoretical_sd
     if statistic.startswith("tstat:"):  # its true value is its df
-        ref = np.array([chi2_quantile(row.true_value, 1.0 - pr) for pr in probs])
+        ref = chi2_quantile(row.true_value, 1.0 - probs)
     else:
         from scipy.special import ndtri
         ref = ndtri(probs)

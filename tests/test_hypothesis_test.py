@@ -46,11 +46,22 @@ def test_chi2_against_scipy_oracle():
                 stats.chi2.isf(alpha, df), rel=1e-9)
 
 
+def test_chi2_quantile_of_levels_equals_the_scalar_loop():
+    # figure_data's reference column is one call over the midpoint grid
+    for df in (4, 8, 133):
+        for R in (1, 7, 1000):
+            levels = 1.0 - (np.arange(1, R + 1) - 0.5) / R
+            loop = np.array([chi2_quantile(df, alpha) for alpha in levels])
+            assert np.array_equal(chi2_quantile(df, levels), loop)
+    assert type(chi2_quantile(4, 0.05)) is float
+
+
 def test_chi2_domain_errors():
     with pytest.raises(ValueError):
         chi2_quantile(0, 0.05)
-    with pytest.raises(ValueError):
-        chi2_quantile(4, 0.0)
+    for alpha in (0.0, np.nan, np.array([0.5, 1.0]), np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="strictly between"):
+            chi2_quantile(4, alpha)
     with pytest.raises(ValueError):
         chi2_sf(4, -1.0)
 

@@ -156,15 +156,24 @@ def test_derivative_factors_from_the_template_equal_the_column_blocks(data):
 @BOUNDED
 @given(st.data())
 def test_hessian_on_one_objective_equals_a_fresh_one_at_each_point(data):
-    # the cached S, G and index maps of one objective carry nothing from one
-    # point to the next, whichever point it evaluated last
+    # the record of one objective's last point carries nothing from one point
+    # to the next, whichever point it evaluated last; the Hessian reuses it at
+    # that point and costs one evaluation anywhere else
     spec, params, rcov = positive_definite_problem(data, max_p=7)
     points = [pack(params)] + [pack(positive_definite_params(data, spec))
                                for _ in range(data.draw(st.integers(1, 3)))]
-    objective = _Contrast(rcov, spec)
+    objective, last = _Contrast(rcov, spec), None
     for x in points + points[:1]:
+        evals = objective.evals
         assert np.array_equal(objective.hessian(x), _Contrast(rcov, spec).hessian(x))
+        assert objective.evals - evals == (last is None or x.tobytes() != last.tobytes())
         objective.evaluate(points[-1])
+        last = points[-1]
+    # F alone forms no G, so the Hessian there evaluates again
+    objective.value(last)
+    evals = objective.evals
+    objective.hessian(last)
+    assert objective.evals == evals + 1
 
 
 @BOUNDED
