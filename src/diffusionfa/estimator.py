@@ -154,10 +154,9 @@ def realised_cov(path):
     x = np.asarray(path.x, dtype=float)
     if x.shape[0] < 2:
         raise ValueError("need at least 2 observations to form increments")
-    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=1))
-    if bad.size:
-        raise ValueError(f"observation row {bad[0]} (t={path.times[bad[0]]!r}) "
-                         "is not finite")
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+        raise ValueError(f"observation row {bad} (t={path.times[bad]!r}) is not finite")
     h = path.h
     steps = np.diff(path.times)
     bad = np.flatnonzero(~(np.abs(steps - h) < 1e-6 * h))

@@ -20,6 +20,7 @@ from diffusionfa import (
     sigma_of_theta,
     simulate,
 )
+from diffusionfa import sde
 from diffusionfa.sde import _affine_scan, _rng_streams
 
 from conftest import (
@@ -107,6 +108,17 @@ def test_factor_stream_independent_of_p():
     assert np.array_equal(small.e, large.e[:, :6])
 
 
+@pytest.mark.parametrize("seed", [0, 77, 2**63 + 5])
+def test_rng_streams_are_the_named_substreams(seed):
+    # bitwise the streams spawned from a root SeedSequence's entropy
+    entropy = np.random.SeedSequence(seed).entropy
+    factor, uniques = _rng_streams(seed, 3)
+    for g, key in zip((factor, *uniques), [(0,), (1, 0), (1, 1), (1, 2)]):
+        named = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy, spawn_key=key)))
+        assert np.array_equal(g.standard_normal(1000), named.standard_normal(1000))
+
+
 def test_increment_covariance_approaches_structure(truth):
     cfg = make_sim_config(n=20000, h=1e-4, seed=7)
     path = simulate(cfg)
@@ -179,22 +191,25 @@ def test_mixed_custom_and_linear_drifts_match_linear_config(substeps):
     assert np.max(np.abs(loop.x - linear.x)) <= 1e-12 * np.max(np.abs(linear.x))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 16, 17, 101])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 16, 17, 101, 4097, 10000])
 def test_affine_scan_matches_recursion(m):
+    # 4097 and 10000 recurse four levels, down to a block run directly.  I + step
+    # can have an eigenvalue above 1 (1.026 at m = 10000), so the shifted step,
+    # contracting like a simulated one, is checked too
     rng = np.random.default_rng(m)
     step = -0.1 * rng.uniform(size=(4, 4))
     z0 = rng.standard_normal(4)
     u = rng.standard_normal((m, 4))
-    z, expected = z0, []
-    for ut in u:
-        z = z + step @ z + ut
-        expected.append(z)
 
     def fill(out):
-        out[...] = u
-        return out
+        out[...] = u.T
 
-    assert np.allclose(_affine_scan(step, z0, m, fill), expected, rtol=1e-13, atol=1e-13)
+    for a in (step, step - 0.2 * np.eye(4)):
+        z, expected = z0, []
+        for ut in u:
+            z = z + a @ z + ut
+            expected.append(z)
+        assert np.allclose(_affine_scan(a, z0, m, fill).T, expected, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [1000, 10000])
@@ -209,6 +224,20 @@ def test_linear_ou_scan_matches_euler_loop(n, substeps):
     again = simulate(cfg, keep_latent=True)
     for name in ("x", "f", "e"):
         assert np.array_equal(getattr(fast, name), getattr(again, name))
+
+
+def test_scan_across_noise_chunks_matches_euler_loop(monkeypatch):
+    # 15,000 substeps in chunks of 3,999, the last one partial: each chunk
+    # starts from the state the previous one left, on the same noise
+    cfg = make_sim_config(n=5000, seed=41, substeps=3)
+    whole = simulate(cfg, keep_latent=True)
+    monkeypatch.setattr(sde, "_NOISE_CHUNK", 4000)
+    fast = simulate(cfg, keep_latent=True)
+    loop = simulate(_custom_twin(cfg), keep_latent=True)
+    tol = 1e-12 * np.max(np.abs(loop.x))
+    for name in ("x", "f", "e"):
+        assert np.max(np.abs(getattr(fast, name) - getattr(loop, name))) <= tol
+        assert np.max(np.abs(getattr(fast, name) - getattr(whole, name))) <= tol
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
