@@ -26,9 +26,8 @@ the Hessian is built from the rank-2 factors of dSigma/dtheta
 once per (p, k)), in O(p^2 q + p q^2) without a (q, p, p) stack.
 sqrt(n) times the estimation error is asymptotically normal with covariance
 (Delta^T W^{-1} Delta)^{-1}; :func:`information` forms Delta^T W^{-1} Delta
-with one solve, for the standard errors, the BFGS precision-floor test
-and the theoretical standard deviations of a replication study; the floor
-test and the standard errors each build their own.
+with one solve: once per fit, for the standard errors and the BFGS
+precision-floor test, and for the theoretical standard deviations of a study.
 
 Two box-constrained minimizers share the objective and the end-of-fit
 standard errors.  A fit without a supplied start (``init=None``) runs
@@ -82,6 +81,12 @@ _DECREMENT_TOL = 1e-10
 _GRAD_TOL = 1e-8
 _MAX_ITER = 2000
 _MAX_EVALS = 12000
+# each BFGS stall, and its message when fit finds it at the floating-point floor
+_FLOOR_STOPS = {
+    "max iterations reached": "iteration cap at the floating-point floor",
+    "evaluation budget exhausted": "evaluation budget reached at the floating-point floor",
+    "line search failed to make progress": "descent exhausted at the floating-point floor",
+}
 
 
 @dataclass(frozen=True)
@@ -405,7 +410,8 @@ def _arc_search(objective, x, d, lo, hi, alpha, accept):
 def _bfgs(objective, x, f, g, lo, hi):
     """Projected BFGS with Armijo backtracking; the loop for supplied starts.
 
-    Returns (x, f, g, iterations, converged, message).
+    Returns (x, f, g, iterations, converged, message); only the tolerance
+    exit converges, and :func:`fit` tests the stalls against the float64 floor.
     """
     identity = np.eye(objective.spec.q)
     h_inv, h_fresh, first_update = identity, True, True
@@ -421,13 +427,10 @@ def _bfgs(objective, x, f, g, lo, hi):
     while True:
         if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
             return x, f, g, iterations, True, "projected gradient within tolerance"
-        # each exit names itself plainly, and as met at the floating-point floor
         if iterations >= _MAX_ITER:
-            plain, floor_stop = "max iterations reached", "iteration cap"
-            break
+            return x, f, g, iterations, False, "max iterations reached"
         if objective.evals >= _MAX_EVALS:
-            plain, floor_stop = "evaluation budget exhausted", "evaluation budget reached"
-            break
+            return x, f, g, iterations, False, "evaluation budget exhausted"
         iterations += 1
         d = (-h_inv).dot(g)
         if d.dot(g) > -1e-14 * math.sqrt(d.dot(d)) * math.sqrt(g.dot(g)):
@@ -441,8 +444,7 @@ def _bfgs(objective, x, f, g, lo, hi):
             found = _arc_search(objective, x, -g, lo, hi, 1.0, sufficient)
         if found is None:
             # x, f and g are those the loop head found outside the tolerance
-            plain, floor_stop = "line search failed to make progress", "descent exhausted"
-            break
+            return x, f, g, iterations, False, "line search failed to make progress"
 
         y = found[2] - g
         x, f, g, step = found
@@ -456,18 +458,6 @@ def _bfgs(objective, x, f, g, lo, hi):
             h_inv = v.dot(h_inv).dot(v.T) + rho * (step[:, None] * step)
             h_fresh = False
         pg_norm = _pg_norm(x, g, lo, hi)
-
-    # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64; within
-    # a safety factor of that bound the point is converged to machine
-    # resolution even though the nominal tolerance is unmet
-    try:
-        lam_max = float(np.linalg.eigvalsh(2.0 * information(unpack(x, objective.spec)))[-1])
-    except WeightMatrixError:
-        return x, f, g, iterations, False, plain
-    floor = math.sqrt(2.0 * max(lam_max, 1.0) * _EPS * (1.0 + abs(f)))
-    if pg_norm <= 10.0 * floor:
-        return x, f, g, iterations, True, f"{floor_stop} at the floating-point floor"
-    return x, f, g, iterations, False, plain
 
 
 def _projected_newton(objective, x, f, g, lo, hi):
@@ -535,9 +525,11 @@ def fit(rcov, spec, init=None, bounds=None):
     exact Hessian.  A fit that exhausts its iteration or evaluation cap
     (``_MAX_ITER``, ``_MAX_EVALS``) or stalls before meeting its
     convergence test is returned with ``converged=False`` rather than
-    raised.  Raises UntestableError when the count has more parameters q
-    than the p(p+1)/2 moments, and StartError when the start fails
-    :func:`check_start` or its contrast is not finite.
+    raised; a BFGS stall whose projected gradient is within ten times its
+    float64 floor, from the information of the standard errors, converges
+    ``at the floating-point floor``.  Raises UntestableError when the count
+    has more parameters q than the p(p+1)/2 moments, and StartError when
+    the start fails :func:`check_start` or its contrast is not finite.
     """
     if spec.df < 0:
         raise UntestableError(f"k={spec.k} at p={spec.p} has q={spec.q} "
@@ -572,6 +564,13 @@ def fit(rcov, spec, init=None, bounds=None):
         theta_hat = unpack(x, spec)
         try:
             info = information(theta_hat)
+            if message in _FLOOR_STOPS:
+                # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64;
+                # within a safety factor of it the point is converged
+                lam_max = float(np.linalg.eigvalsh(2.0 * info)[-1])
+                floor = math.sqrt(2.0 * max(lam_max, 1.0) * _EPS * (1.0 + abs(f)))
+                if pg_norm <= 10.0 * floor:
+                    converged, message = True, _FLOOR_STOPS[message]
             try:
                 avar = np.linalg.inv(info)
             except np.linalg.LinAlgError:

@@ -50,16 +50,16 @@ def require_symmetric(a, name="matrix"):
         return (a + a.T) / 2.0
 
 
+@np.errstate(all="ignore", invalid="raise")  # numpy 2 sets it per call: re-entrant
 def inverse_cholesky(a):
     """``np.linalg.inv(np.linalg.cholesky(a))`` of a float64 matrix, bit for
     bit, or None where that raises: ``a`` is not positive definite."""
     # the gufuncs flag exactly the failures numpy.linalg turns into LinAlgError
-    with np.errstate(all="ignore", invalid="raise"):
-        try:
-            return _umath_linalg.inv(_umath_linalg.cholesky_lo(a, signature="d->d"),
-                                     signature="d->d")
-        except FloatingPointError:
-            return None
+    try:
+        return _umath_linalg.inv(_umath_linalg.cholesky_lo(a, signature="d->d"),
+                                 signature="d->d")
+    except FloatingPointError:
+        return None
 
 
 def eigh(a):

@@ -378,21 +378,54 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     assert np.array_equal(g_try, g_ref)
 
 
-def test_bfgs_stall_at_the_floating_point_floor_is_converged(monkeypatch):
+def _floor_stall_case():
     # the bundled system at seed 1, fit from the bundled model's parameters:
     # the search stalls with the projected gradient inside its float64 floor
     doc = load_json(bundled_config_path("system_p6k2"))
     rc = realised_cov(simulate(sim_config_from_json(dict(doc, seed=1), path="")))
     spec, params = model_from_json(load_json(bundled_config_path("model_p6k2")))
+    return rc, replace(spec, n=rc.n, h=rc.h), params
+
+
+def test_bfgs_stall_at_the_floating_point_floor_is_converged(monkeypatch):
+    rc, spec, params = _floor_stall_case()
     built = []
     monkeypatch.setattr(estimator, "weight_matrix",
                         lambda sigma: built.append(None) or weight_matrix(sigma))
-    res = fit(rc, replace(spec, n=rc.n, h=rc.h), init=params)
+    res = fit(rc, spec, init=params)
     assert res.converged
     assert res.message == "descent exhausted at the floating-point floor"
-    # the floor test and the standard errors each build their own information
-    assert len(built) == 2
+    # fit tests the floor on the information it builds for the standard errors
+    assert len(built) == 1
     assert np.array_equal(res.avar, np.linalg.inv(information(res.theta_hat)))
+
+
+def test_only_a_bfgs_stall_at_its_floor_converges(monkeypatch):
+    rc, spec, params = _floor_stall_case()
+    box = default_bounds(rc, spec)
+    objective = _Contrast(rc, spec)
+    x = pack(params)
+    # the loop itself names the stall plainly and never converges it
+    stop = estimator._bfgs(objective, x, *objective.evaluate(x), box[:, 0], box[:, 1])
+    assert stop[4:] == (False, "line search failed to make progress")
+    # the same stall without a PD weight matrix at the estimate stays plain
+    def not_pd(params):
+        raise WeightMatrixError("model covariance is not positive definite")
+
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "information", not_pd)
+        res = fit(rc, spec, init=params)
+    assert not res.converged
+    assert res.message == ("line search failed to make progress; "
+                           "weight matrix not PD at the estimate")
+    assert np.isnan(res.se).all()
+    # an iteration cap far from the floor stays unconverged, and Newton's
+    # stops are never rescued
+    monkeypatch.setattr(estimator, "_MAX_ITER", 2)
+    res = fit(rc, spec, init=params)
+    assert (res.converged, res.message) == (False, "max iterations reached")
+    res = fit(rc, spec)
+    assert (res.converged, res.message) == (False, "max_iter")
 
 
 def _clipped_default_start(rc, spec):

@@ -133,3 +133,22 @@ def test_inverse_cholesky_is_none_exactly_where_numpy_raises(entry, value):
         assert got is None
     else:
         assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_inverse_cholesky_leaves_the_caller_error_state():
+    # the decorator's error state holds inside the call alone, whatever the
+    # caller's, and a failure is still None under a caller that raises on all
+    indefinite = SIGMA_TRUE.copy()
+    indefinite[0, 0] = -1.0
+    before = np.geterr()
+    assert inverse_cholesky(SIGMA_TRUE) is not None
+    assert np.geterr() == before
+    assert inverse_cholesky(indefinite) is None
+    assert np.geterr() == before
+    with np.errstate(all="raise"):
+        raising = np.geterr()
+        assert inverse_cholesky(indefinite) is None
+        assert np.geterr() == raising
+        assert inverse_cholesky(SIGMA_TRUE) is not None
+        assert np.geterr() == raising
+    assert np.geterr() == before

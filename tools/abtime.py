@@ -11,10 +11,12 @@ round every copy runs the same seed, one call after the other, in an order
 that rotates from round to round.  For each study it prints the median over
 the rounds of the CPU-time ratio t_A / t_B (above 1: the change is
 faster), its quartiles, and the same ratio t_A / t_A' of the two identical
-copies, which shows what the method reads when nothing changed.  Then it
-times 30 rounds of a fresh interpreter running ``import <copy>.cli`` for
-each copy, interleaved the same way, and prints the same two ratios of the
-child's CPU time: the start-up cost every CLI process pays.
+copies, which shows what the method reads when nothing changed, then the
+median minor page faults per call of A, B and A' (the ``ru_minflt`` delta
+of this process around each call).  Then it times 30 rounds of a fresh
+interpreter running ``import <copy>.cli`` for each copy, interleaved the
+same way, and prints the same ratios of the child's CPU time and the
+child's median minor page faults: the start-up cost every CLI process pays.
 
 Timing the two trees in separate processes on a shared machine measures
 the load of the moment as much as the code: on a shared 2-vCPU VM the same
@@ -49,44 +51,55 @@ def load(src, name, root):
 
 
 def call(cli, study, seed, out):
-    """CPU seconds of one one-replication ``experiment`` call."""
+    """CPU seconds and minor page faults of one one-replication ``experiment`` call."""
     config = os.path.join(os.path.dirname(cli.__file__), "configs", f"{study}.json")
     argv = ["experiment", "--config", config, "--override", "replications=1",
             "--seed", str(seed), "--out", out]
     with contextlib.redirect_stdout(io.StringIO()):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.process_time()
         code = cli.main(argv)
         elapsed = time.process_time() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if code != 0:
         raise SystemExit(f"{cli.__name__} {study} seed {seed} exited {code}")
-    return elapsed
+    return elapsed, faults
 
 
 def fresh_import(cli, root):
-    """CPU seconds of a fresh interpreter importing ``cli`` from ``root``."""
+    """CPU seconds and minor page faults of a fresh interpreter importing
+    ``cli`` from ``root``."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     subprocess.run([sys.executable, "-c", f"import {cli.__name__}"], check=True,
                    env={**os.environ, "PYTHONPATH": root})
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    return ((after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
+            after.ru_minflt - before.ru_minflt)
 
 
-def interleave(copies, rounds, timed):
+def interleave(copies, rounds, measure):
     """Median [q1, q3] of t_A / t_B and of t_A / t_A' over ``rounds`` rounds
-    of ``timed(copy, r)``, the copies taken in an order that rotates."""
+    of ``measure(copy, r)`` -> (t, faults), the copies taken in an order that
+    rotates, and the median faults of each copy."""
     ratios, controls = [], []
+    faults = {key: [] for key in copies}
     order = list(copies)
     for r in range(rounds):
-        t = {key: timed(copies[key], r) for key in order[r % 3:] + order[:r % 3]}
+        t = {}
+        for key in order[r % 3:] + order[:r % 3]:
+            t[key], minflt = measure(copies[key], r)
+            faults[key].append(minflt)
         ratios.append(t["A"] / t["B"])
         controls.append(t["A"] / t["A'"])
-    return quartiles(ratios), quartiles(controls)
+    return (quartiles(ratios), quartiles(controls),
+            {key: statistics.median(n) for key, n in faults.items()})
 
 
-def report(label, rounds, ratios, controls):
+def report(label, rounds, ratios, controls, faults):
     (b1, b2, b3), (c1, c2, c3) = ratios, controls
+    minflt = " / ".join(f"{faults[key]:g}" for key in ("A", "B", "A'"))
     print(f"{label:<18} {rounds:>6}  {b2:.3f} [{b1:.3f}, {b3:.3f}]"
-          f"{'':<6} {c2:.3f} [{c1:.3f}, {c3:.3f}]")
+          f"{'':<6} {c2:.3f} [{c1:.3f}, {c3:.3f}]{'':<7} {minflt}")
 
 
 def quartiles(values):
@@ -105,7 +118,7 @@ def main(argv):
                   "B": load(change, "dfa_b", root)}
         out = os.path.join(root, "out")
         print(f"{'study':<18} {'rounds':>6}  {'A/B median [q1, q3]':<26} "
-              f"{'A/A control median [q1, q3]'}")
+              f"{'A/A control median [q1, q3]':<33} minflt A / B / A'")
         for study in STUDIES:
             for seed in range(WARMUP):
                 for cli in copies.values():
