@@ -40,7 +40,7 @@ from .config import (
 )
 from .estimator import RealisedCov, default_bounds, fit, realised_cov
 from .hypothesis_test import UntestableError, select_k, test_k
-from .model import StartError, pack
+from .model import StartError
 from .montecarlo import experiment_from_json, run, write_outputs
 from .sde import (
     SimulationError,
@@ -148,8 +148,7 @@ def _fit_report(result):
         f"contrast: {result.contrast:.6e}   n*contrast: {result.n * result.contrast:.4f}",
         f"{'coord':>6} {'estimate':>12} {'se':>10}",
     ]
-    theta = pack(result.theta_hat)
-    for j, (est, se) in enumerate(zip(theta, result.se), start=1):
+    for j, (est, se) in enumerate(zip(result.theta, result.se), start=1):
         lines.append(f"{j:>6} {est:>12.4f} {se:>10.4f}")
     if result.sigma_ff_min_eig < 0 or result.min_unique_variance <= 0:
         lines.append(
@@ -160,7 +159,7 @@ def _fit_report(result):
 
 def _fit_json(result):
     return {
-        "theta": [float(v) for v in pack(result.theta_hat)],
+        "theta": [float(v) for v in result.theta],
         "se": [float(v) for v in result.se],
         "contrast": result.contrast,
         "converged": result.converged,

@@ -60,10 +60,8 @@ from .model import (
     UntestableError,
     WeightMatrixError,
     delta_jacobian,
-    gradient_from_blocks,
     pack,
     sigma_derivative_factors,
-    sigma_ff_min_eigenvalue,
     sigma_from_blocks,
     sigma_of_theta,
     unpack,
@@ -278,9 +276,9 @@ class _Contrast:
     S = Sigma(theta)^{-1} = L^{-T} L^{-1}, L the Cholesky factor of
     Sigma(theta), and R = q - Sigma(theta), and counts it in ``evals``;
     :meth:`gradient` chains G = -(S R S + S R S R S) at that point to theta,
-    and a search calls it only at the trial it accepts.  It keeps one record
-    of the last point, S and G included, so :meth:`hessian` there does not
-    factor Sigma(theta) again.
+    block by block in O(p^2 k); a search calls it only at the trial it
+    accepts.  It keeps one record of the last point, S and G included, so
+    :meth:`hessian` there does not factor Sigma(theta) again.
     """
 
     def __init__(self, rcov, spec):
@@ -289,6 +287,7 @@ class _Contrast:
         self.spec = spec
         self.n_a = (p - k) * k
         rows, cols = vech_indices(k)
+        # vech Sigma_ff: flat k x k positions, chain-rule weights (2 off the diagonal)
         self.ff_flat = rows * k + cols
         self.weights = np.where(rows == cols, 1.0, 2.0)
         # packed position of each Sigma_ff entry
@@ -320,12 +319,20 @@ class _Contrast:
         return 0.5 * float(np.add.reduce(sr * sr.T, axis=None))
 
     def gradient(self):
-        """The gradient of F at the point of the last :meth:`value`."""
+        """The gradient of F at the point of the last :meth:`value`, the chain
+        rule sum_{r,c} G[r, c] dSigma[r, c]/dtheta_i."""
         x, sigma_ff, s, sr, _, _ = self._point
         srs = sr.dot(s)
         g = -(srs + sr.dot(srs))
+        g = (g + g.T) / 2.0  # exactly symmetric, for this sum and the Hessian
         self._point[4:] = x.tobytes(), g
-        return gradient_from_blocks(g, self.lam, sigma_ff, self.ff_flat, self.weights)
+        p, k, n_a, lam = self.spec.p, self.spec.k, self.n_a, self.lam
+        out = np.empty(x.size)
+        # vec of the (p - k) x k A block is the C order of its transpose
+        np.multiply(2.0, g.dot(lam).dot(sigma_ff)[k:].T, out=out[:n_a].reshape(k, p - k))
+        np.multiply(self.weights, lam.T.dot(g).dot(lam).take(self.ff_flat), out=out[n_a:-p])
+        out[-p:] = g.diagonal()
+        return out
 
     def evaluate(self, x):
         """F and its gradient at x, one evaluation."""
@@ -348,7 +355,6 @@ class _Contrast:
         if self._point is None or self._point[4] != x.tobytes():
             self.evaluate(x)
         _, _, s, _, _, g = self._point
-        g = (g + g.T) / 2.0
         k, n_a = self.spec.k, self.n_a
         sigma_ff = x[self.ff_index]
         u, v, w = sigma_derivative_factors(self.lam, sigma_ff)
@@ -593,7 +599,7 @@ def fit(rcov, spec, init=None, bounds=None):
         evaluations=objective.evals,
         gradient_norm=pg_norm,
         n=rcov.n,
-        sigma_ff_min_eig=sigma_ff_min_eigenvalue(theta_hat),
+        sigma_ff_min_eig=float(np.linalg.eigvalsh(theta_hat.sigma_ff)[0]),
         min_unique_variance=float(np.min(theta_hat.sigma_ee)),
         message=message,
     )

@@ -14,7 +14,8 @@ first derivative of Sigma is rank 2,
 
 and :func:`sigma_derivative_factors`, whose constant columns are built once
 per (p, k), is the one description of them: the Jacobian Delta of vech
-Sigma(theta) and the Hessian of the contrast are both built from them.
+Sigma(theta) and the Hessian of the contrast are both built from them; the
+contrast chains its own gradient, one contraction per block.
 """
 
 from __future__ import annotations
@@ -240,34 +241,8 @@ def sigma_derivative_factors(lam, sigma_ff):
     return u, v, w
 
 
-def gradient_from_blocks(g, lam, sigma_ff, ff_flat, weights):
-    """Contract a p x p matrix g with every dSigma/dtheta_i: the chain rule
-    sum_{r,c} g[r, c] dSigma[r, c]/dtheta_i from a derivative in Sigma to
-    theta, in O(p^2 k).  ``ff_flat`` holds the flat k x k positions of
-    vech Sigma_ff and ``weights`` its chain-rule weights (1 on the diagonal,
-    2 off it); only the symmetric part of g enters."""
-    p, k = lam.shape
-    n_a = (p - k) * k
-    g = (g + g.T) / 2.0
-    out = np.empty(n_a + weights.size + p)
-    # vec of the (p - k) x k A block is the C order of its transpose
-    np.multiply(2.0, g.dot(lam).dot(sigma_ff)[k:].T, out=out[:n_a].reshape(k, p - k))
-    np.multiply(weights, lam.T.dot(g).dot(lam).take(ff_flat), out=out[n_a:-p])
-    out[-p:] = g.diagonal()
-    return out
-
-
 def delta_jacobian(params):
     """Analytic Jacobian of vech Sigma(theta) in theta, shape (pbar, q)."""
     u, v, w = sigma_derivative_factors(loading_matrix(params), params.sigma_ff)
     rows, cols = vech_indices(params.p)
     return w * (u[rows] * v[cols] + v[rows] * u[cols])
-
-
-def sigma_ff_min_eigenvalue(params):
-    """Smallest eigenvalue of the factor covariance block.
-
-    Negative values indicate a boundary (Heywood-style) solution; fits
-    surface this as a diagnostic rather than constraining the search.
-    """
-    return float(np.linalg.eigvalsh(params.sigma_ff)[0])

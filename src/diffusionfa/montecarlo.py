@@ -49,8 +49,9 @@ class Experiment:
     ``keep_draws`` lists statistic keys (e.g. ``theta:1``, ``rcov:1,1``,
     ``tstat:2``) whose raw replication draws are retained for figure data;
     ``all`` retains everything.  Every field is checked on construction
-    (see docs/file-formats.md), the truth by :func:`estimator.check_start`;
-    a bad one raises :class:`ConfigError`.
+    (see docs/file-formats.md), the truth by :func:`estimator.check_start`
+    and for an information matrix of full rank; a bad one raises
+    :class:`ConfigError`.
     """
 
     sim: SimConfig
@@ -104,6 +105,15 @@ class Experiment:
                         fields="sim.factor_dispersion and sim.unique_dispersions")
         except StartError as exc:
             raise ConfigError(str(exc)) from None
+        # ... and an identified truth, whose information they invert
+        with np.errstate(over="ignore", invalid="ignore"):  # judged finite below
+            info = information(self.truth)
+        rank = np.linalg.matrix_rank(info) if np.isfinite(info).all() else -1
+        if rank < spec.q:
+            raise ConfigError(
+                "truth of sim.a, sim.factor_dispersion and sim.unique_dispersions is "
+                "not identified: its information matrix " + (
+                    f"has rank {rank} of q={spec.q}" if rank >= 0 else "is not finite"))
         # theta draws exist only when the generating count is fit
         fitted_q = spec.q if spec.k in k_grid else 0
         known = set(_moment_names(spec.p, fitted_q))

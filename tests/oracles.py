@@ -83,7 +83,7 @@ def sigma_gradient_contract(params, g):
     so only the symmetric part of ``g`` enters.
     """
     # the three blocks gathered by index pairs and concatenated: a second
-    # route to model.gradient_from_blocks, which writes them into one buffer
+    # route to estimator._Contrast.gradient, which writes them into one buffer
     g = (g + g.T) / 2.0
     lam = loading_matrix(params)
     rows, cols = vech_indices(params.k)

@@ -222,6 +222,39 @@ def test_test_subcommand_decision(tmp_path, path_csv, model_doc, capsys):
     assert "->" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, header, expected", [
+    (["fit"], "coord,estimate,se",
+     lambda doc: [(j, est, se) for j, (est, se)
+                  in enumerate(zip(doc["theta"], doc["se"]), start=1)]),
+    (["test", "--k", "2"], "k,statistic,df,critical,p_value,reject",
+     lambda doc: [(doc["k"], doc["statistic"], doc["df"], doc["critical"],
+                   doc["p_value"], doc["reject"])]),
+    (["select"], "k,statistic,df,critical,decision",
+     lambda doc: [(t["k"], t["statistic"], t["df"], t["critical"],
+                   "reject" if t["reject"] else "accept") for t in doc["trail"]]),
+], ids=["fit", "test", "select"])
+def test_csv_report_carries_the_json_report_numbers(tmp_path, path_csv, model_doc,
+                                                    command, header, expected):
+    reports = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        code = main([command[0], "--data", path_csv, "--spec", model_doc, *command[1:],
+                     "--format", fmt, "--out", str(out)])
+        assert code in (0, 3)
+        reports[fmt] = out.read_text()
+    lines = reports["csv"].splitlines()
+    assert lines[0] == header
+    rows = [line.split(",") for line in lines[1:]]
+    want = expected(json.loads(reports["json"]))
+    assert len(want) >= 1 and [len(row) for row in rows] == [len(ref) for ref in want]
+    for row, ref in zip(rows, want):
+        for got, value in zip(row, ref):
+            if isinstance(value, (bool, str)):
+                assert got == str(value)
+            else:  # floats in shortest round-trip form, so equal exactly
+                assert float(got) == value
+
+
 def test_untestable_k_exits_4(tmp_path, path_csv, model_doc, capsys):
     out = str(tmp_path / "test.json")
     code = main(["test", "--data", path_csv, "--spec", model_doc,
@@ -815,6 +848,34 @@ def test_singular_truth_exits_2_without_the_generating_count(tmp_path, monkeypat
     assert code == 2
     assert ("truth Sigma(theta) of sim.factor_dispersion and sim.unique_dispersions"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("config, overrides, needle", [
+    ("table6_nonergodic", ["sim.a=[[0,0],[0,0],[0,0],[0,0]]"], "has rank 15 of q=17"),
+    ("table6_nonergodic", ["sim.a=[[1,1],[1,1],[1,1],[1,1]]"], "has rank 16 of q=17"),
+    # a unique variance of 1e200 overflows W; one of 1e400 is infinite already
+    ("ergodic_scaled", ["k_grid=[1]", "keep_draws=[]",
+                        "sim.unique_dispersions=[1e100, 1, 1, 1, 1, 1]"],
+     "has rank 14 of q=17"),
+    ("ergodic_scaled", ["k_grid=[1]", "keep_draws=[]",
+                        "sim.unique_dispersions=[1e200, 1, 1, 1, 1, 1]"], "is not finite"),
+], ids=["zero", "collinear", "overflowing", "infinite"])
+def test_non_identified_truth_exits_2_before_simulating(tmp_path, monkeypatch, capsys,
+                                                       config, overrides, needle):
+    # Sigma(truth) passes check_start, but the theoretical SDs invert an
+    # information matrix that is rank-deficient or not finite
+    from diffusionfa import montecarlo
+
+    def no_simulation(config):
+        raise AssertionError("a replication ran before the truth was checked")
+
+    monkeypatch.setattr(montecarlo, "simulate", no_simulation)
+    argv = ["experiment", "--config", config, "--override", "replications=3"]
+    for override in overrides:
+        argv += ["--override", override]
+    assert main(argv + ["--out", str(tmp_path / "results")]) == 2
+    assert ("truth of sim.a, sim.factor_dispersion and sim.unique_dispersions is not "
+            f"identified: its information matrix {needle}" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", [

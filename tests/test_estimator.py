@@ -329,6 +329,22 @@ def test_fit_nonconvergence_returns_partial_result(truth, monkeypatch):
     assert np.isfinite(res.contrast)
 
 
+def test_evaluation_budget_ends_both_minimisers_unconverged(monkeypatch):
+    # five evaluations: BFGS from the truth stops at its loop head, Newton from
+    # the default start in its arc search; neither is at the floating-point floor
+    monkeypatch.setattr(estimator, "_MAX_EVALS", 5)
+    exp = experiment_from_json(load_json(bundled_config_path("table6_nonergodic")))
+    assert exp.seed_base == 77
+    rc = realised_cov(simulate(exp.sim.with_seed(replication_seed(exp.seed_base, 0))))
+    res = fit(rc, exp.spec, init=exp.truth,
+              bounds=parameter_box(exp.spec, **exp.bounds_blocks))
+    assert "evaluation budget exhausted" in estimator._FLOOR_STOPS
+    assert (res.converged, res.message, res.evaluations) == (
+        False, "evaluation budget exhausted", 5)
+    res = fit(rc, replace(exp.spec, k=1))
+    assert (res.converged, res.message, res.evaluations) == (False, "line_search", 5)
+
+
 def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(truth):
     objective = _Contrast(rcov_from_sigma(SIGMA_TRUE), make_spec())
     x = pack(truth)

@@ -13,8 +13,8 @@ from diffusionfa import (
     vech,
     weight_matrix,
 )
+from diffusionfa.estimator import RealisedCov, fit
 from diffusionfa.matrixcalc import duplication_pinv
-from diffusionfa.model import sigma_ff_min_eigenvalue
 
 from conftest import SIGMA_TRUE, THETA_TRUE, make_spec
 from oracles import sigma_gradient_contract, sigma_gradient_stack
@@ -254,7 +254,13 @@ def test_sigma_gradient_contract_matches_stack():
 
 
 def test_sigma_ff_heywood_diagnostic():
-    params = ParamVector(a=np.zeros((2, 2)),
+    # an indefinite Sigma_ff with Sigma(theta) PD: a fit started there stays
+    # there (zero residual) and reports the negative eigenvalue
+    params = ParamVector(a=np.zeros((3, 2)),
                          sigma_ff=[[1.0, 2.0], [2.0, 1.0]],
-                         sigma_ee=np.ones(4))
-    assert sigma_ff_min_eigenvalue(params) == pytest.approx(-1.0)
+                         sigma_ee=2.0 * np.ones(5))
+    rcov = RealisedCov(q=sigma_of_theta(params), n=1000, h=1e-3)
+    res = fit(rcov, ModelSpec(p=5, k=2, n=1000, h=1e-3), init=params,
+              bounds=np.tile([-30.0, 30.0], (14, 1)))
+    assert res.contrast == 0.0
+    assert res.sigma_ff_min_eig == pytest.approx(-1.0)
