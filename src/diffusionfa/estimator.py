@@ -252,8 +252,9 @@ def check_start(params, box=None, name="start",
                 fields="fields 'a', 'sigma_ff' and 'sigma_ee'"):
     """Raise StartError unless ``params`` can start a fit over the (q, 2)
     ``box``: packed, it has the box's length and lies inside (NaN never
-    does), and Sigma(theta) is positive definite; without a box only the
-    latter.  ``name`` and ``fields`` name the point and what sets Sigma."""
+    does), and it and Sigma(theta) are finite, the latter positive
+    definite; without a box only the last two.  ``name`` and ``fields``
+    name the point and what sets Sigma."""
     x = pack(params)
     if box is not None:
         if x.size != len(box):
@@ -263,7 +264,15 @@ def check_start(params, box=None, name="start",
             i = outside[0]
             raise StartError(f"{name} theta:{i + 1}={x[i]:g} lies outside "
                              f"[{box[i, 0]:g}, {box[i, 1]:g}]")
-    if inverse_cholesky(sigma_of_theta(params)) is None:
+    # checked here: inverse_cholesky calls diag(inf, 1) positive definite
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise StartError(f"{name} theta:{bad[0] + 1}={x[bad[0]]:g} is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # judged finite below
+        sigma = sigma_of_theta(params)
+    if not np.isfinite(sigma).all():
+        raise StartError(f"{name} Sigma(theta) of {fields} is not finite")
+    if inverse_cholesky(sigma) is None:
         raise StartError(f"{name} Sigma(theta) of {fields} is not positive definite")
 
 

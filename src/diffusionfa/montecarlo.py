@@ -49,9 +49,9 @@ class Experiment:
     ``keep_draws`` lists statistic keys (e.g. ``theta:1``, ``rcov:1,1``,
     ``tstat:2``) whose raw replication draws are retained for figure data;
     ``all`` retains everything.  Every field is checked on construction
-    (see docs/file-formats.md), the truth by :func:`estimator.check_start`
-    and for an information matrix of full rank; a bad one raises
-    :class:`ConfigError`.
+    (see docs/file-formats.md), the truth by :func:`estimator.check_start`;
+    a bad one raises :class:`ConfigError`.  Whether the truth is identified
+    is checked by :func:`run`, before the first replication.
     """
 
     sim: SimConfig
@@ -105,15 +105,6 @@ class Experiment:
                         fields="sim.factor_dispersion and sim.unique_dispersions")
         except StartError as exc:
             raise ConfigError(str(exc)) from None
-        # ... and an identified truth, whose information they invert
-        with np.errstate(over="ignore", invalid="ignore"):  # judged finite below
-            info = information(self.truth)
-        rank = np.linalg.matrix_rank(info) if np.isfinite(info).all() else -1
-        if rank < spec.q:
-            raise ConfigError(
-                "truth of sim.a, sim.factor_dispersion and sim.unique_dispersions is "
-                "not identified: its information matrix " + (
-                    f"has rank {rank} of q={spec.q}" if rank >= 0 else "is not finite"))
         # theta draws exist only when the generating count is fit
         fitted_q = spec.q if spec.k in k_grid else 0
         known = set(_moment_names(spec.p, fitted_q))
@@ -176,13 +167,23 @@ def theoretical_sd_table(truth, spec):
     Rows are (name, true_value, theoretical_sd): sqrt(diag W / n) for each
     vech(Q) entry (i, j), where diag W is Sigma_ii Sigma_jj + Sigma_ij^2, then
     sqrt(diag (Delta^T W^{-1} Delta)^{-1} / n) for each packed parameter.
+    Raises :class:`ConfigError` when that information matrix is not finite
+    or has rank below q: the truth is not identified.
     """
     if spec.n < 1:
         raise ValueError("spec must carry the sample size n")
+    with np.errstate(over="ignore", invalid="ignore"):  # judged finite below
+        info = information(truth)
+    rank = np.linalg.matrix_rank(info) if np.isfinite(info).all() else -1
+    if rank < spec.q:
+        raise ConfigError(
+            "truth of sim.a, sim.factor_dispersion and sim.unique_dispersions is "
+            "not identified: its information matrix " + (
+                f"has rank {rank} of q={spec.q}" if rank >= 0 else "is not finite"))
     sigma = sigma_of_theta(truth)
     rr, cc = vech_indices(spec.p)
     w_sd = np.sqrt((sigma[rr, rr] * sigma[cc, cc] + sigma[rr, cc] ** 2) / spec.n)
-    t_sd = np.sqrt(np.diag(np.linalg.inv(information(truth))) / spec.n)
+    t_sd = np.sqrt(np.diag(np.linalg.inv(info)) / spec.n)
     theta0 = pack(truth)
     return [(name, float(true), float(sd)) for name, true, sd in zip(
         _moment_names(spec.p, theta0.size),
@@ -231,9 +232,13 @@ def run(exp, n_jobs=1):
     moment draws, true value and theoretical SD, and one rule turns each
     into a table row.  Non-converged fits are left out of the theta and
     tstat moments and counted; rejections, quartiles and tstat draws use
-    every replication.  With ``n_jobs > 1`` replications execute in
-    separate processes; the reduction is identical to the serial one.
+    every replication.  The theoretical SDs are formed first, so a truth
+    that is not identified raises :class:`ConfigError` before any
+    replication.  With ``n_jobs > 1`` replications execute in separate
+    processes; the reduction is identical to the serial one.
     """
+    spec = exp.spec
+    sd_rows = theoretical_sd_table(exp.truth, spec)  # checks the truth first
     R = exp.replications
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -244,15 +249,13 @@ def run(exp, n_jobs=1):
     else:
         records = [_replicate(exp, r) for r in range(R)]
 
-    spec = exp.spec
     thetas = [rec["theta"] for rec in records if rec["theta_converged"]]
     columns = [*np.vstack([rec["rcov_vech"] for rec in records]).T,
                *np.reshape(thetas, (-1, spec.q)).T]
     # name -> (moment draws, true value, theoretical SD); tstat moments use
     # converged fits only, while decisions, order statistics and draws use
     # every replication: the statistic is well defined either way
-    stats = {name: (col, true, sd) for (name, true, sd), col
-             in zip(theoretical_sd_table(exp.truth, spec), columns)}
+    stats = {name: (col, true, sd) for (name, true, sd), col in zip(sd_rows, columns)}
     draw_sets = {name: col for name, (col, _, _) in stats.items()}
     rejections, included, exclusions, quartiles = {}, {}, {}, {}
     for k in exp.k_grid:
@@ -361,19 +364,17 @@ def write_outputs(agg, outdir, exp):
         "sim": sim_config_to_json(exp.sim),
         "k_grid": list(exp.k_grid),
         "alphas": list(exp.alphas),
+        "keep_draws": list(exp.keep_draws),
+        "bounds": {name: list(pair) for name, pair in exp.bounds_blocks.items()},
     }))
     return written
 
 
 def experiment_from_json(doc):
-    """Parse an experiment document (see docs/file-formats.md)."""
-    sim = sim_config_from_json(_require(doc, "sim"), path="sim")
-    return Experiment(
-        sim=sim,
-        replications=_require(doc, "replications"),
-        k_grid=doc.get("k_grid", [sim.spec.k]),
-        alphas=doc.get("alphas", [0.05]),
-        keep_draws=doc.get("keep_draws", []),
-        bounds_blocks=doc.get("bounds"),
-        seed_base=doc.get("seed_base", 0),
-    )
+    """Parse an experiment document (see docs/file-formats.md); a key it
+    leaves out takes the :class:`Experiment` field default."""
+    fields = {"k_grid": "k_grid", "alphas": "alphas", "keep_draws": "keep_draws",
+              "bounds": "bounds_blocks", "seed_base": "seed_base"}
+    return Experiment(sim=sim_config_from_json(_require(doc, "sim"), path="sim"),
+                      replications=_require(doc, "replications"),
+                      **{fields[key]: doc[key] for key in fields if key in doc})

@@ -850,19 +850,27 @@ def test_singular_truth_exits_2_without_the_generating_count(tmp_path, monkeypat
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("config, overrides, needle", [
-    ("table6_nonergodic", ["sim.a=[[0,0],[0,0],[0,0],[0,0]]"], "has rank 15 of q=17"),
-    ("table6_nonergodic", ["sim.a=[[1,1],[1,1],[1,1],[1,1]]"], "has rank 16 of q=17"),
-    # a unique variance of 1e200 overflows W; one of 1e400 is infinite already
+_NOT_IDENTIFIED = ("truth of sim.a, sim.factor_dispersion and sim.unique_dispersions is not "
+                   "identified: its information matrix ")
+
+
+@pytest.mark.parametrize("config, overrides, message", [
+    ("table6_nonergodic", ["sim.a=[[0,0],[0,0],[0,0],[0,0]]"],
+     _NOT_IDENTIFIED + "has rank 15 of q=17"),
+    ("table6_nonergodic", ["sim.a=[[1,1],[1,1],[1,1],[1,1]]"],
+     _NOT_IDENTIFIED + "has rank 16 of q=17"),
+    # a unique variance of 1e200 overflows W; one of 1e400 is infinite already,
+    # which check_start refuses before the information is formed
     ("ergodic_scaled", ["k_grid=[1]", "keep_draws=[]",
                         "sim.unique_dispersions=[1e100, 1, 1, 1, 1, 1]"],
-     "has rank 14 of q=17"),
+     _NOT_IDENTIFIED + "has rank 14 of q=17"),
     ("ergodic_scaled", ["k_grid=[1]", "keep_draws=[]",
-                        "sim.unique_dispersions=[1e200, 1, 1, 1, 1, 1]"], "is not finite"),
+                        "sim.unique_dispersions=[1e200, 1, 1, 1, 1, 1]"],
+     "truth theta:12=inf is not finite"),
 ], ids=["zero", "collinear", "overflowing", "infinite"])
 def test_non_identified_truth_exits_2_before_simulating(tmp_path, monkeypatch, capsys,
-                                                       config, overrides, needle):
-    # Sigma(truth) passes check_start, but the theoretical SDs invert an
+                                                       config, overrides, message):
+    # Sigma(truth) is positive definite, but the theoretical SDs invert an
     # information matrix that is rank-deficient or not finite
     from diffusionfa import montecarlo
 
@@ -874,8 +882,44 @@ def test_non_identified_truth_exits_2_before_simulating(tmp_path, monkeypatch, c
     for override in overrides:
         argv += ["--override", override]
     assert main(argv + ["--out", str(tmp_path / "results")]) == 2
-    assert ("truth of sim.a, sim.factor_dispersion and sim.unique_dispersions is not "
-            f"identified: its information matrix {needle}" in capsys.readouterr().err)
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("config", ["table6_nonergodic", "ergodic_scaled"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_experiment_forms_the_truth_information_once(tmp_path, monkeypatch, config,
+                                                     threads):
+    # the SD table is the one place a study inverts the truth's information,
+    # and the one place it checks that the truth is identified
+    from diffusionfa import montecarlo
+
+    calls = []
+
+    def counted(params, _real=montecarlo.information):
+        calls.append(params)
+        return _real(params)
+
+    monkeypatch.setattr(montecarlo, "information", counted)
+    assert main(["experiment", "--config", config, "--override", "replications=2",
+                 "--threads", str(threads), "--out", str(tmp_path / "results")]) == 0
+    assert len(calls) == 1
+
+
+def test_experiment_reruns_from_its_manifest(tmp_path):
+    # manifest.json is the resolved config: fed back, it writes the same files
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["experiment", "--config", "table6_nonergodic",
+                 "--override", "replications=3", "--override", 'keep_draws=["tstat:1"]',
+                 "--override", 'bounds={"loading": [-10, 10]}', "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert (manifest["keep_draws"], manifest["bounds"]) == (["tstat:1"],
+                                                            {"loading": [-10.0, 10.0]})
+    assert main(["experiment", "--config", str(first / "manifest.json"),
+                 "--out", str(second)]) == 0
+    names = sorted(os.listdir(first))
+    assert "figure_tstat_1.csv" in names and sorted(os.listdir(second)) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command", [

@@ -318,6 +318,19 @@ def test_fit_raises_start_error_for_an_unusable_start(truth, defect, needle):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("loading, sigma_ee, needle", [
+    (0.0, [np.inf, 1, 1, 1, 1, 1], "start theta:12=inf is not finite"),
+    (0.0, [1, 1, 1, np.nan, 1, 1], "start theta:15=nan is not finite"),
+    (1e200, [1, 1, 1, 1, 1, 1],
+     "start Sigma(theta) of fields 'a', 'sigma_ff' and 'sigma_ee' is not finite"),
+], ids=["infinite", "nan", "overflowing"])
+def test_check_start_refuses_a_non_finite_start(loading, sigma_ee, needle):
+    # inverse_cholesky alone calls diag(inf, 1, 1) positive definite
+    start = ParamVector(a=np.full((4, 2), loading), sigma_ff=np.eye(2), sigma_ee=sigma_ee)
+    with pytest.raises(StartError, match=re.escape(needle)):
+        estimator.check_start(start)
+
+
 def test_fit_nonconvergence_returns_partial_result(truth, monkeypatch):
     monkeypatch.setattr(estimator, "_MAX_ITER", 2)
     path = simulate(make_sim_config(n=1000, seed=44))
