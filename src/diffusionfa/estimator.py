@@ -25,9 +25,9 @@ the Hessian is built from the rank-2 factors of dSigma/dtheta
 (:func:`model.sigma_derivative_factors`, whose constant columns are built
 once per (p, k)), in O(p^2 q + p q^2) without a (q, p, p) stack.
 sqrt(n) times the estimation error is asymptotically normal with covariance
-(Delta^T W^{-1} Delta)^{-1}; :func:`information` forms Delta^T W^{-1} Delta
-with one solve: once per fit, for the standard errors and the BFGS
-precision-floor test, and for the theoretical standard deviations of a study.
+I^{-1}, I = Delta^T W^{-1} Delta = T(S, S) / 2 in the Hessian's notation: the
+objective forms I from the same factors, with no W, for a fit's standard
+errors and BFGS floor test, and :func:`information` for a study's truth.
 
 Two box-constrained minimizers share the objective and the end-of-fit
 standard errors.  A fit without a supplied start (``init=None``) runs
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,13 +60,12 @@ from .model import (
     StartError,
     UntestableError,
     WeightMatrixError,
-    delta_jacobian,
     pack,
     sigma_derivative_factors,
     sigma_from_blocks,
     sigma_of_theta,
     unpack,
-    weight_matrix,
+    weight_matrix,  # montecarlo builds the rcov SDs' W through this name
 )
 
 _ARMIJO_C1 = 1e-4
@@ -125,11 +125,11 @@ class RealisedCov:
 class FitResult:
     """Minimum-contrast fit with asymptotic standard errors.
 
-    ``avar`` is (Delta^T W^{-1} Delta)^{-1} evaluated at the estimate and
-    ``se[i] = sqrt(avar[i, i] / n)``.  ``evaluations`` counts the contrast
-    evaluations of the search, one per trial point, the start included.
-    ``sigma_ff_min_eig`` and ``min_unique_variance`` surface boundary
-    (Heywood-style) solutions; they are diagnostics, not errors.
+    ``avar`` is the inverse of the objective's information T(S, S) / 2 at
+    the estimate, ``se[i] = sqrt(avar[i, i] / n)``.  ``evaluations`` counts
+    the contrast evaluations of the search, one per trial point, the start
+    included.  ``sigma_ff_min_eig`` and ``min_unique_variance`` surface
+    boundary (Heywood-style) solutions; they are diagnostics, not errors.
     """
 
     theta_hat: ParamVector
@@ -174,10 +174,10 @@ def realised_cov(path):
 
 
 def information(params):
-    """Information Delta^T W^{-1} Delta at theta; raises WeightMatrixError
-    when Sigma(theta) is not positive definite."""
-    delta = delta_jacobian(params)
-    return delta.T @ np.linalg.solve(weight_matrix(sigma_of_theta(params)), delta)
+    """Information Delta^T W^{-1} Delta at theta, :meth:`_Contrast.information`
+    at Q = Sigma(theta); raises ValueError unless Sigma(theta) is PD."""
+    objective = _Contrast(sigma_of_theta(params), ModelSpec(p=params.p, k=params.k))
+    return objective.information(pack(params))
 
 
 def contrast(rcov, params):
@@ -186,12 +186,12 @@ def contrast(rcov, params):
     Non-negative, and zero exactly on the zero-residual manifold.  Raises
     WeightMatrixError when Sigma(theta) is not positive definite.
     """
-    return _Contrast(rcov, ModelSpec(p=params.p, k=params.k)).value(pack(params))
+    return _Contrast(rcov.q, ModelSpec(p=params.p, k=params.k)).value(pack(params))
 
 
 def contrast_grad(rcov, params):
     """Analytic gradient of :func:`contrast` in the packed parameters."""
-    return _Contrast(rcov, ModelSpec(p=params.p, k=params.k)).evaluate(pack(params))[1]
+    return _Contrast(rcov.q, ModelSpec(p=params.p, k=params.k)).evaluate(pack(params))[1]
 
 
 def default_init(rcov, spec):
@@ -223,6 +223,10 @@ def default_bounds(rcov, spec):
     scale = float(np.max(np.diag(rcov.q)))
     if scale <= 0:
         raise ValueError("realised covariance has no positive diagonal entry")
+    if 2.0 * scale <= 1e-8:
+        raise ValueError(f"the largest variance of the data, {scale:g}, is at most half "
+                         "the 1e-08 floor of the unique variances, so the default box "
+                         "is empty; rescale the data")
     return parameter_box(
         spec,
         factor_cov=(-4.0 * scale, 4.0 * scale),
@@ -276,8 +280,22 @@ def check_start(params, box=None, name="start",
         raise StartError(f"{name} Sigma(theta) of {fields} is not positive definite")
 
 
+@lru_cache(maxsize=None)
+def _index_maps(p, k):
+    """n_a and the read-only index maps of :class:`_Contrast` for (p, k)."""
+    n_a, (rows, cols) = (p - k) * k, vech_indices(k)
+    ff_index = n_a + unvech(np.arange(rows.size)).astype(int)  # packed Sigma_ff entries
+    # vech Sigma_ff: flat k x k positions, chain-rule weights (2 off the
+    # diagonal); row A[r, s], column Sigma_ff[s, c] at [s, c, r] after broadcasting
+    maps = (rows * k + cols, np.where(rows == cols, 1.0, 2.0), ff_index,
+            np.arange(n_a).reshape(k, 1, -1), ff_index[:, :, None])
+    for m in maps:
+        m.setflags(write=False)
+    return (n_a, *maps[:3], maps[3:])
+
+
 class _Contrast:
-    """F = (1/2) tr[(S R)^2] of one (rcov, spec) on packed vectors.
+    """F = (1/2) tr[(S R)^2] of one (Q, spec) on packed vectors.
 
     Built once per fit, it holds the index maps of the spec: it fills the
     loading matrix of each point in place and gathers Sigma_ff from the
@@ -287,24 +305,14 @@ class _Contrast:
     :meth:`gradient` chains G = -(S R S + S R S R S) at that point to theta,
     block by block in O(p^2 k); a search calls it only at the trial it
     accepts.  It keeps one record of the last point, S and G included, so
-    :meth:`hessian` there does not factor Sigma(theta) again.
+    :meth:`hessian` and :meth:`information` there reuse its factorisation.
     """
 
-    def __init__(self, rcov, spec):
-        p, k = spec.p, spec.k
-        self.q = rcov.q
-        self.spec = spec
-        self.n_a = (p - k) * k
-        rows, cols = vech_indices(k)
-        # vech Sigma_ff: flat k x k positions, chain-rule weights (2 off the diagonal)
-        self.ff_flat = rows * k + cols
-        self.weights = np.where(rows == cols, 1.0, 2.0)
-        # packed position of each Sigma_ff entry
-        self.ff_index = self.n_a + unvech(np.arange(rows.size)).astype(int)
-        # row A[r, s], column Sigma_ff[s, c] at [s, c, r] after broadcasting
-        self.a_ff = (np.arange(self.n_a).reshape(k, 1, -1), self.ff_index[:, :, None])
-        self.lam = np.vstack([np.eye(k), np.zeros((p - k, k))])
-        self.evals = 0
+    def __init__(self, q, spec):
+        self.q, self.spec, self.evals = q, spec, 0
+        self.n_a, self.ff_flat, self.weights, self.ff_index, self.a_ff = _index_maps(
+            spec.p, spec.k)
+        self.lam = np.eye(spec.p, spec.k)
         # [x, Sigma_ff, S, S R, x.tobytes(), G] of the last value; gradient
         # fills the last two
         self._point = None
@@ -347,6 +355,19 @@ class _Contrast:
         """F and its gradient at x, one evaluation."""
         return self.value(x), self.gradient()
 
+    def _derivative_forms(self, x, evaluate):
+        """forms(M) = (U'MU, U'MV, V'MV) at x, after evaluate(x) unless the record has G."""
+        if self._point is None or self._point[4] != x.tobytes():
+            evaluate(x)
+        u, v, w = sigma_derivative_factors(self.lam, self._point[1])
+        v *= w
+
+        def forms(m):
+            mu, mv = m.dot(u), m.dot(v)
+            return u.T.dot(mu), u.T.dot(mv), v.T.dot(mv)
+
+        return forms
+
     def hessian(self, x):
         """Exact Hessian of F at x,
 
@@ -361,17 +382,9 @@ class _Contrast:
         (A[r, s], Sigma_ff[s, c]).  S and G are those of the last evaluation
         when it was at x.
         """
-        if self._point is None or self._point[4] != x.tobytes():
-            self.evaluate(x)
-        _, _, s, _, _, g = self._point
+        forms = self._derivative_forms(x, self.evaluate)
+        _, sigma_ff, s, _, _, g = self._point
         k, n_a = self.spec.k, self.n_a
-        sigma_ff = x[self.ff_index]
-        u, v, w = sigma_derivative_factors(self.lam, sigma_ff)
-        v *= w
-
-        def forms(m):
-            mu, mv = m.dot(u), m.dot(v)
-            return u.T.dot(mu), u.T.dot(mv), v.T.dot(mv)
 
         def trace_products(xuu, xuv, xvv, yuu, yuv, yvv):
             t = xuv.T * yuv  # in place from here on: q x q temporaries cost
@@ -391,6 +404,16 @@ class _Contrast:
         h[self.a_ff] += a_ff
         h[self.a_ff[::-1]] += a_ff
         return (h + h.T) / 2.0
+
+    def information(self, x):
+        """Delta^T W^{-1} Delta = T(S, S) / 2 at x, as W^{-1} = D^T (S x S) D / 2;
+        an evaluation here is no trial of a search, so ``evals`` skips it."""
+        evals, forms = self.evals, self._derivative_forms(x, self.value)
+        self.evals = evals
+        # T(S, S) = M + M^T, M the first and third products of trace_products
+        suu, suv, svv = forms(self._point[2])
+        m = suv.T * suv + svv * suu.T
+        return (m + m.T) / 2.0
 
 
 def _pg_norm(x, g, lo, hi):
@@ -568,7 +591,7 @@ def fit(rcov, spec, init=None, bounds=None):
     check_start(init, bounds)
 
     x = pack(init)
-    objective = _Contrast(rcov, spec)
+    objective = _Contrast(rcov.q, spec)
     # F or the information may overflow: the point maps to inf, the SEs are not finite
     with np.errstate(over="ignore", invalid="ignore"):
         f, g = objective.evaluate(x)  # check_start saw this Sigma(theta) PD
@@ -576,27 +599,22 @@ def fit(rcov, spec, init=None, bounds=None):
             raise StartError("start contrast is not finite")
         x, f, g, iterations, converged, message = minimize(objective, x, f, g, lo, hi)
         pg_norm = _pg_norm(x, g, lo, hi)
-        theta_hat = unpack(x, spec)
+        # a minimiser returns only points whose Sigma(theta) it has factored
+        info = objective.information(x)
+        if message in _FLOOR_STOPS:
+            # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64;
+            # within a safety factor of it the point is converged
+            lam_max = float(np.linalg.eigvalsh(2.0 * info)[-1])
+            floor = math.sqrt(2.0 * max(lam_max, 1.0) * _EPS * (1.0 + abs(f)))
+            if pg_norm <= 10.0 * floor:
+                converged, message = True, _FLOOR_STOPS[message]
         try:
-            info = information(theta_hat)
-            if message in _FLOOR_STOPS:
-                # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64;
-                # within a safety factor of it the point is converged
-                lam_max = float(np.linalg.eigvalsh(2.0 * info)[-1])
-                floor = math.sqrt(2.0 * max(lam_max, 1.0) * _EPS * (1.0 + abs(f)))
-                if pg_norm <= 10.0 * floor:
-                    converged, message = True, _FLOOR_STOPS[message]
-            try:
-                avar = np.linalg.inv(info)
-            except np.linalg.LinAlgError:
-                avar = np.linalg.pinv(info)
-                message += "; information matrix singular, pseudoinverse used"
-            se = np.sqrt(np.clip(np.diag(avar), 0.0, None) / rcov.n)
-        except WeightMatrixError:
-            avar = np.full((spec.q, spec.q), np.nan)
-            se = np.full(spec.q, np.nan)
-            message += "; weight matrix not PD at the estimate"
-            converged = False
+            avar = np.linalg.inv(info)
+        except np.linalg.LinAlgError:
+            avar = np.linalg.pinv(info)
+            message += "; information matrix singular, pseudoinverse used"
+        se = np.sqrt(np.clip(np.diag(avar), 0.0, None) / rcov.n)
+    theta_hat = unpack(x, spec)
 
     return FitResult(
         theta_hat=theta_hat,

@@ -13,9 +13,9 @@ first derivative of Sigma is rank 2,
     dSigma/dtheta_i = w_i (u_i v_i^T + v_i u_i^T),
 
 and :func:`sigma_derivative_factors`, whose constant columns are built once
-per (p, k), is the one description of them: the Jacobian Delta of vech
-Sigma(theta) and the Hessian of the contrast are both built from them; the
-contrast chains its own gradient, one contraction per block.
+per (p, k), is the one description of them: the contrast's Hessian and its
+information Delta^T W^{-1} Delta are both built from them; the contrast
+chains its own gradient, one contraction per block.
 """
 
 from __future__ import annotations
@@ -47,12 +47,8 @@ class StartError(ValueError):
 
 
 class WeightMatrixError(ValueError):
-    """The vech-scale weight matrix is not positive definite.
-
-    Signals an invalid parameter point (e.g. a unique variance driven to
-    zero), not numerical noise; callers may backtrack instead of
-    regularizing.
-    """
+    """Sigma(theta), and so the weight matrix, is not positive definite: an
+    invalid parameter point, which a search backtracks from."""
 
 
 @dataclass(frozen=True)
@@ -240,9 +236,3 @@ def sigma_derivative_factors(lam, sigma_ff):
     v[:, :n_a].reshape(p, k, p - k)[...] = lam.dot(sigma_ff)[:, :, None]  # a view of v
     return u, v, w
 
-
-def delta_jacobian(params):
-    """Analytic Jacobian of vech Sigma(theta) in theta, shape (pbar, q)."""
-    u, v, w = sigma_derivative_factors(loading_matrix(params), params.sigma_ff)
-    rows, cols = vech_indices(params.p)
-    return w * (u[rows] * v[cols] + v[rows] * u[cols])

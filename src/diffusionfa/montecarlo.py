@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import estimator
 from .config import (ConfigError, _is_int, _is_number, _require, sim_config_from_json,
                      sim_config_to_json, spec_to_json, write_manifest)
 from .estimator import check_start, information, parameter_box, realised_cov
@@ -165,10 +166,10 @@ def theoretical_sd_table(truth, spec):
     """Asymptotic standard deviations at the truth for the given n.
 
     Rows are (name, true_value, theoretical_sd): sqrt(diag W / n) for each
-    vech(Q) entry (i, j), where diag W is Sigma_ii Sigma_jj + Sigma_ij^2, then
-    sqrt(diag (Delta^T W^{-1} Delta)^{-1} / n) for each packed parameter.
-    Raises :class:`ConfigError` when that information matrix is not finite
-    or has rank below q: the truth is not identified.
+    vech(Q) entry, W = :func:`estimator.weight_matrix` at Sigma(truth), then
+    sqrt(diag I^{-1} / n) for each packed parameter, I the truth's
+    :func:`estimator.information`.  Raises :class:`ConfigError` when I is
+    not finite or has rank below q: the truth is not identified.
     """
     if spec.n < 1:
         raise ValueError("spec must carry the sample size n")
@@ -180,15 +181,12 @@ def theoretical_sd_table(truth, spec):
             "truth of sim.a, sim.factor_dispersion and sim.unique_dispersions is "
             "not identified: its information matrix " + (
                 f"has rank {rank} of q={spec.q}" if rank >= 0 else "is not finite"))
-    sigma = sigma_of_theta(truth)
-    rr, cc = vech_indices(spec.p)
-    w_sd = np.sqrt((sigma[rr, rr] * sigma[cc, cc] + sigma[rr, cc] ** 2) / spec.n)
-    t_sd = np.sqrt(np.diag(np.linalg.inv(info)) / spec.n)
-    theta0 = pack(truth)
+    sigma, theta0 = sigma_of_theta(truth), pack(truth)
+    variances = [np.diag(estimator.weight_matrix(sigma)), np.diag(np.linalg.inv(info))]
     return [(name, float(true), float(sd)) for name, true, sd in zip(
         _moment_names(spec.p, theta0.size),
         np.concatenate([vech(sigma, check=False), theta0]),
-        np.concatenate([w_sd, t_sd]))]
+        np.sqrt(np.concatenate(variances) / spec.n))]
 
 
 def _moment_names(p, q):

@@ -2,7 +2,8 @@
 
 Each one computes a quantity of the pipeline a second, slower way: the
 dense (q, p, p) stack of dSigma/dtheta with its chain rule and curvature
-contractions, the Hessian of the contrast built from that stack, the rank-2
+contractions, the Jacobian Delta and the information Delta^T W^{-1} Delta
+built from that stack, the Hessian of the contrast built from it, the rank-2
 factors of dSigma/dtheta assembled column block by column block, the
 projected gradient with its blocked entries zeroed, the exact Gaussian
 transition of a linear OU system and the Gaussian quasi-likelihood, whose
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from diffusionfa import WeightMatrixError
-from diffusionfa.matrixcalc import vec, vech_indices
+from diffusionfa.matrixcalc import duplication, vec, vech_indices
 from diffusionfa.model import loading_matrix, sigma_of_theta
 
 
@@ -49,6 +50,21 @@ def sigma_gradient_stack(params):
         out[pos, i, i] = 1.0
         pos += 1
     return out
+
+
+def delta_jacobian(params):
+    """Jacobian Delta of vech Sigma(theta) in theta, shape (pbar, q): the
+    vech entries of each slice of :func:`sigma_gradient_stack`."""
+    rows, cols = vech_indices(params.p)
+    return sigma_gradient_stack(params)[:, rows, cols].T
+
+
+def information(params):
+    """Delta^T W^{-1} Delta with W^{-1} = (1/2) D^T (S x S) D, S the inverse
+    of Sigma(theta), from the Kronecker product and the duplication matrix."""
+    delta, dup = delta_jacobian(params), duplication(params.p)
+    s = np.linalg.inv(sigma_of_theta(params))
+    return delta.T @ (0.5 * dup.T @ np.kron(s, s) @ dup) @ delta
 
 
 def sigma_derivative_factors(lam, sigma_ff):

@@ -663,6 +663,23 @@ def test_all_zero_realised_covariance_exits_2(tmp_path, command, capsys):
 
 @pytest.mark.parametrize("command", [["fit"], ["test", "--k", "1"], ["select"]],
                          ids=["fit", "test", "select"])
+def test_data_below_the_unique_variance_floor_exits_2(tmp_path, command, capsys):
+    # variances near 1e-9, as of log-returns with time in seconds: the default
+    # box's unique-variance range [1e-8, 2 max diag] is empty
+    q = (4e-9 / 3.0) * np.array([[2.0, 1.0, 0.5, 0.2], [1.0, 3.0, 1.0, 0.4],
+                                 [0.5, 1.0, 2.0, 0.3], [0.2, 0.4, 0.3, 1.0]])
+    data, spec = _small_rcov_doc(tmp_path, q.tolist())
+    code = main(command + ["--data", data, "--spec", spec,
+                           "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {data}: the largest variance of the data, 4e-09, is at "
+        "most half the 1e-08 floor of the unique variances, so the default box is "
+        "empty; rescale the data\n")
+
+
+@pytest.mark.parametrize("command", [["fit"], ["test", "--k", "1"], ["select"]],
+                         ids=["fit", "test", "select"])
 def test_fit_block_reports_evaluations(tmp_path, command, capsys):
     data, spec = _small_rcov_doc(tmp_path, [[2.0, 1.0, 0.5, 0.2], [1.0, 3.0, 1.0, 0.4],
                                             [0.5, 1.0, 2.0, 0.3], [0.2, 0.4, 0.3, 1.0]])
@@ -903,6 +920,26 @@ def test_experiment_forms_the_truth_information_once(tmp_path, monkeypatch, conf
     assert main(["experiment", "--config", config, "--override", "replications=2",
                  "--threads", str(threads), "--out", str(tmp_path / "results")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("config", ["table6_nonergodic", "ergodic_scaled"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_experiment_builds_the_weight_matrix_once(tmp_path, monkeypatch, config, threads):
+    # W enters a study only through the truth's rcov SDs: no fit builds it.
+    # Each build appends to a file, so the forked workers' builds count too
+    from diffusionfa import estimator
+
+    log = tmp_path / "builds"
+
+    def counted(sigma, _real=estimator.weight_matrix):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("W\n")
+        return _real(sigma)
+
+    monkeypatch.setattr(estimator, "weight_matrix", counted)
+    assert main(["experiment", "--config", config, "--override", "replications=2",
+                 "--threads", str(threads), "--out", str(tmp_path / "results")]) == 0
+    assert log.read_text(encoding="utf-8") == "W\n"
 
 
 def test_experiment_reruns_from_its_manifest(tmp_path):

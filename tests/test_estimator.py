@@ -17,11 +17,11 @@ from diffusionfa import (
     contrast_grad,
     default_bounds,
     default_init,
-    delta_jacobian,
     fit,
     pack,
     parameter_box,
     realised_cov,
+    select_k,
     sigma_of_theta,
     simulate,
     unpack,
@@ -36,7 +36,7 @@ from diffusionfa import estimator
 from diffusionfa.estimator import _Contrast, information
 
 from conftest import SIGMA_TRUE, make_sim_config, make_spec
-from oracles import quasi_loglik_excess, sigma_gradient_stack
+from oracles import delta_jacobian, quasi_loglik_excess, sigma_gradient_stack
 
 # (p, k) sizes on which the closed-form contrast is checked against the
 # vech-scale Kronecker weight matrix
@@ -141,7 +141,7 @@ def test_contrast_rejects_indefinite_sigma(truth):
         with pytest.raises(WeightMatrixError):
             contrast_grad(rc, params)
         with pytest.raises(WeightMatrixError):
-            _Contrast(rc, make_spec()).evaluate(pack(params))
+            _Contrast(rc.q, make_spec()).evaluate(pack(params))
     # the failed factorisation is judged, not warned about
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
@@ -177,7 +177,7 @@ def test_hessian_matches_central_differences(p, k):
     rng = np.random.default_rng(80 + p)
     spec = ModelSpec(p=p, k=k)
     params = random_params_for(rng, spec)
-    objective = _Contrast(random_rcov(rng, p), spec)
+    objective = _Contrast(random_rcov(rng, p).q, spec)
     hess = objective.hessian(pack(params))
     theta = pack(params)
     fd = np.zeros_like(hess)
@@ -199,7 +199,7 @@ def test_hessian_is_information_at_zero_residual(p, k):
     spec = ModelSpec(p=p, k=k)
     params = random_params_for(rng, spec)
     sigma = sigma_of_theta(params)
-    hess = _Contrast(rcov_from_sigma(sigma), spec).hessian(pack(params))
+    hess = _Contrast(sigma, spec).hessian(pack(params))
     delta = delta_jacobian(params)
     expected = 2.0 * delta.T @ np.linalg.solve(weight_matrix(sigma), delta)
     assert np.max(np.abs(hess - expected)) <= 1e-10 * np.max(np.abs(expected))
@@ -359,7 +359,7 @@ def test_evaluation_budget_ends_both_minimisers_unconverged(monkeypatch):
 
 
 def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(truth):
-    objective = _Contrast(rcov_from_sigma(SIGMA_TRUE), make_spec())
+    objective = _Contrast(SIGMA_TRUE, make_spec())
     x = pack(truth)
     d = np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
     # every coordinate sits on the bound that d pushes against
@@ -372,13 +372,13 @@ def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
     # the flat box admits negative unique variances: lowering every one by
     # 1.5 lambda_min(Sigma) leaves Sigma indefinite, half of that does not
     spec = make_spec()
-    objective = _Contrast(rcov_from_sigma(SIGMA_TRUE), spec)
+    objective = _Contrast(SIGMA_TRUE, spec)
     box = parameter_box(spec)
     x = pack(truth)
     d = np.zeros_like(x)
     d[-spec.p:] = -1.5 * np.linalg.eigvalsh(SIGMA_TRUE)[0]
     with pytest.raises(WeightMatrixError):
-        _Contrast(rcov_from_sigma(SIGMA_TRUE), spec).evaluate(x + d)
+        _Contrast(SIGMA_TRUE, spec).evaluate(x + d)
     found = estimator._arc_search(objective, x, d, box[:, 0], box[:, 1], 1.0,
                                   lambda *_: True)
     assert np.array_equal(found[0], x + 0.5 * d)
@@ -389,7 +389,7 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     # the full step is refused by the predicate, the half step accepted: two
     # counted evaluations, one gradient, and it is the accepted point's, as
     # is the step returned
-    objective = _Contrast(rcov_from_sigma(SIGMA_TRUE), make_spec())
+    objective = _Contrast(SIGMA_TRUE, make_spec())
     gradients = []
     plain_gradient = objective.gradient
     objective.gradient = lambda: gradients.append(None) or plain_gradient()
@@ -402,7 +402,7 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     assert np.array_equal(step, x_try - x)
     assert objective.evals == 2
     assert len(gradients) == 1
-    f_ref, g_ref = _Contrast(rcov_from_sigma(SIGMA_TRUE), make_spec()).evaluate(x_try)
+    f_ref, g_ref = _Contrast(SIGMA_TRUE, make_spec()).evaluate(x_try)
     assert f_try == f_ref
     assert np.array_equal(g_try, g_ref)
 
@@ -416,45 +416,70 @@ def _floor_stall_case():
     return rc, replace(spec, n=rc.n, h=rc.h), params
 
 
+def _count_information(monkeypatch):
+    """A list that grows by one per _Contrast.information call."""
+    formed, real = [], estimator._Contrast.information
+    monkeypatch.setattr(estimator._Contrast, "information",
+                        lambda self, x: formed.append(None) or real(self, x))
+    return formed
+
+
 def test_bfgs_stall_at_the_floating_point_floor_is_converged(monkeypatch):
     rc, spec, params = _floor_stall_case()
-    built = []
-    monkeypatch.setattr(estimator, "weight_matrix",
-                        lambda sigma: built.append(None) or weight_matrix(sigma))
+    formed = _count_information(monkeypatch)
     res = fit(rc, spec, init=params)
     assert res.converged
     assert res.message == "descent exhausted at the floating-point floor"
-    # fit tests the floor on the information it builds for the standard errors
-    assert len(built) == 1
+    # fit tests the floor on the information it forms for the standard errors
+    assert len(formed) == 1
     assert np.array_equal(res.avar, np.linalg.inv(information(res.theta_hat)))
 
 
 def test_only_a_bfgs_stall_at_its_floor_converges(monkeypatch):
     rc, spec, params = _floor_stall_case()
     box = default_bounds(rc, spec)
-    objective = _Contrast(rc, spec)
+    objective = _Contrast(rc.q, spec)
     x = pack(params)
     # the loop itself names the stall plainly and never converges it
     stop = estimator._bfgs(objective, x, *objective.evaluate(x), box[:, 0], box[:, 1])
     assert stop[4:] == (False, "line search failed to make progress")
-    # the same stall without a PD weight matrix at the estimate stays plain
-    def not_pd(params):
-        raise WeightMatrixError("model covariance is not positive definite")
-
-    with monkeypatch.context() as m:
-        m.setattr(estimator, "information", not_pd)
-        res = fit(rc, spec, init=params)
-    assert not res.converged
-    assert res.message == ("line search failed to make progress; "
-                           "weight matrix not PD at the estimate")
-    assert np.isnan(res.se).all()
     # an iteration cap far from the floor stays unconverged, and Newton's
-    # stops are never rescued
+    # stops are never rescued; each fit forms one information
+    formed = _count_information(monkeypatch)
     monkeypatch.setattr(estimator, "_MAX_ITER", 2)
     res = fit(rc, spec, init=params)
     assert (res.converged, res.message) == (False, "max iterations reached")
     res = fit(rc, spec)
     assert (res.converged, res.message) == (False, "max_iter")
+    assert len(formed) == 2
+
+
+def test_no_fit_builds_the_weight_matrix(monkeypatch):
+    # the SEs and the floor test read the objective's T(S, S) / 2: BFGS at
+    # its floor, Newton from the default start and every select count give
+    # the same results with W unavailable
+    from diffusionfa import model
+
+    rc, spec, params = _floor_stall_case()
+
+    def runs():
+        return [fit(rc, spec, init=params), fit(rc, spec),
+                *(t.fit for t in select_k(rc, spec).trail)]
+
+    expected = runs()
+    for module in (estimator, model):
+        monkeypatch.setattr(module, "weight_matrix", _no_weight_matrix)
+    got = runs()
+    assert len(got) == len(expected) > 3
+    for a, b in zip(expected, got):
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.se, b.se)
+        assert (a.contrast, a.iterations, a.evaluations, a.converged, a.message) == (
+            b.contrast, b.iterations, b.evaluations, b.converged, b.message)
+
+
+def _no_weight_matrix(sigma):
+    raise AssertionError("a fit built the weight matrix")
 
 
 def _clipped_default_start(rc, spec):
@@ -497,6 +522,17 @@ def test_default_bounds_contain_default_init():
     box = default_bounds(rc, spec)
     theta0 = pack(default_init(rc, spec))
     assert np.all(theta0 >= box[:, 0]) and np.all(theta0 <= box[:, 1])
+
+
+def test_default_bounds_name_the_variance_below_the_unique_variance_floor():
+    # unique variances lie in [1e-8, 2 max diag Q]: that box is empty when the
+    # largest variance is at most 5e-9, and the message says what to do
+    spec = make_spec()
+    with pytest.raises(ValueError, match=r"largest variance of the data, 4e-09, is at "
+                                         r"most half the 1e-08 floor .*; rescale the data"):
+        default_bounds(rcov_from_sigma(SIGMA_TRUE * (4e-9 / 794.0)), spec)
+    box = default_bounds(rcov_from_sigma(SIGMA_TRUE * (6e-9 / 794.0)), spec)
+    assert (box[:, 0] < box[:, 1]).all() and box[-1, 0] == 1e-8
 
 
 def test_quasi_loglik_excess_zero_at_match(truth):

@@ -5,7 +5,6 @@ from diffusionfa import (
     ModelSpec,
     ParamVector,
     WeightMatrixError,
-    delta_jacobian,
     loading_matrix,
     pack,
     sigma_of_theta,
@@ -17,7 +16,7 @@ from diffusionfa.estimator import RealisedCov, fit
 from diffusionfa.matrixcalc import duplication_pinv
 
 from conftest import SIGMA_TRUE, THETA_TRUE, make_spec
-from oracles import sigma_gradient_contract, sigma_gradient_stack
+from oracles import delta_jacobian, sigma_gradient_contract, sigma_gradient_stack
 
 
 def random_params(rng, p, k):

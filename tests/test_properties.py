@@ -14,19 +14,17 @@ from diffusionfa import (
     ParamVector,
     RealisedCov,
     contrast,
-    delta_jacobian,
     duplication_pinv,
     pack,
     sigma_of_theta,
     unpack,
     vech,
 )
-from diffusionfa.estimator import _Contrast, _pg_norm
-from diffusionfa.matrixcalc import vech_indices
+from diffusionfa.estimator import _Contrast, _pg_norm, information
 from diffusionfa.model import loading_matrix, sigma_derivative_factors
 
 import oracles
-from oracles import contrast_hessian, sigma_gradient_contract, sigma_gradient_stack
+from oracles import contrast_hessian, sigma_gradient_contract
 
 BOUNDED = settings(max_examples=60, deadline=None)
 # the same examples on every run
@@ -109,7 +107,7 @@ def test_packed_evaluator_is_bit_identical_to_param_vector_composition(data):
     grad = sigma_gradient_contract(params, -(srs + sr @ srs))
 
     x = pack(params)
-    objective = _Contrast(rcov, spec)
+    objective = _Contrast(rcov.q, spec)
     f_x, grad_x = objective.evaluate(x)
     assert f_x == f
     assert np.array_equal(grad_x, grad)
@@ -118,21 +116,25 @@ def test_packed_evaluator_is_bit_identical_to_param_vector_composition(data):
     cached = objective.hessian(x)
     objective.evaluate(x + 1e-3)
     assert np.array_equal(cached, objective.hessian(x))
-    assert np.array_equal(cached, _Contrast(rcov, spec).hessian(x))
+    assert np.array_equal(cached, _Contrast(rcov.q, spec).hessian(x))
 
 
 @DERANDOMISED
 @given(st.data())
 def test_rank2_hessian_and_delta_match_the_stack_oracle(data):
     # both consumers of sigma_derivative_factors against the dense
-    # (q, p, p) stack of dSigma/dtheta
+    # (q, p, p) stack of dSigma/dtheta: the Hessian, and the information
+    # T(S, S) / 2 against Delta^T W^{-1} Delta with Delta from the stack, on
+    # the fit's objective and on a fresh one at Q = Sigma(theta)
     spec, params, rcov = positive_definite_problem(data, max_p=12)
-    hess = _Contrast(rcov, spec).hessian(pack(params))
+    hess = _Contrast(rcov.q, spec).hessian(pack(params))
     oracle = contrast_hessian(rcov, params)
     assert np.max(np.abs(hess - oracle)) <= 1e-10 * np.max(np.abs(oracle))
-    rows, cols = vech_indices(spec.p)
-    assert np.array_equal(delta_jacobian(params),
-                          sigma_gradient_stack(params)[:, rows, cols].T)
+    oracle = oracles.information(params)
+    objective = _Contrast(rcov.q, spec)
+    for info in (objective.information(pack(params)), information(params)):
+        assert np.max(np.abs(info - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    assert objective.evals == 0  # forming S for the information is no search trial
 
 
 @BOUNDED
@@ -162,10 +164,10 @@ def test_hessian_on_one_objective_equals_a_fresh_one_at_each_point(data):
     spec, params, rcov = positive_definite_problem(data, max_p=7)
     points = [pack(params)] + [pack(positive_definite_params(data, spec))
                                for _ in range(data.draw(st.integers(1, 3)))]
-    objective, last = _Contrast(rcov, spec), None
+    objective, last = _Contrast(rcov.q, spec), None
     for x in points + points[:1]:
         evals = objective.evals
-        assert np.array_equal(objective.hessian(x), _Contrast(rcov, spec).hessian(x))
+        assert np.array_equal(objective.hessian(x), _Contrast(rcov.q, spec).hessian(x))
         assert objective.evals - evals == (last is None or x.tobytes() != last.tobytes())
         objective.evaluate(points[-1])
         last = points[-1]

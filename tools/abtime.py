@@ -1,6 +1,7 @@
 """In-process A/B timing of two diffusionfa source trees.
 
     python3 tools/abtime.py PARENT_SRC CHANGE_SRC [N]
+    python3 tools/abtime.py PARENT_SRC CHANGE_SRC --layers
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a
 ``diffusionfa`` package.  The tool copies the parent's package twice (A and
@@ -22,6 +23,17 @@ Timing the two trees in separate processes on a shared machine measures
 the load of the moment as much as the code: on a shared 2-vCPU VM the same
 code took 21-34 ms per call from one process to the next, while the ratio
 of interleaved calls held within about half a percent.  N defaults to 150.
+
+``--layers`` times two layers instead, with the same copies, rotation and
+ratios: ``fit`` from the default start on a simulated
+``perfbench.workloads.generated_system`` panel (n = 2000, h = 0.001) and
+``theoretical_sd_table`` at that system's truth, at (p, k) = (6, 2),
+(20, 3), (40, 3) and (100, 3), with fewer rounds where a call is slow and
+each timing a batch of at least 50 ms of calls where a call is fast.  The
+parent's package builds each input once and every copy gets the same
+numbers, through public functions only.  Each line ends with the largest
+relative difference between A's and B's results (the estimate, or the SD
+column), so a timing never hides a changed result.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import math
 import os
 import resource
 import shutil
@@ -38,9 +51,18 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench.workloads import generated_system  # noqa: E402
+
 STUDIES = ("table6_nonergodic", "ergodic_scaled")
 WARMUP = 3
 IMPORT_ROUNDS = 30
+# (p, k, rounds) of the layer rounds and the panel their inputs come from
+LAYERS = ((6, 2, 40), (20, 3, 20), (40, 3, 8), (100, 3, 3))
+PANEL_N, PANEL_H = 2000, 0.001
+MIN_BATCH_S = 0.05
 
 
 def load(src, name, root):
@@ -56,14 +78,62 @@ def call(cli, study, seed, out):
     argv = ["experiment", "--config", config, "--override", "replications=1",
             "--seed", str(seed), "--out", out]
     with contextlib.redirect_stdout(io.StringIO()):
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        start = time.process_time()
-        code = cli.main(argv)
-        elapsed = time.process_time() - start
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        elapsed, faults, code = timed(lambda: cli.main(argv))
     if code != 0:
         raise SystemExit(f"{cli.__name__} {study} seed {seed} exited {code}")
     return elapsed, faults
+
+
+def timed(fn, calls=1):
+    """CPU seconds, minor page faults and last result of ``calls`` calls of ``fn()``."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.process_time()
+    for _ in range(calls):
+        result = fn()
+    elapsed = time.process_time() - start
+    return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, result
+
+
+def layer_inputs(pkg, p, k):
+    """Q, n, h and the truth's blocks of one simulated generated system."""
+    sim, _, _ = generated_system(p, k, PANEL_N, PANEL_H, np.random.default_rng(p))
+    config = pkg.config.sim_config_from_json(dict(sim, seed=p), path="")
+    rcov, truth = pkg.realised_cov(pkg.simulate(config)), pkg.implied_params(config)
+    return rcov.q, rcov.n, rcov.h, (truth.a, truth.sigma_ff, truth.sigma_ee)
+
+
+def layer_calls(cli, p, k, inputs):
+    """The timed layers of the package of ``cli`` on ``inputs``, each a
+    call that returns the array compared across trees."""
+    pkg = importlib.import_module(cli.__package__)
+    q, n, h, blocks = inputs
+    rcov, spec = pkg.RealisedCov(q=q, n=n, h=h), pkg.ModelSpec(p=p, k=k, n=n, h=h)
+    truth = pkg.ParamVector(*blocks)
+    return {"fit": lambda: pkg.fit(rcov, spec).theta,
+            "sd_table": lambda: np.array(
+                [row[2] for row in pkg.theoretical_sd_table(truth, spec)])}
+
+
+def largest_rel(a, b):
+    """Largest relative elementwise difference of two arrays."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
+def layers(copies):
+    """Interleaved rounds of each layer at each size of ``LAYERS``."""
+    parent = importlib.import_module(copies["A"].__package__)
+    for p, k, rounds in LAYERS:
+        inputs = layer_inputs(parent, p, k)
+        calls = {key: layer_calls(cli, p, k, inputs) for key, cli in copies.items()}
+        for layer in ("fit", "sd_table"):
+            # one untimed call per copy warms it and gives the compared
+            # results; a fast call is timed in batches of at least MIN_BATCH_S
+            warm = {key: timed(c[layer]) for key, c in calls.items()}
+            batch = math.ceil(MIN_BATCH_S / max(min(w[0] for w in warm.values()), 1e-6))
+            report(f"{layer} p={p} k={k}", rounds, *interleave(
+                calls, rounds, lambda c, r: timed(c[layer], batch)[:2]),
+                diff=largest_rel(warm["A"][2], warm["B"][2]))
 
 
 def fresh_import(cli, root):
@@ -95,11 +165,12 @@ def interleave(copies, rounds, measure):
             {key: statistics.median(n) for key, n in faults.items()})
 
 
-def report(label, rounds, ratios, controls, faults):
+def report(label, rounds, ratios, controls, faults, diff=None):
     (b1, b2, b3), (c1, c2, c3) = ratios, controls
     minflt = " / ".join(f"{faults[key]:g}" for key in ("A", "B", "A'"))
     print(f"{label:<18} {rounds:>6}  {b2:.3f} [{b1:.3f}, {b3:.3f}]"
-          f"{'':<6} {c2:.3f} [{c1:.3f}, {c3:.3f}]{'':<7} {minflt}")
+          f"{'':<6} {c2:.3f} [{c1:.3f}, {c3:.3f}]{'':<7} {minflt}"
+          + ("" if diff is None else f"  {diff:.1e}"), flush=True)
 
 
 def quartiles(values):
@@ -108,7 +179,9 @@ def quartiles(values):
 
 
 def main(argv):
-    if len(argv) not in (2, 3):
+    by_layer = "--layers" in argv
+    argv = [a for a in argv if a != "--layers"]
+    if len(argv) not in (2, 3) or (by_layer and len(argv) == 3):
         raise SystemExit(__doc__)
     parent, change = (os.path.abspath(a) for a in argv[:2])
     rounds = int(argv[2]) if len(argv) == 3 else 150
@@ -117,8 +190,12 @@ def main(argv):
         copies = {"A": load(parent, "dfa_a", root), "A'": load(parent, "dfa_a2", root),
                   "B": load(change, "dfa_b", root)}
         out = os.path.join(root, "out")
-        print(f"{'study':<18} {'rounds':>6}  {'A/B median [q1, q3]':<26} "
-              f"{'A/A control median [q1, q3]':<33} minflt A / B / A'")
+        print(f"{'layer' if by_layer else 'study':<18} {'rounds':>6}  "
+              f"{'A/B median [q1, q3]':<26} {'A/A control median [q1, q3]':<33} "
+              "minflt A / B / A'" + ("  max rel A-B" if by_layer else ""))
+        if by_layer:
+            layers(copies)
+            return
         for study in STUDIES:
             for seed in range(WARMUP):
                 for cli in copies.values():

@@ -12,10 +12,10 @@ prints the SHA-256 over, fit after fit, the little-endian float64 bytes of
 theta, SE, avar, F, |pg| and T, then ``iterations|evaluations|converged|message``
 as text (``converged`` as ``True`` or ``False``).
 
-With SRC2 it prints, per fit, the largest relative change of theta, F and T
-from SRC to SRC2 and any change of iterations, evaluations, converged or
-message, then both hashes.  Equal hashes mean every fit is bit for bit the
-same.  BLAS threading can move the last bits of a fit, so pin it to one
+With SRC2 it prints, per fit, the largest relative change of theta, F, T and
+the SEs from SRC to SRC2 and any change of iterations, evaluations, converged
+or message, then a summary line with the largest of each, then both hashes.
+Equal hashes mean every fit is bit for bit the same.  BLAS threading can move the last bits of a fit, so pin it to one
 thread (``OPENBLAS_NUM_THREADS=1``) for a hash to compare across runs.
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 sys.path[:0] = [os.path.dirname(os.path.abspath(__file__)),
                 os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
 
-from abtime import load  # noqa: E402
+from abtime import largest_rel as rel, load  # noqa: E402
 from perfbench.workloads import generated_system  # noqa: E402
 
 STUDIES = ("table6_nonergodic", "ergodic_scaled")
@@ -83,28 +83,28 @@ def fingerprint(pkg):
     return digest.hexdigest(), records
 
 
-def rel(a, b):
-    scale = np.maximum(np.abs(a), np.abs(b))
-    return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
-
-
 def compare(old, new):
-    """Print per fit the largest relative theta/F/T change and any change
-    of counts, converged or message, then a summary line."""
-    moved = worst = 0
-    print(f"{'fit':<32} {'theta':>9} {'F':>9} {'T':>9}  counts, converged, message")
+    """Print per fit the largest relative theta/F/T and SE changes and any
+    change of counts, converged or message, then a summary line."""
+    moved = worst = worst_se = 0
+    print(f"{'fit':<32} {'theta':>9} {'F':>9} {'T':>9} {'SE':>9}  "
+          "counts, converged, message")
     for label, (floats, counts) in old.items():
         floats2, counts2 = new[label]
         theta, f, t = (rel(floats[0], floats2[0]), rel(floats[3][0], floats2[3][0]),
                        rel(floats[3][2], floats2[3][2]))
+        se = rel(floats[1], floats2[1])
         changed = [f"{name} {a!r} -> {b!r}" for name, a, b in
                    zip(("iterations", "evaluations", "converged", "message"),
                        counts, counts2) if a != b]
         moved += bool(changed)
         worst = max(worst, theta, f, t)
-        print(f"{label:<32} {theta:9.1e} {f:9.1e} {t:9.1e}  {'; '.join(changed) or 'same'}")
+        worst_se = max(worst_se, se)
+        print(f"{label:<32} {theta:9.1e} {f:9.1e} {t:9.1e} {se:9.1e}  "
+              f"{'; '.join(changed) or 'same'}")
     print(f"{len(old)} fits: largest relative theta/F/T change {worst:.1e}; "
-          f"{moved} with a count, converged or message change")
+          f"{moved} with a count, converged or message change; "
+          f"largest relative SE change {worst_se:.1e}")
 
 
 def main(argv):
