@@ -18,10 +18,11 @@ and its derivative in Sigma is G = -(S R S + S R S R S).  Both are computed
 in closed form from one Cholesky factor of Sigma(theta) (by LAPACK, through
 :func:`matrixcalc.inverse_cholesky`), on the packed parameter vector: a fit
 builds its objective once, with the index maps of its spec, and forms
-Lambda, Sigma_ff and Sigma of each point from that vector.  A search reads F
-at each trial and forms the gradient only at the trial it accepts, where
-the objective keeps S and G, so Newton's Hessian reuses that factorisation;
-the Hessian is built from the rank-2 factors of dSigma/dtheta
+Lambda, Sigma_ff and Sigma of each point from that vector.  An evaluation
+returns its point [Lambda, Sigma_ff, S, S R]; a search reads F at each
+trial and forms the gradient, appending G, only at the trial it accepts,
+and the minimisers carry that point to Newton's Hessian and the fit's
+information.  The Hessian is built from the rank-2 factors of dSigma/dtheta
 (:func:`model.sigma_derivative_factors`, whose constant columns are built
 once per (p, k)), in O(p^2 q + p q^2) without a (q, p, p) stack.
 sqrt(n) times the estimation error is asymptotically normal with covariance
@@ -177,7 +178,7 @@ def information(params):
     """Information Delta^T W^{-1} Delta at theta, :meth:`_Contrast.information`
     at Q = Sigma(theta); raises ValueError unless Sigma(theta) is PD."""
     objective = _Contrast(sigma_of_theta(params), ModelSpec(p=params.p, k=params.k))
-    return objective.information(pack(params))
+    return objective.information(objective.value(pack(params))[1])
 
 
 def contrast(rcov, params):
@@ -186,7 +187,7 @@ def contrast(rcov, params):
     Non-negative, and zero exactly on the zero-residual manifold.  Raises
     WeightMatrixError when Sigma(theta) is not positive definite.
     """
-    return _Contrast(rcov.q, ModelSpec(p=params.p, k=params.k)).value(pack(params))
+    return _Contrast(rcov.q, ModelSpec(p=params.p, k=params.k)).value(pack(params))[0]
 
 
 def contrast_grad(rcov, params):
@@ -282,69 +283,64 @@ def check_start(params, box=None, name="start",
 
 @lru_cache(maxsize=None)
 def _index_maps(p, k):
-    """n_a and the read-only index maps of :class:`_Contrast` for (p, k)."""
+    """n_a and the read-only maps of :class:`_Contrast` at (p, k), Lambda's eye included."""
     n_a, (rows, cols) = (p - k) * k, vech_indices(k)
     ff_index = n_a + unvech(np.arange(rows.size)).astype(int)  # packed Sigma_ff entries
     # vech Sigma_ff: flat k x k positions, chain-rule weights (2 off the
     # diagonal); row A[r, s], column Sigma_ff[s, c] at [s, c, r] after broadcasting
-    maps = (rows * k + cols, np.where(rows == cols, 1.0, 2.0), ff_index,
+    maps = (rows * k + cols, np.where(rows == cols, 1.0, 2.0), ff_index, np.eye(p, k),
             np.arange(n_a).reshape(k, 1, -1), ff_index[:, :, None])
     for m in maps:
         m.setflags(write=False)
-    return (n_a, *maps[:3], maps[3:])
+    return (n_a, *maps[:4], maps[4:])
 
 
 class _Contrast:
     """F = (1/2) tr[(S R)^2] of one (Q, spec) on packed vectors.
 
-    Built once per fit, it holds the index maps of the spec: it fills the
-    loading matrix of each point in place and gathers Sigma_ff from the
-    packed vector, without a ParamVector.  :meth:`value` forms F from
-    S = Sigma(theta)^{-1} = L^{-T} L^{-1}, L the Cholesky factor of
-    Sigma(theta), and R = q - Sigma(theta), and counts it in ``evals``;
-    :meth:`gradient` chains G = -(S R S + S R S R S) at that point to theta,
-    block by block in O(p^2 k); a search calls it only at the trial it
-    accepts.  It keeps one record of the last point, S and G included, so
-    :meth:`hessian` and :meth:`information` there reuse its factorisation.
+    Built once per fit, it holds the index maps of the spec and no point:
+    it copies each point's loading matrix from a read-only template and
+    gathers Sigma_ff from the packed vector, without a ParamVector.
+    :meth:`value` forms F from S = Sigma(theta)^{-1} = L^{-T} L^{-1}, L the
+    Cholesky factor of Sigma(theta), and R = q - Sigma(theta), counts it in
+    ``evals`` and returns it with the point [Lambda, Sigma_ff, S, S R];
+    :meth:`gradient` chains G = -(S R S + S R S R S) at a point to theta,
+    block by block in O(p^2 k), and appends G to it.  :meth:`hessian` and
+    :meth:`information` read only the point they are given.
     """
 
     def __init__(self, q, spec):
         self.q, self.spec, self.evals = q, spec, 0
-        self.n_a, self.ff_flat, self.weights, self.ff_index, self.a_ff = _index_maps(
-            spec.p, spec.k)
-        self.lam = np.eye(spec.p, spec.k)
-        # [x, Sigma_ff, S, S R, x.tobytes(), G] of the last value; gradient
-        # fills the last two
-        self._point = None
+        (self.n_a, self.ff_flat, self.weights, self.ff_index, self.eye,
+         self.a_ff) = _index_maps(spec.p, spec.k)
 
     def value(self, x):
-        """F at x, counted in ``evals``; raises WeightMatrixError when
-        Sigma(theta) is not positive definite."""
+        """F at x and its point [Lambda, Sigma_ff, S, S R], counted in ``evals``;
+        raises WeightMatrixError when Sigma(theta) is not positive definite."""
         self.evals += 1
-        self._point = None
         k, n_a = self.spec.k, self.n_a
-        self.lam[k:] = x[:n_a].reshape((self.spec.p - k, k), order="F")
+        lam = self.eye.copy()
+        lam[k:] = x[:n_a].reshape((self.spec.p - k, k), order="F")
         sigma_ff = x[self.ff_index]
-        sigma = sigma_from_blocks(self.lam, sigma_ff, x[n_a + self.weights.size:])
+        sigma = sigma_from_blocks(lam, sigma_ff, x[n_a + self.weights.size:])
         chol_inv = inverse_cholesky(sigma)
         if chol_inv is None:
             raise WeightMatrixError("model covariance is not positive definite")
         # ndarray.dot makes the BLAS call of @ without the ufunc dispatch
         s = chol_inv.T.dot(chol_inv)
         sr = s.dot(self.q - sigma)
-        self._point = [x, sigma_ff, s, sr, None, None]
-        return 0.5 * float(np.add.reduce(sr * sr.T, axis=None))
+        return 0.5 * float(np.add.reduce(sr * sr.T, axis=None)), [lam, sigma_ff, s, sr]
 
-    def gradient(self):
-        """The gradient of F at the point of the last :meth:`value`, the chain
-        rule sum_{r,c} G[r, c] dSigma[r, c]/dtheta_i."""
-        x, sigma_ff, s, sr, _, _ = self._point
+    def gradient(self, point):
+        """The gradient of F at ``point`` of :meth:`value`, the chain rule
+        sum_{r,c} G[r, c] dSigma[r, c]/dtheta_i; appends G to the point."""
+        lam, sigma_ff, s, sr = point
         srs = sr.dot(s)
         g = -(srs + sr.dot(srs))
         g = (g + g.T) / 2.0  # exactly symmetric, for this sum and the Hessian
-        self._point[4:] = x.tobytes(), g
-        p, k, n_a, lam = self.spec.p, self.spec.k, self.n_a, self.lam
-        out = np.empty(x.size)
+        point.append(g)
+        p, k, n_a = self.spec.p, self.spec.k, self.n_a
+        out = np.empty(self.spec.q)
         # vec of the (p - k) x k A block is the C order of its transpose
         np.multiply(2.0, g.dot(lam).dot(sigma_ff)[k:].T, out=out[:n_a].reshape(k, p - k))
         np.multiply(self.weights, lam.T.dot(g).dot(lam).take(self.ff_flat), out=out[n_a:-p])
@@ -352,14 +348,13 @@ class _Contrast:
         return out
 
     def evaluate(self, x):
-        """F and its gradient at x, one evaluation."""
-        return self.value(x), self.gradient()
+        """F, its gradient and the point at x, one evaluation."""
+        f, point = self.value(x)
+        return f, self.gradient(point), point
 
-    def _derivative_forms(self, x, evaluate):
-        """forms(M) = (U'MU, U'MV, V'MV) at x, after evaluate(x) unless the record has G."""
-        if self._point is None or self._point[4] != x.tobytes():
-            evaluate(x)
-        u, v, w = sigma_derivative_factors(self.lam, self._point[1])
+    def _derivative_forms(self, point):
+        """forms(M) = (U'MU, U'MV, V'MV) at ``point``."""
+        u, v, w = sigma_derivative_factors(point[0], point[1])
         v *= w
 
         def forms(m):
@@ -368,8 +363,8 @@ class _Contrast:
 
         return forms
 
-    def hessian(self, x):
-        """Exact Hessian of F at x,
+    def hessian(self, point):
+        """Exact Hessian of F at ``point`` of :meth:`gradient`,
 
             H = T(K, K) - T(S, G) - T(S, G)^T + tr(G d2Sigma/dtheta_i dtheta_j)
 
@@ -379,11 +374,10 @@ class _Contrast:
         elementwise products of the q x q forms U'XU, U'XV, V'XV and those of
         Y, in O(p^2 q + p q^2).  The last term has two non-zero blocks:
         2 Sigma_ff x G[k:, k:] for A-A and 2 (G Lambda)[k+r, c] at
-        (A[r, s], Sigma_ff[s, c]).  S and G are those of the last evaluation
-        when it was at x.
+        (A[r, s], Sigma_ff[s, c]).
         """
-        forms = self._derivative_forms(x, self.evaluate)
-        _, sigma_ff, s, _, _, g = self._point
+        forms = self._derivative_forms(point)
+        lam, sigma_ff, s, _, g = point
         k, n_a = self.spec.k, self.n_a
 
         def trace_products(xuu, xuv, xvv, yuu, yuv, yvv):
@@ -400,18 +394,15 @@ class _Contrast:
         h -= t.T
         h[:n_a, :n_a] += 2.0 * (sigma_ff[:, None, :, None]
                                 * g[None, k:, None, k:]).reshape(n_a, n_a)
-        a_ff = 2.0 * g.dot(self.lam)[k:].T
+        a_ff = 2.0 * g.dot(lam)[k:].T
         h[self.a_ff] += a_ff
         h[self.a_ff[::-1]] += a_ff
         return (h + h.T) / 2.0
 
-    def information(self, x):
-        """Delta^T W^{-1} Delta = T(S, S) / 2 at x, as W^{-1} = D^T (S x S) D / 2;
-        an evaluation here is no trial of a search, so ``evals`` skips it."""
-        evals, forms = self.evals, self._derivative_forms(x, self.value)
-        self.evals = evals
+    def information(self, point):
+        """Delta^T W^{-1} Delta = T(S, S) / 2 at ``point``: W^{-1} = D^T (S x S) D / 2."""
         # T(S, S) = M + M^T, M the first and third products of trace_products
-        suu, suv, svv = forms(self._point[2])
+        suu, suv, svv = self._derivative_forms(point)(point[2])
         m = suv.T * suv + svv * suu.T
         return (m + m.T) / 2.0
 
@@ -427,32 +418,32 @@ def _pg_norm(x, g, lo, hi):
 def _arc_search(objective, x, d, lo, hi, alpha, accept):
     """Backtrack along the projection arc clip(x + alpha d), halving alpha
     until ``accept(alpha, step, f_try)``, step = x_try - x, holds where
-    Sigma(theta) is PD and F finite; return (x_try, f_try, g_try, step), g
-    formed there alone, or None when the trial does not move, alpha falls
-    below _MIN_STEP_FRACTION or _MAX_EVALS is spent."""
+    Sigma(theta) is PD and F finite; return (x_try, f_try, g_try, point,
+    step), g formed there alone, or None when the trial does not move, alpha
+    falls below _MIN_STEP_FRACTION or _MAX_EVALS is spent."""
     while alpha >= _MIN_STEP_FRACTION and objective.evals < _MAX_EVALS:
         x_try = np.minimum(np.maximum(x + alpha * d, lo), hi)
         step = x_try - x
         if not np.count_nonzero(step):
             return None
         try:
-            f_try = objective.value(x_try)
+            f_try, point = objective.value(x_try)
         except WeightMatrixError:
             f_try = math.inf
         if math.isfinite(f_try) and accept(alpha, step, f_try):
-            return x_try, f_try, objective.gradient(), step
+            return x_try, f_try, objective.gradient(point), point, step
         alpha *= 0.5
     return None
 
 
-def _bfgs(objective, x, f, g, lo, hi):
+def _bfgs(objective, x, f, g, point, lo, hi):
     """Projected BFGS with Armijo backtracking; the loop for supplied starts.
 
-    Returns (x, f, g, iterations, converged, message); only the tolerance
-    exit converges, and :func:`fit` tests the stalls against the float64 floor.
+    Returns (x, f, g, point, iterations, converged, message); only the
+    tolerance exit converges; :func:`fit` tests stalls against the float64 floor.
     """
     identity = np.eye(objective.spec.q)
-    h_inv, h_fresh, first_update = identity, True, True
+    h_inv, fresh = identity, True  # fresh: no curvature update since the identity
     iterations = 0
     pg_norm = _pg_norm(x, g, lo, hi)
 
@@ -464,41 +455,40 @@ def _bfgs(objective, x, f, g, lo, hi):
 
     while True:
         if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
-            return x, f, g, iterations, True, "projected gradient within tolerance"
+            return x, f, g, point, iterations, True, "projected gradient within tolerance"
         if iterations >= _MAX_ITER:
-            return x, f, g, iterations, False, "max iterations reached"
+            return x, f, g, point, iterations, False, "max iterations reached"
         if objective.evals >= _MAX_EVALS:
-            return x, f, g, iterations, False, "evaluation budget exhausted"
+            return x, f, g, point, iterations, False, "evaluation budget exhausted"
         iterations += 1
         d = (-h_inv).dot(g)
         if d.dot(g) > -1e-14 * math.sqrt(d.dot(d)) * math.sqrt(g.dot(g)):
-            h_inv, h_fresh, first_update = identity, True, True
+            h_inv, fresh = identity, True
             d = -g
         found = _arc_search(objective, x, d, lo, hi, 1.0, sufficient)
-        if found is None and not h_fresh:
+        if found is None and not fresh:
             # stale curvature produces unusable directions along the box;
             # restart from steepest descent before giving up
-            h_inv, h_fresh, first_update = identity, True, True
+            h_inv, fresh = identity, True
             found = _arc_search(objective, x, -g, lo, hi, 1.0, sufficient)
         if found is None:
-            # x, f and g are those the loop head found outside the tolerance
-            return x, f, g, iterations, False, "line search failed to make progress"
+            # the loop head found this point outside the tolerance
+            return x, f, g, point, iterations, False, "line search failed to make progress"
 
         y = found[2] - g
-        x, f, g, step = found
+        x, f, g, point, step = found
         sy, yy = step.dot(y), y.dot(y)
         if sy > 1e-10 * math.sqrt(step.dot(step)) * math.sqrt(yy):
-            if first_update:
+            if fresh:
                 h_inv = (sy / yy) * identity
-                first_update = False
             rho = 1.0 / sy
             v = identity - rho * (step[:, None] * y)
             h_inv = v.dot(h_inv).dot(v.T) + rho * (step[:, None] * step)
-            h_fresh = False
+            fresh = False
         pg_norm = _pg_norm(x, g, lo, hi)
 
 
-def _projected_newton(objective, x, f, g, lo, hi):
+def _projected_newton(objective, x, f, g, point, lo, hi):
     """Projected Newton on the exact Hessian (Bertsekas 1982).
 
     Coordinates within eps of a bound that the gradient pushes outward form
@@ -515,7 +505,7 @@ def _projected_newton(objective, x, f, g, lo, hi):
     decrement g_F' |H_FF|^{-1} g_F is at most _DECREMENT_TOL (1 + |F|) and
     every active coordinate sits on its bound.
 
-    Returns (x, f, g, iterations, converged, message); the message is
+    Returns (x, f, g, point, iterations, converged, message); the message is
     ``decrement``, ``decrement_at_bound`` with the active coordinates,
     ``max_iter`` or ``line_search``.
     """
@@ -525,7 +515,7 @@ def _projected_newton(objective, x, f, g, lo, hi):
         return f - f_try >= _ARMIJO_C1 * (alpha * decrement - g[active].dot(step[active]))
 
     while True:
-        h = objective.hessian(x)
+        h = objective.hessian(point)
         r = x - np.minimum(np.maximum(x - g, lo), hi)
         eps = np.minimum(_ACTIVE_EPS * (hi - lo), math.sqrt(r.dot(r)))
         active = ((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0))
@@ -540,17 +530,17 @@ def _projected_newton(objective, x, f, g, lo, hi):
                 and ((x[active] == lo[active]) | (x[active] == hi[active])).all()):
             if active.any():
                 coords = ", ".join(f"theta:{i + 1}" for i in np.flatnonzero(active))
-                return x, f, g, iterations, True, f"decrement_at_bound ({coords})"
-            return x, f, g, iterations, True, "decrement"
+                return x, f, g, point, iterations, True, f"decrement_at_bound ({coords})"
+            return x, f, g, point, iterations, True, "decrement"
         if iterations >= _MAX_ITER:
-            return x, f, g, iterations, False, "max_iter"
+            return x, f, g, point, iterations, False, "max_iter"
         iterations += 1
         d[active] = -g[active] / np.maximum(np.abs(h.diagonal()[active]), _TINY)
         found = _arc_search(objective, x, d, lo, hi,
                             1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f)))), wanted)
         if found is None:
-            return x, f, g, iterations, False, "line_search"
-        x, f, g, _ = found
+            return x, f, g, point, iterations, False, "line_search"
+        x, f, g, point, _ = found
 
 
 def fit(rcov, spec, init=None, bounds=None):
@@ -594,13 +584,13 @@ def fit(rcov, spec, init=None, bounds=None):
     objective = _Contrast(rcov.q, spec)
     # F or the information may overflow: the point maps to inf, the SEs are not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        f, g = objective.evaluate(x)  # check_start saw this Sigma(theta) PD
+        f, g, point = objective.evaluate(x)  # check_start saw this Sigma(theta) PD
         if not math.isfinite(f):
             raise StartError("start contrast is not finite")
-        x, f, g, iterations, converged, message = minimize(objective, x, f, g, lo, hi)
+        x, f, g, point, iterations, converged, message = minimize(
+            objective, x, f, g, point, lo, hi)
         pg_norm = _pg_norm(x, g, lo, hi)
-        # a minimiser returns only points whose Sigma(theta) it has factored
-        info = objective.information(x)
+        info = objective.information(point)
         if message in _FLOOR_STOPS:
             # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64;
             # within a safety factor of it the point is converged

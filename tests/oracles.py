@@ -100,6 +100,7 @@ def sigma_gradient_contract(params, g):
     """
     # the three blocks gathered by index pairs and concatenated: a second
     # route to estimator._Contrast.gradient, which writes them into one buffer
+    # from the point of the evaluation it is given
     g = (g + g.T) / 2.0
     lam = loading_matrix(params)
     rows, cols = vech_indices(params.k)

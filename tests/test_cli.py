@@ -115,6 +115,19 @@ def test_truncated_binary_exits_2(tmp_path, sim_doc, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_binary_of_another_version_exits_2(tmp_path, sim_doc, capsys):
+    data = str(tmp_path / "path.bin")
+    assert main(["simulate", "--config", sim_doc, "--out", data,
+                 "--format", "bin"]) == 0
+    with open(data, "r+b") as fh:
+        fh.seek(4)  # the uint32 version after the magic
+        fh.write((2).to_bytes(4, "little"))
+    code = main(["rcov", "--data", data, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert data in err and "unsupported container version 2" in err
+
+
 @pytest.mark.parametrize("fault,needle", [("asymmetric", "not symmetric"),
                                           ("nan", "non-finite"),
                                           ("indefinite", "positive semidefinite")])
@@ -174,15 +187,19 @@ def test_rcov_json_nonpositive_h_or_n_exits_2(tmp_path, field, value, needle, ca
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("col,value,needle", [(2, "nan", "observation row 5"),
-                                              (0, "0.0051", "step 5")])
-def test_malformed_path_csv_exits_2(tmp_path, path_csv, col, value, needle,
+@pytest.mark.parametrize("line,col,value,needle", [
+    (6, 2, "nan", "observation row 5"),
+    (6, 0, "0.0051", "step 5"),
+    (0, 0, "time", "first column must be t"),
+], ids=["2-nan-observation row 5", "0-0.0051-step 5", "header-time"])
+def test_malformed_path_csv_exits_2(tmp_path, path_csv, line, col, value, needle,
                                     capsys):
-    # row 5 of the h=0.001 grid: a NaN in x2, or t moved off the grid
+    # row 5 of the h=0.001 grid (line 6): a NaN in x2, or t moved off the
+    # grid; or a header whose first column is not t
     lines = Path(path_csv).read_text().splitlines()
-    cells = lines[6].split(",")
+    cells = lines[line].split(",")
     cells[col] = value
-    lines[6] = ",".join(cells)
+    lines[line] = ",".join(cells)
     with open(path_csv, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     code = main(["rcov", "--data", path_csv, "--out", str(tmp_path / "r.json")])
@@ -338,6 +355,8 @@ BAD_EXPERIMENT_FIELDS = [
     ("alphas=[0]", "alphas entry 0"),
     ("seed_base=-1", "seed_base must be a non-negative integer"),
     ("seed_base=1.5", "seed_base must be a non-negative integer"),
+    # a value that is not JSON stays a string
+    ("seed_base=abc", "seed_base must be a non-negative integer, got 'abc'"),
     ("replications=2.5", "replications must be >= 1"),
     ('replications="3"', "replications must be >= 1"),
     ('keep_draws=["theta:99"]', "keep_draws entry 'theta:99'"),
@@ -402,6 +421,8 @@ BAD_SIMULATION_INPUTS = [
     ("seed=true", "field 'seed' must be an integer"),
     ("substeps=2.5", "field 'substeps' must be an integer"),
     ('substeps="2"', "field 'substeps' must be an integer"),
+    ("substeps=0", "substeps must be >= 1, got 0"),
+    ("factor_dispersion=[[1,0,0]]", "factor dispersion must have 2 rows, got (1, 3)"),
     ("spec.n=0", "spec.n must be >= 1"),
     ("spec.h=-0.01", "spec.h must be finite and > 0"),
     ("spec.h=NaN", "spec.h must be finite and > 0"),
@@ -557,13 +578,15 @@ MODEL_DOC_DEFECTS = [
     (["sigma_ee=[4, 16, -25, 1, 9, 4]"], "start theta:14=-25 lies outside"),
     (["sigma_ff=[13, 13, 1]"], "start Sigma(theta) of fields"),
     (["a=[[null, 1], [1, 5], [7, -4], [-3, 2]]"], "field 'a' must hold only numbers, got null"),
+    (["p=5", "k=1", "a=[[3], [1], [7], [-3]]", "sigma_ff=[13]", "sigma_ee=[4, 16, 25, 1, 9]"],
+     "data has p=6 coordinates but spec declares p=5"),
 ]
 
 
 @pytest.mark.parametrize("overrides,needle,subcommand", [
     pytest.param(overrides, needle, subcommand, id=f"{name}-{subcommand}")
     for (overrides, needle), name in zip(MODEL_DOC_DEFECTS,
-                                         ["k", "p", "box", "not_pd", "null"])
+                                         ["k", "p", "box", "not_pd", "null", "data_p"])
     # a start defect matters only where a start is used: select never does
     for subcommand in ["fit", "test", "select"]
     if not (subcommand == "select" and name in ("box", "not_pd"))])

@@ -178,7 +178,7 @@ def test_hessian_matches_central_differences(p, k):
     spec = ModelSpec(p=p, k=k)
     params = random_params_for(rng, spec)
     objective = _Contrast(random_rcov(rng, p).q, spec)
-    hess = objective.hessian(pack(params))
+    hess = objective.hessian(objective.evaluate(pack(params))[2])
     theta = pack(params)
     fd = np.zeros_like(hess)
     for j in range(spec.q):
@@ -199,7 +199,8 @@ def test_hessian_is_information_at_zero_residual(p, k):
     spec = ModelSpec(p=p, k=k)
     params = random_params_for(rng, spec)
     sigma = sigma_of_theta(params)
-    hess = _Contrast(sigma, spec).hessian(pack(params))
+    objective = _Contrast(sigma, spec)
+    hess = objective.hessian(objective.evaluate(pack(params))[2])
     delta = delta_jacobian(params)
     expected = 2.0 * delta.T @ np.linalg.solve(weight_matrix(sigma), delta)
     assert np.max(np.abs(hess - expected)) <= 1e-10 * np.max(np.abs(expected))
@@ -388,23 +389,26 @@ def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
 def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     # the full step is refused by the predicate, the half step accepted: two
     # counted evaluations, one gradient, and it is the accepted point's, as
-    # is the step returned
+    # are the step and the point returned
     objective = _Contrast(SIGMA_TRUE, make_spec())
     gradients = []
     plain_gradient = objective.gradient
-    objective.gradient = lambda: gradients.append(None) or plain_gradient()
+    objective.gradient = lambda point: gradients.append(None) or plain_gradient(point)
     x = pack(truth)
     d = np.full_like(x, 1e-3)
     box = parameter_box(make_spec())
-    x_try, f_try, g_try, step = estimator._arc_search(
+    x_try, f_try, g_try, point, step = estimator._arc_search(
         objective, x, d, box[:, 0], box[:, 1], 1.0, lambda alpha, *_: alpha < 1.0)
     assert np.array_equal(x_try, x + 0.5 * d)
     assert np.array_equal(step, x_try - x)
     assert objective.evals == 2
     assert len(gradients) == 1
-    f_ref, g_ref = _Contrast(SIGMA_TRUE, make_spec()).evaluate(x_try)
+    f_ref, g_ref, point_ref = _Contrast(SIGMA_TRUE, make_spec()).evaluate(x_try)
     assert f_try == f_ref
     assert np.array_equal(g_try, g_ref)
+    # Lambda, Sigma_ff, S, S R and G
+    assert len(point) == len(point_ref) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(point, point_ref))
 
 
 def _floor_stall_case():
@@ -420,7 +424,7 @@ def _count_information(monkeypatch):
     """A list that grows by one per _Contrast.information call."""
     formed, real = [], estimator._Contrast.information
     monkeypatch.setattr(estimator._Contrast, "information",
-                        lambda self, x: formed.append(None) or real(self, x))
+                        lambda self, point: formed.append(None) or real(self, point))
     return formed
 
 
@@ -442,7 +446,7 @@ def test_only_a_bfgs_stall_at_its_floor_converges(monkeypatch):
     x = pack(params)
     # the loop itself names the stall plainly and never converges it
     stop = estimator._bfgs(objective, x, *objective.evaluate(x), box[:, 0], box[:, 1])
-    assert stop[4:] == (False, "line search failed to make progress")
+    assert stop[5:] == (False, "line search failed to make progress")
     # an iteration cap far from the floor stays unconverged, and Newton's
     # stops are never rescued; each fit forms one information
     formed = _count_information(monkeypatch)

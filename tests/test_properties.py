@@ -108,15 +108,16 @@ def test_packed_evaluator_is_bit_identical_to_param_vector_composition(data):
 
     x = pack(params)
     objective = _Contrast(rcov.q, spec)
-    f_x, grad_x = objective.evaluate(x)
+    f_x, grad_x, point = objective.evaluate(x)
     assert f_x == f
     assert np.array_equal(grad_x, grad)
-    # the Hessian reuses the factorisation of the last point evaluated only
-    # when that point is x
-    cached = objective.hessian(x)
+    # the Hessian reads only the point it is given: a later evaluation leaves
+    # it unchanged, and a fresh objective's point at x gives the same bits
+    cached = objective.hessian(point)
     objective.evaluate(x + 1e-3)
-    assert np.array_equal(cached, objective.hessian(x))
-    assert np.array_equal(cached, _Contrast(rcov.q, spec).hessian(x))
+    assert np.array_equal(cached, objective.hessian(point))
+    fresh = _Contrast(rcov.q, spec)
+    assert np.array_equal(cached, fresh.hessian(fresh.evaluate(x)[2]))
 
 
 @DERANDOMISED
@@ -127,14 +128,15 @@ def test_rank2_hessian_and_delta_match_the_stack_oracle(data):
     # T(S, S) / 2 against Delta^T W^{-1} Delta with Delta from the stack, on
     # the fit's objective and on a fresh one at Q = Sigma(theta)
     spec, params, rcov = positive_definite_problem(data, max_p=12)
-    hess = _Contrast(rcov.q, spec).hessian(pack(params))
+    objective = _Contrast(rcov.q, spec)
+    point = objective.evaluate(pack(params))[2]
+    hess = objective.hessian(point)
     oracle = contrast_hessian(rcov, params)
     assert np.max(np.abs(hess - oracle)) <= 1e-10 * np.max(np.abs(oracle))
     oracle = oracles.information(params)
-    objective = _Contrast(rcov.q, spec)
-    for info in (objective.information(pack(params)), information(params)):
+    for info in (objective.information(point), information(params)):
         assert np.max(np.abs(info - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-    assert objective.evals == 0  # forming S for the information is no search trial
+    assert objective.evals == 1  # the Hessian and information read the point
 
 
 @BOUNDED
@@ -158,24 +160,26 @@ def test_derivative_factors_from_the_template_equal_the_column_blocks(data):
 @BOUNDED
 @given(st.data())
 def test_hessian_on_one_objective_equals_a_fresh_one_at_each_point(data):
-    # the record of one objective's last point carries nothing from one point
-    # to the next, whichever point it evaluated last; the Hessian reuses it at
-    # that point and costs one evaluation anywhere else
+    # one objective's points carry nothing from one to the next: the Hessian
+    # and information of each, read after every later evaluation, equal a
+    # fresh objective's at that point, and the objective itself changes no
+    # attribute but the count of its evaluations
     spec, params, rcov = positive_definite_problem(data, max_p=7)
-    points = [pack(params)] + [pack(positive_definite_params(data, spec))
-                               for _ in range(data.draw(st.integers(1, 3)))]
-    objective, last = _Contrast(rcov.q, spec), None
-    for x in points + points[:1]:
-        evals = objective.evals
-        assert np.array_equal(objective.hessian(x), _Contrast(rcov.q, spec).hessian(x))
-        assert objective.evals - evals == (last is None or x.tobytes() != last.tobytes())
-        objective.evaluate(points[-1])
-        last = points[-1]
-    # F alone forms no G, so the Hessian there evaluates again
-    objective.value(last)
-    evals = objective.evals
-    objective.hessian(last)
-    assert objective.evals == evals + 1
+    xs = [pack(params)] + [pack(positive_definite_params(data, spec))
+                           for _ in range(data.draw(st.integers(1, 3)))]
+    xs.append(xs[0])
+    objective = _Contrast(rcov.q, spec)
+    state = {key: value for key, value in vars(objective).items() if key != "evals"}
+    points = [objective.evaluate(x)[2] for x in xs]
+    assert objective.evals == len(points)
+    for x, point in zip(xs, points):
+        fresh = _Contrast(rcov.q, spec)
+        at_x = fresh.evaluate(x)[2]
+        assert np.array_equal(objective.hessian(point), fresh.hessian(at_x))
+        assert np.array_equal(objective.information(point), fresh.information(at_x))
+    assert objective.evals == len(points)
+    assert vars(objective).keys() == state.keys() | {"evals"}
+    assert all(vars(objective)[key] is value for key, value in state.items())
 
 
 @BOUNDED

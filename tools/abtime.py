@@ -24,12 +24,13 @@ the load of the moment as much as the code: on a shared 2-vCPU VM the same
 code took 21-34 ms per call from one process to the next, while the ratio
 of interleaved calls held within about half a percent.  N defaults to 150.
 
-``--layers`` times two layers instead, with the same copies, rotation and
-ratios: ``fit`` from the default start on a simulated
-``perfbench.workloads.generated_system`` panel (n = 2000, h = 0.001) and
-``theoretical_sd_table`` at that system's truth, at (p, k) = (6, 2),
-(20, 3), (40, 3) and (100, 3), with fewer rounds where a call is slow and
-each timing a batch of at least 50 ms of calls where a call is fast.  The
+``--layers`` times three layers instead, with the same copies, rotation and
+ratios: on a simulated ``perfbench.workloads.generated_system`` panel
+(n = 2000, h = 0.001), ``fit`` from the default start (projected Newton) and
+``fit_truth``, ``fit`` started at the system's truth (projected BFGS), and
+``theoretical_sd_table`` at that truth, at (p, k) = (6, 2), (20, 3),
+(40, 3) and (100, 3), with fewer rounds where a call is slow and each
+timing a batch of at least 50 ms of calls where a call is fast.  The
 parent's package builds each input once and every copy gets the same
 numbers, through public functions only.  Each line ends with the largest
 relative difference between A's and B's results (the estimate, or the SD
@@ -59,7 +60,8 @@ from perfbench.workloads import generated_system  # noqa: E402
 STUDIES = ("table6_nonergodic", "ergodic_scaled")
 WARMUP = 3
 IMPORT_ROUNDS = 30
-# (p, k, rounds) of the layer rounds and the panel their inputs come from
+# (p, k, rounds) of the layer rounds and the panel their inputs come from; at
+# p = 100 a fit from the truth takes seconds and over a thousand iterations
 LAYERS = ((6, 2, 40), (20, 3, 20), (40, 3, 8), (100, 3, 3))
 PANEL_N, PANEL_H = 2000, 0.001
 MIN_BATCH_S = 0.05
@@ -110,6 +112,7 @@ def layer_calls(cli, p, k, inputs):
     rcov, spec = pkg.RealisedCov(q=q, n=n, h=h), pkg.ModelSpec(p=p, k=k, n=n, h=h)
     truth = pkg.ParamVector(*blocks)
     return {"fit": lambda: pkg.fit(rcov, spec).theta,
+            "fit_truth": lambda: pkg.fit(rcov, spec, init=truth).theta,
             "sd_table": lambda: np.array(
                 [row[2] for row in pkg.theoretical_sd_table(truth, spec)])}
 
@@ -126,7 +129,7 @@ def layers(copies):
     for p, k, rounds in LAYERS:
         inputs = layer_inputs(parent, p, k)
         calls = {key: layer_calls(cli, p, k, inputs) for key, cli in copies.items()}
-        for layer in ("fit", "sd_table"):
+        for layer in calls["A"]:
             # one untimed call per copy warms it and gives the compared
             # results; a fast call is timed in batches of at least MIN_BATCH_S
             warm = {key: timed(c[layer]) for key, c in calls.items()}
@@ -168,7 +171,7 @@ def interleave(copies, rounds, measure):
 def report(label, rounds, ratios, controls, faults, diff=None):
     (b1, b2, b3), (c1, c2, c3) = ratios, controls
     minflt = " / ".join(f"{faults[key]:g}" for key in ("A", "B", "A'"))
-    print(f"{label:<18} {rounds:>6}  {b2:.3f} [{b1:.3f}, {b3:.3f}]"
+    print(f"{label:<20} {rounds:>6}  {b2:.3f} [{b1:.3f}, {b3:.3f}]"
           f"{'':<6} {c2:.3f} [{c1:.3f}, {c3:.3f}]{'':<7} {minflt}"
           + ("" if diff is None else f"  {diff:.1e}"), flush=True)
 
@@ -190,7 +193,7 @@ def main(argv):
         copies = {"A": load(parent, "dfa_a", root), "A'": load(parent, "dfa_a2", root),
                   "B": load(change, "dfa_b", root)}
         out = os.path.join(root, "out")
-        print(f"{'layer' if by_layer else 'study':<18} {'rounds':>6}  "
+        print(f"{'layer' if by_layer else 'study':<20} {'rounds':>6}  "
               f"{'A/B median [q1, q3]':<26} {'A/A control median [q1, q3]':<33} "
               "minflt A / B / A'" + ("  max rel A-B" if by_layer else ""))
         if by_layer:
