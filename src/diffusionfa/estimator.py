@@ -19,8 +19,8 @@ in closed form from one Cholesky factor of Sigma(theta) (by LAPACK, through
 :func:`matrixcalc.inverse_cholesky`), on the packed parameter vector: a fit
 builds its objective once, with the index maps of its spec, and forms
 Lambda, Sigma_ff and Sigma of each point from that vector.  An evaluation
-returns its point [Lambda, Sigma_ff, S, S R]; a search reads F at each
-trial and forms the gradient, appending G, only at the trial it accepts,
+returns its point [Lambda, Sigma_ff, S, S R]; a search asks for F at each
+trial and for the gradient, appending G, only at the trial it accepts,
 and the minimisers carry that point to Newton's Hessian and the fit's
 information.  The Hessian is built from the rank-2 factors of dSigma/dtheta
 (:func:`model.sigma_derivative_factors`, whose constant columns are built
@@ -40,8 +40,10 @@ box are used only at their own count (the generating count of a study,
 started at the truth), and every other count gets the default start in the
 default box.
 Both backtrack in :func:`_arc_search`, the one projected backtracking loop,
-each with its own Armijo test; a trial where Sigma(theta) is not PD or F is
-not finite is rejected.  ``_Contrast.value`` counts the trials evaluated.
+each with its own Armijo test, and reject a trial whose F is not finite.
+The minimisers and the search are generators that yield their requests:
+:func:`_drive` alone evaluates, counts and budgets them (``_MAX_EVALS``),
+and answers F = inf where Sigma(theta) is not PD.
 A speed rewrite of these loops keeps every floating-point operation, operand
 and order (``ndarray.dot`` for ``@``, in-place forms), never re-associating.
 """
@@ -128,7 +130,7 @@ class FitResult:
 
     ``avar`` is the inverse of the objective's information T(S, S) / 2 at
     the estimate, ``se[i] = sqrt(avar[i, i] / n)``.  ``evaluations`` counts
-    the contrast evaluations of the search, one per trial point, the start
+    the contrast evaluations of ``fit``'s driver, the start and non-PD trials
     included.  ``sigma_ff_min_eig`` and ``min_unique_variance`` surface
     boundary (Heywood-style) solutions; they are diagnostics, not errors.
     """
@@ -302,22 +304,22 @@ class _Contrast:
     it copies each point's loading matrix from a read-only template and
     gathers Sigma_ff from the packed vector, without a ParamVector.
     :meth:`value` forms F from S = Sigma(theta)^{-1} = L^{-T} L^{-1}, L the
-    Cholesky factor of Sigma(theta), and R = q - Sigma(theta), counts it in
-    ``evals`` and returns it with the point [Lambda, Sigma_ff, S, S R];
+    Cholesky factor of Sigma(theta), and R = q - Sigma(theta), and returns
+    it with the point [Lambda, Sigma_ff, S, S R];
     :meth:`gradient` chains G = -(S R S + S R S R S) at a point to theta,
     block by block in O(p^2 k), and appends G to it.  :meth:`hessian` and
-    :meth:`information` read only the point they are given.
+    :meth:`information` read only the point they are given; :func:`_drive`
+    counts and budgets the evaluations and maps a non-PD Sigma(theta) to inf.
     """
 
     def __init__(self, q, spec):
-        self.q, self.spec, self.evals = q, spec, 0
+        self.q, self.spec = q, spec
         (self.n_a, self.ff_flat, self.weights, self.ff_index, self.eye,
          self.a_ff) = _index_maps(spec.p, spec.k)
 
     def value(self, x):
-        """F at x and its point [Lambda, Sigma_ff, S, S R], counted in ``evals``;
-        raises WeightMatrixError when Sigma(theta) is not positive definite."""
-        self.evals += 1
+        """F at x and its point [Lambda, Sigma_ff, S, S R]; raises
+        WeightMatrixError when Sigma(theta) is not positive definite."""
         k, n_a = self.spec.k, self.n_a
         lam = self.eye.copy()
         lam[k:] = x[:n_a].reshape((self.spec.p - k, k), order="F")
@@ -415,34 +417,37 @@ def _pg_norm(x, g, lo, hi):
     return float(np.maximum.reduce(pg, initial=0.0))
 
 
-def _arc_search(objective, x, d, lo, hi, alpha, accept):
+class _Refused(Exception):
+    """Thrown by :func:`_drive` into a minimiser at an F request past _MAX_EVALS."""
+
+
+def _arc_search(x, d, lo, hi, alpha, accept):
     """Backtrack along the projection arc clip(x + alpha d), halving alpha
-    until ``accept(alpha, step, f_try)``, step = x_try - x, holds where
-    Sigma(theta) is PD and F finite; return (x_try, f_try, g_try, point,
-    step), g formed there alone, or None when the trial does not move, alpha
-    falls below _MIN_STEP_FRACTION or _MAX_EVALS is spent."""
-    while alpha >= _MIN_STEP_FRACTION and objective.evals < _MAX_EVALS:
+    until ``accept(alpha, step, f_try)``, step = x_try - x, holds with F finite
+    (:func:`_drive` answers inf for a non-PD Sigma(theta)), asking ("f", x_try)
+    at each trial and ("g", point) at the accepted one alone; return (x_try,
+    f_try, g_try, point, step), or None when the trial does not move or alpha
+    falls below _MIN_STEP_FRACTION."""
+    while alpha >= _MIN_STEP_FRACTION:
         x_try = np.minimum(np.maximum(x + alpha * d, lo), hi)
         step = x_try - x
         if not np.count_nonzero(step):
             return None
-        try:
-            f_try, point = objective.value(x_try)
-        except WeightMatrixError:
-            f_try = math.inf
+        f_try, point = yield "f", x_try
         if math.isfinite(f_try) and accept(alpha, step, f_try):
-            return x_try, f_try, objective.gradient(point), point, step
+            return x_try, f_try, (yield "g", point), point, step
         alpha *= 0.5
     return None
 
 
-def _bfgs(objective, x, f, g, point, lo, hi):
-    """Projected BFGS with Armijo backtracking; the loop for supplied starts.
+def _bfgs(x, f, g, point, lo, hi):
+    """Projected BFGS with Armijo backtracking; the loop for supplied starts,
+    a generator whose requests :func:`_drive` evaluates, counts and budgets.
 
     Returns (x, f, g, point, iterations, converged, message); only the
     tolerance exit converges; :func:`fit` tests stalls against the float64 floor.
     """
-    identity = np.eye(objective.spec.q)
+    identity = np.eye(x.size)
     h_inv, fresh = identity, True  # fresh: no curvature update since the identity
     iterations = 0
     pg_norm = _pg_norm(x, g, lo, hi)
@@ -458,19 +463,20 @@ def _bfgs(objective, x, f, g, point, lo, hi):
             return x, f, g, point, iterations, True, "projected gradient within tolerance"
         if iterations >= _MAX_ITER:
             return x, f, g, point, iterations, False, "max iterations reached"
-        if objective.evals >= _MAX_EVALS:
-            return x, f, g, point, iterations, False, "evaluation budget exhausted"
         iterations += 1
         d = (-h_inv).dot(g)
         if d.dot(g) > -1e-14 * math.sqrt(d.dot(d)) * math.sqrt(g.dot(g)):
             h_inv, fresh = identity, True
             d = -g
-        found = _arc_search(objective, x, d, lo, hi, 1.0, sufficient)
-        if found is None and not fresh:
-            # stale curvature produces unusable directions along the box;
-            # restart from steepest descent before giving up
-            h_inv, fresh = identity, True
-            found = _arc_search(objective, x, -g, lo, hi, 1.0, sufficient)
+        try:
+            found = yield from _arc_search(x, d, lo, hi, 1.0, sufficient)
+            if found is None and not fresh:
+                # stale curvature produces unusable directions along the box;
+                # restart from steepest descent before giving up
+                h_inv, fresh = identity, True
+                found = yield from _arc_search(x, -g, lo, hi, 1.0, sufficient)
+        except _Refused:
+            return x, f, g, point, iterations, False, "evaluation budget exhausted"
         if found is None:
             # the loop head found this point outside the tolerance
             return x, f, g, point, iterations, False, "line search failed to make progress"
@@ -488,8 +494,9 @@ def _bfgs(objective, x, f, g, point, lo, hi):
         pg_norm = _pg_norm(x, g, lo, hi)
 
 
-def _projected_newton(objective, x, f, g, point, lo, hi):
-    """Projected Newton on the exact Hessian (Bertsekas 1982).
+def _projected_newton(x, f, g, point, lo, hi):
+    """Projected Newton on the exact Hessian (Bertsekas 1982), a generator
+    whose requests :func:`_drive` evaluates, counts and budgets.
 
     Coordinates within eps of a bound that the gradient pushes outward form
     the active set, eps = min(_ACTIVE_EPS (hi - lo), |x - clip(x - g)|).  On
@@ -507,7 +514,7 @@ def _projected_newton(objective, x, f, g, point, lo, hi):
 
     Returns (x, f, g, point, iterations, converged, message); the message is
     ``decrement``, ``decrement_at_bound`` with the active coordinates,
-    ``max_iter`` or ``line_search``.
+    ``max_iter``, ``max_evals`` or ``line_search``.
     """
     iterations = 0
 
@@ -515,7 +522,7 @@ def _projected_newton(objective, x, f, g, point, lo, hi):
         return f - f_try >= _ARMIJO_C1 * (alpha * decrement - g[active].dot(step[active]))
 
     while True:
-        h = objective.hessian(point)
+        h = yield "h", point
         r = x - np.minimum(np.maximum(x - g, lo), hi)
         eps = np.minimum(_ACTIVE_EPS * (hi - lo), math.sqrt(r.dot(r)))
         active = ((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0))
@@ -536,11 +543,43 @@ def _projected_newton(objective, x, f, g, point, lo, hi):
             return x, f, g, point, iterations, False, "max_iter"
         iterations += 1
         d[active] = -g[active] / np.maximum(np.abs(h.diagonal()[active]), _TINY)
-        found = _arc_search(objective, x, d, lo, hi,
-                            1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f)))), wanted)
+        try:
+            found = yield from _arc_search(
+                x, d, lo, hi, 1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f)))), wanted)
+        except _Refused:
+            return x, f, g, point, iterations, False, "max_evals"
         if found is None:
             return x, f, g, point, iterations, False, "line_search"
         x, f, g, point, _ = found
+
+
+def _drive(minimize, objective, x, lo, hi):
+    """The one evaluator of a fit: run ``minimize(x, f, g, point, lo, hi)``
+    from x and return its result and its count of F evaluations, the start's
+    included.  It answers ("f", x) with (F, point), inf for a non-PD
+    Sigma(theta), ("g", point) and ("h", point) with the gradient and Hessian,
+    and throws _Refused at an F request past _MAX_EVALS."""
+    f, point = objective.value(x)  # check_start saw this Sigma(theta) PD
+    if not math.isfinite(f):
+        raise StartError("start contrast is not finite")
+    evals, search = 1, minimize(x, f, objective.gradient(point), point, lo, hi)
+    try:
+        kind, arg = next(search)
+        while True:
+            if kind == "f":
+                if evals >= _MAX_EVALS:
+                    kind, arg = search.throw(_Refused())
+                    continue
+                evals += 1
+                try:
+                    answer = objective.value(arg)
+                except WeightMatrixError:
+                    answer = math.inf, None
+            else:
+                answer = (objective.gradient if kind == "g" else objective.hessian)(arg)
+            kind, arg = search.send(answer)
+    except StopIteration as stop:
+        return stop.value, evals
 
 
 def fit(rcov, spec, init=None, bounds=None):
@@ -580,15 +619,11 @@ def fit(rcov, spec, init=None, bounds=None):
         minimize = _bfgs
     check_start(init, bounds)
 
-    x = pack(init)
     objective = _Contrast(rcov.q, spec)
     # F or the information may overflow: the point maps to inf, the SEs are not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        f, g, point = objective.evaluate(x)  # check_start saw this Sigma(theta) PD
-        if not math.isfinite(f):
-            raise StartError("start contrast is not finite")
-        x, f, g, point, iterations, converged, message = minimize(
-            objective, x, f, g, point, lo, hi)
+        (x, f, g, point, iterations, converged, message), evaluations = _drive(
+            minimize, objective, pack(init), lo, hi)
         pg_norm = _pg_norm(x, g, lo, hi)
         info = objective.information(point)
         if message in _FLOOR_STOPS:
@@ -613,7 +648,7 @@ def fit(rcov, spec, init=None, bounds=None):
         se=se,
         converged=converged,
         iterations=iterations,
-        evaluations=objective.evals,
+        evaluations=evaluations,
         gradient_norm=pg_norm,
         n=rcov.n,
         sigma_ff_min_eig=float(np.linalg.eigvalsh(theta_hat.sigma_ff)[0]),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1089,3 +1090,28 @@ def test_docs_flag_table_matches_the_parser():
     registered = {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
                   for name, sub in subparsers.choices.items()}
     assert documented == registered
+
+
+def _without_parentheses(text):
+    while True:
+        stripped = re.sub(r"\([^()]*\)", "", text)
+        if stripped == text:
+            return text
+        text = stripped
+
+
+def test_docs_exit_codes_match_the_cli():
+    # README's "Exit codes:" sentence and the "Exit codes" section of
+    # docs/file-formats.md name each code outside their parentheses
+    from diffusionfa import cli
+
+    root = Path(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    docs = (root / "docs" / "file-formats.md").read_text(encoding="utf-8")
+    sentence = _without_parentheses(readme.split("Exit codes:", 1)[1]).split(".", 1)[0]
+    section = _without_parentheses(docs.split("## Exit codes", 1)[1].split("\n## ", 1)[0])
+    codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    assert codes == sorted((cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NONCONVERGED,
+                            cli.EXIT_UNTESTABLE)) == [0, 2, 3, 4]
+    assert [int(c) for c in re.findall(r"\d+", sentence)] == codes
+    assert [int(c) for c in re.findall(r"\d+", section)] == codes

@@ -344,19 +344,52 @@ def test_fit_nonconvergence_returns_partial_result(truth, monkeypatch):
 
 
 def test_evaluation_budget_ends_both_minimisers_unconverged(monkeypatch):
-    # five evaluations: BFGS from the truth stops at its loop head, Newton from
-    # the default start in its arc search; neither is at the floating-point floor
-    monkeypatch.setattr(estimator, "_MAX_EVALS", 5)
+    # the driver refuses the evaluation past the budget and each minimiser
+    # names the budget, wherever it runs out: BFGS from the truth within its
+    # first search (two) or its second (five), Newton from the default start in
+    # its arc search; neither is at the floating-point floor
     exp = experiment_from_json(load_json(bundled_config_path("table6_nonergodic")))
     assert exp.seed_base == 77
     rc = realised_cov(simulate(exp.sim.with_seed(replication_seed(exp.seed_base, 0))))
-    res = fit(rc, exp.spec, init=exp.truth,
-              bounds=parameter_box(exp.spec, **exp.bounds_blocks))
     assert "evaluation budget exhausted" in estimator._FLOOR_STOPS
-    assert (res.converged, res.message, res.evaluations) == (
-        False, "evaluation budget exhausted", 5)
+    for budget in (2, 5):
+        monkeypatch.setattr(estimator, "_MAX_EVALS", budget)
+        res = fit(rc, exp.spec, init=exp.truth,
+                  bounds=parameter_box(exp.spec, **exp.bounds_blocks))
+        assert (res.converged, res.message, res.evaluations) == (
+            False, "evaluation budget exhausted", budget)
     res = fit(rc, replace(exp.spec, k=1))
-    assert (res.converged, res.message, res.evaluations) == (False, "line_search", 5)
+    assert (res.converged, res.message, res.evaluations) == (False, "max_evals", 5)
+
+
+def _one_search(d, accept):
+    """A minimiser for :func:`estimator._drive` that runs one arc search along
+    d from the start and returns what it found."""
+    return lambda x, f, g, point, lo, hi: estimator._arc_search(x, d, lo, hi, 1.0, accept)
+
+
+def test_drive_counts_the_start_and_answers_a_non_pd_trial_with_inf(truth):
+    spec = make_spec()
+    objective = _Contrast(SIGMA_TRUE, spec)
+    box = parameter_box(spec)  # admits negative unique variances
+    x = pack(truth)
+    bad = x.copy()
+    bad[-spec.p:] -= 1.5 * np.linalg.eigvalsh(SIGMA_TRUE)[0]
+    with pytest.raises(WeightMatrixError):
+        objective.value(bad)
+
+    def asks_nothing(x, f, g, point, lo, hi):
+        return f, g
+        yield  # unreached: a generator that returns at once
+
+    def asks_once(x, f, g, point, lo, hi):
+        return (yield "f", bad)
+
+    (f, g), evals = estimator._drive(asks_nothing, objective, x, box[:, 0], box[:, 1])
+    assert (f, evals) == (0.0, 1)
+    assert np.array_equal(g, objective.evaluate(x)[1])
+    answer, evals = estimator._drive(asks_once, objective, x, box[:, 0], box[:, 1])
+    assert (answer, evals) == ((np.inf, None), 2)
 
 
 def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(truth):
@@ -365,8 +398,9 @@ def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(trut
     d = np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
     # every coordinate sits on the bound that d pushes against
     lo, hi = np.where(d < 0, x, x - 1.0), np.where(d > 0, x, x + 1.0)
-    assert estimator._arc_search(objective, x, d, lo, hi, 1.0, lambda *_: True) is None
-    assert objective.evals == 0
+    found, evals = estimator._drive(_one_search(d, lambda *_: True), objective, x, lo, hi)
+    assert found is None
+    assert evals == 1  # the start alone
 
 
 def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
@@ -380,16 +414,16 @@ def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
     d[-spec.p:] = -1.5 * np.linalg.eigvalsh(SIGMA_TRUE)[0]
     with pytest.raises(WeightMatrixError):
         _Contrast(SIGMA_TRUE, spec).evaluate(x + d)
-    found = estimator._arc_search(objective, x, d, box[:, 0], box[:, 1], 1.0,
-                                  lambda *_: True)
+    found, evals = estimator._drive(_one_search(d, lambda *_: True), objective, x,
+                                    box[:, 0], box[:, 1])
     assert np.array_equal(found[0], x + 0.5 * d)
-    assert objective.evals == 2
+    assert evals == 3  # the start and both trials
 
 
 def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     # the full step is refused by the predicate, the half step accepted: two
-    # counted evaluations, one gradient, and it is the accepted point's, as
-    # are the step and the point returned
+    # counted evaluations and one gradient beside the start's, and it is the
+    # accepted point's, as are the step and the point returned
     objective = _Contrast(SIGMA_TRUE, make_spec())
     gradients = []
     plain_gradient = objective.gradient
@@ -397,12 +431,12 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     x = pack(truth)
     d = np.full_like(x, 1e-3)
     box = parameter_box(make_spec())
-    x_try, f_try, g_try, point, step = estimator._arc_search(
-        objective, x, d, box[:, 0], box[:, 1], 1.0, lambda alpha, *_: alpha < 1.0)
+    (x_try, f_try, g_try, point, step), evals = estimator._drive(
+        _one_search(d, lambda alpha, *_: alpha < 1.0), objective, x, box[:, 0], box[:, 1])
     assert np.array_equal(x_try, x + 0.5 * d)
     assert np.array_equal(step, x_try - x)
-    assert objective.evals == 2
-    assert len(gradients) == 1
+    assert evals == 3
+    assert len(gradients) == 2
     f_ref, g_ref, point_ref = _Contrast(SIGMA_TRUE, make_spec()).evaluate(x_try)
     assert f_try == f_ref
     assert np.array_equal(g_try, g_ref)
@@ -442,10 +476,9 @@ def test_bfgs_stall_at_the_floating_point_floor_is_converged(monkeypatch):
 def test_only_a_bfgs_stall_at_its_floor_converges(monkeypatch):
     rc, spec, params = _floor_stall_case()
     box = default_bounds(rc, spec)
-    objective = _Contrast(rc.q, spec)
-    x = pack(params)
     # the loop itself names the stall plainly and never converges it
-    stop = estimator._bfgs(objective, x, *objective.evaluate(x), box[:, 0], box[:, 1])
+    stop, _ = estimator._drive(estimator._bfgs, _Contrast(rc.q, spec), pack(params),
+                               box[:, 0], box[:, 1])
     assert stop[5:] == (False, "line search failed to make progress")
     # an iteration cap far from the floor stays unconverged, and Newton's
     # stops are never rescued; each fit forms one information

@@ -24,17 +24,21 @@ the load of the moment as much as the code: on a shared 2-vCPU VM the same
 code took 21-34 ms per call from one process to the next, while the ratio
 of interleaved calls held within about half a percent.  N defaults to 150.
 
-``--layers`` times three layers instead, with the same copies, rotation and
-ratios: on a simulated ``perfbench.workloads.generated_system`` panel
-(n = 2000, h = 0.001), ``fit`` from the default start (projected Newton) and
+``--layers`` times five layers instead, with the same copies, rotation and
+ratios.  ``simulate`` runs the system of each bundled study
+(``table6_nonergodic`` at n = 1e3, ``ergodic_scaled`` at n = 1e4), one seed
+per round, and ``realised_cov`` runs on the n = 1e4 path.  Then, on a
+simulated ``perfbench.workloads.generated_system`` panel (n = 2000,
+h = 0.001), ``fit`` from the default start (projected Newton) and
 ``fit_truth``, ``fit`` started at the system's truth (projected BFGS), and
 ``theoretical_sd_table`` at that truth, at (p, k) = (6, 2), (20, 3),
-(40, 3) and (100, 3), with fewer rounds where a call is slow and each
-timing a batch of at least 50 ms of calls where a call is fast.  The
-parent's package builds each input once and every copy gets the same
-numbers, through public functions only.  Each line ends with the largest
-relative difference between A's and B's results (the estimate, or the SD
-column), so a timing never hides a changed result.
+(40, 3) and (100, 3), with fewer rounds where a call is slow.  Each timing
+is a batch of at least 50 ms of calls where a call is fast.  The parent's
+package builds each input once (the config document, the path, the panel)
+and every copy gets the same numbers, through public functions only.  Each
+line ends with the largest relative difference between A's and B's results
+(the path, Q, the estimate or the SD column), so a timing never hides a
+changed result.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ IMPORT_ROUNDS = 30
 # p = 100 a fit from the truth takes seconds and over a thousand iterations
 LAYERS = ((6, 2, 40), (20, 3, 20), (40, 3, 8), (100, 3, 3))
 PANEL_N, PANEL_H = 2000, 0.001
+SYSTEM_ROUNDS = 40
 MIN_BATCH_S = 0.05
 
 
@@ -111,10 +116,20 @@ def layer_calls(cli, p, k, inputs):
     q, n, h, blocks = inputs
     rcov, spec = pkg.RealisedCov(q=q, n=n, h=h), pkg.ModelSpec(p=p, k=k, n=n, h=h)
     truth = pkg.ParamVector(*blocks)
-    return {"fit": lambda: pkg.fit(rcov, spec).theta,
-            "fit_truth": lambda: pkg.fit(rcov, spec, init=truth).theta,
-            "sd_table": lambda: np.array(
+    return {"fit": lambda r: pkg.fit(rcov, spec).theta,
+            "fit_truth": lambda r: pkg.fit(rcov, spec, init=truth).theta,
+            "sd_table": lambda r: np.array(
                 [row[2] for row in pkg.theoretical_sd_table(truth, spec)])}
+
+
+def system_calls(cli, study_doc, path):
+    """``simulate`` of the study system ``study_doc`` at the round's seed and
+    ``realised_cov`` of ``path`` (times, x) by the package of ``cli``."""
+    pkg = importlib.import_module(cli.__package__)
+    config = pkg.config.sim_config_from_json(study_doc["sim"])
+    sample = pkg.SamplePath(*path)
+    return {"simulate": lambda r: pkg.simulate(config.with_seed(r)).x,
+            "realised_cov": lambda r: pkg.realised_cov(sample).q}
 
 
 def largest_rel(a, b):
@@ -123,20 +138,36 @@ def largest_rel(a, b):
     return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
 
 
+def time_layer(label, calls, layer, rounds):
+    """Report interleaved rounds of ``calls[copy][layer](r)`` in round r."""
+    # one untimed call per copy warms it and gives the compared results; a
+    # fast call is timed in batches of at least MIN_BATCH_S
+    warm = {key: timed(lambda: c[layer](0)) for key, c in calls.items()}
+    batch = math.ceil(MIN_BATCH_S / max(min(w[0] for w in warm.values()), 1e-6))
+    report(label, rounds, *interleave(
+        calls, rounds, lambda c, r: timed(lambda: c[layer](r), batch)[:2]),
+        diff=largest_rel(warm["A"][2], warm["B"][2]))
+
+
 def layers(copies):
-    """Interleaved rounds of each layer at each size of ``LAYERS``."""
+    """Interleaved rounds of ``simulate`` and ``realised_cov`` on the bundled
+    study systems, then of each panel layer at each size of ``LAYERS``."""
     parent = importlib.import_module(copies["A"].__package__)
+    for study in STUDIES:
+        doc = parent.config.load_json(
+            os.path.join(os.path.dirname(parent.__file__), "configs", f"{study}.json"))
+        path = parent.simulate(parent.config.sim_config_from_json(doc["sim"]))
+        calls = {key: system_calls(cli, doc, (path.times, path.x))
+                 for key, cli in copies.items()}
+        n = doc["sim"]["spec"]["n"]
+        time_layer(f"simulate n={n:g}", calls, "simulate", SYSTEM_ROUNDS)
+        if study == "ergodic_scaled":
+            time_layer(f"realised_cov n={n:g}", calls, "realised_cov", SYSTEM_ROUNDS)
     for p, k, rounds in LAYERS:
         inputs = layer_inputs(parent, p, k)
         calls = {key: layer_calls(cli, p, k, inputs) for key, cli in copies.items()}
         for layer in calls["A"]:
-            # one untimed call per copy warms it and gives the compared
-            # results; a fast call is timed in batches of at least MIN_BATCH_S
-            warm = {key: timed(c[layer]) for key, c in calls.items()}
-            batch = math.ceil(MIN_BATCH_S / max(min(w[0] for w in warm.values()), 1e-6))
-            report(f"{layer} p={p} k={k}", rounds, *interleave(
-                calls, rounds, lambda c, r: timed(c[layer], batch)[:2]),
-                diff=largest_rel(warm["A"][2], warm["B"][2]))
+            time_layer(f"{layer} p={p} k={k}", calls, layer, rounds)
 
 
 def fresh_import(cli, root):
