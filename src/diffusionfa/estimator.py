@@ -41,9 +41,9 @@ started at the truth), and every other count gets the default start in the
 default box.
 Both backtrack in :func:`_arc_search`, the one projected backtracking loop,
 each with its own Armijo test, and reject a trial whose F is not finite.
-The minimisers and the search are generators that yield their requests:
-:func:`_drive` alone evaluates, counts and budgets them (``_MAX_EVALS``),
-and answers F = inf where Sigma(theta) is not PD.
+The minimisers and the search are generators that yield requests and steps:
+:func:`_drive` alone evaluates them, answers F = inf where Sigma(theta) is
+not PD and owns both caps of a fit (``_MAX_ITER``, ``_MAX_EVALS``).
 A speed rewrite of these loops keeps every floating-point operation, operand
 and order (``ndarray.dot`` for ``@``, in-place forms), never re-associating.
 """
@@ -78,16 +78,10 @@ _MIN_DECREASE = 4.0 * _EPS  # four ulps of 1
 _ACTIVE_EPS = 1e-3
 _EIG_FLOOR = 1e-10
 _DECREMENT_TOL = 1e-10
-# relative projected-gradient tolerance of the BFGS loop; caps of both loops
+# relative projected-gradient tolerance of the BFGS loop; the caps of _drive
 _GRAD_TOL = 1e-8
 _MAX_ITER = 2000
 _MAX_EVALS = 12000
-# each BFGS stall, and its message when fit finds it at the floating-point floor
-_FLOOR_STOPS = {
-    "max iterations reached": "iteration cap at the floating-point floor",
-    "evaluation budget exhausted": "evaluation budget reached at the floating-point floor",
-    "line search failed to make progress": "descent exhausted at the floating-point floor",
-}
 
 
 @dataclass(frozen=True)
@@ -417,10 +411,6 @@ def _pg_norm(x, g, lo, hi):
     return float(np.maximum.reduce(pg, initial=0.0))
 
 
-class _Refused(Exception):
-    """Thrown by :func:`_drive` into a minimiser at an F request past _MAX_EVALS."""
-
-
 def _arc_search(x, d, lo, hi, alpha, accept):
     """Backtrack along the projection arc clip(x + alpha d), halving alpha
     until ``accept(alpha, step, f_try)``, step = x_try - x, holds with F finite
@@ -444,12 +434,11 @@ def _bfgs(x, f, g, point, lo, hi):
     """Projected BFGS with Armijo backtracking; the loop for supplied starts,
     a generator whose requests :func:`_drive` evaluates, counts and budgets.
 
-    Returns (x, f, g, point, iterations, converged, message); only the
-    tolerance exit converges; :func:`fit` tests stalls against the float64 floor.
+    Returns (x, f, g, point, converged, message); only the tolerance exit
+    converges; :func:`fit` tests the other stops against the float64 floor.
     """
     identity = np.eye(x.size)
     h_inv, fresh = identity, True  # fresh: no curvature update since the identity
-    iterations = 0
     pg_norm = _pg_norm(x, g, lo, hi)
 
     def sufficient(alpha, step, f_try):
@@ -460,26 +449,21 @@ def _bfgs(x, f, g, point, lo, hi):
 
     while True:
         if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
-            return x, f, g, point, iterations, True, "projected gradient within tolerance"
-        if iterations >= _MAX_ITER:
-            return x, f, g, point, iterations, False, "max iterations reached"
-        iterations += 1
+            return x, f, g, point, True, "projected gradient within tolerance"
+        yield "step", (x, f, g, point)
         d = (-h_inv).dot(g)
         if d.dot(g) > -1e-14 * math.sqrt(d.dot(d)) * math.sqrt(g.dot(g)):
             h_inv, fresh = identity, True
             d = -g
-        try:
-            found = yield from _arc_search(x, d, lo, hi, 1.0, sufficient)
-            if found is None and not fresh:
-                # stale curvature produces unusable directions along the box;
-                # restart from steepest descent before giving up
-                h_inv, fresh = identity, True
-                found = yield from _arc_search(x, -g, lo, hi, 1.0, sufficient)
-        except _Refused:
-            return x, f, g, point, iterations, False, "evaluation budget exhausted"
+        found = yield from _arc_search(x, d, lo, hi, 1.0, sufficient)
+        if found is None and not fresh:
+            # stale curvature produces unusable directions along the box;
+            # restart from steepest descent before giving up
+            h_inv, fresh = identity, True
+            found = yield from _arc_search(x, -g, lo, hi, 1.0, sufficient)
         if found is None:
             # the loop head found this point outside the tolerance
-            return x, f, g, point, iterations, False, "line search failed to make progress"
+            return x, f, g, point, False, "line_search"
 
         y = found[2] - g
         x, f, g, point, step = found
@@ -512,11 +496,10 @@ def _projected_newton(x, f, g, point, lo, hi):
     decrement g_F' |H_FF|^{-1} g_F is at most _DECREMENT_TOL (1 + |F|) and
     every active coordinate sits on its bound.
 
-    Returns (x, f, g, point, iterations, converged, message); the message is
-    ``decrement``, ``decrement_at_bound`` with the active coordinates,
-    ``max_iter``, ``max_evals`` or ``line_search``.
+    Returns (x, f, g, point, converged, message); the message is
+    ``decrement``, ``decrement_at_bound`` with the active coordinates or
+    ``line_search``.
     """
-    iterations = 0
 
     def wanted(alpha, step, f_try):
         return f - f_try >= _ARMIJO_C1 * (alpha * decrement - g[active].dot(step[active]))
@@ -537,39 +520,41 @@ def _projected_newton(x, f, g, point, lo, hi):
                 and ((x[active] == lo[active]) | (x[active] == hi[active])).all()):
             if active.any():
                 coords = ", ".join(f"theta:{i + 1}" for i in np.flatnonzero(active))
-                return x, f, g, point, iterations, True, f"decrement_at_bound ({coords})"
-            return x, f, g, point, iterations, True, "decrement"
-        if iterations >= _MAX_ITER:
-            return x, f, g, point, iterations, False, "max_iter"
-        iterations += 1
+                return x, f, g, point, True, f"decrement_at_bound ({coords})"
+            return x, f, g, point, True, "decrement"
+        yield "step", (x, f, g, point)
         d[active] = -g[active] / np.maximum(np.abs(h.diagonal()[active]), _TINY)
-        try:
-            found = yield from _arc_search(
-                x, d, lo, hi, 1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f)))), wanted)
-        except _Refused:
-            return x, f, g, point, iterations, False, "max_evals"
+        found = yield from _arc_search(
+            x, d, lo, hi, 1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f)))), wanted)
         if found is None:
-            return x, f, g, point, iterations, False, "line_search"
+            return x, f, g, point, False, "line_search"
         x, f, g, point, _ = found
 
 
 def _drive(minimize, objective, x, lo, hi):
-    """The one evaluator of a fit: run ``minimize(x, f, g, point, lo, hi)``
-    from x and return its result and its count of F evaluations, the start's
-    included.  It answers ("f", x) with (F, point), inf for a non-PD
-    Sigma(theta), ("g", point) and ("h", point) with the gradient and Hessian,
-    and throws _Refused at an F request past _MAX_EVALS."""
+    """The one evaluator of a fit and the owner of both caps: run
+    ``minimize(x, f, g, point, lo, hi)`` from x, answering ("f", x) with
+    (F, point), inf for a non-PD Sigma(theta), and ("g", point) and
+    ("h", point) with the gradient and Hessian; return its result, its
+    steps (("step", (x, f, g, point)) yields) and its F evaluations, the
+    start's included.  The step past _MAX_ITER ends it unconverged at its
+    state with ``max_iter``, an F request past _MAX_EVALS at the last step's
+    (the start before one) with ``max_evals``."""
     f, point = objective.value(x)  # check_start saw this Sigma(theta) PD
     if not math.isfinite(f):
         raise StartError("start contrast is not finite")
-    evals, search = 1, minimize(x, f, objective.gradient(point), point, lo, hi)
+    state = x, f, objective.gradient(point), point
+    steps, evals, search, answer = 0, 1, minimize(*state, lo, hi), None
     try:
-        kind, arg = next(search)
         while True:
-            if kind == "f":
+            kind, arg = search.send(answer)
+            if kind == "step":
+                if steps >= _MAX_ITER:
+                    return (*arg, False, "max_iter"), steps, evals
+                steps, state, answer = steps + 1, arg, None
+            elif kind == "f":
                 if evals >= _MAX_EVALS:
-                    kind, arg = search.throw(_Refused())
-                    continue
+                    return (*state, False, "max_evals"), steps, evals
                 evals += 1
                 try:
                     answer = objective.value(arg)
@@ -577,9 +562,8 @@ def _drive(minimize, objective, x, lo, hi):
                     answer = math.inf, None
             else:
                 answer = (objective.gradient if kind == "g" else objective.hessian)(arg)
-            kind, arg = search.send(answer)
     except StopIteration as stop:
-        return stop.value, evals
+        return stop.value, steps, evals
 
 
 def fit(rcov, spec, init=None, bounds=None):
@@ -589,14 +573,14 @@ def fit(rcov, spec, init=None, bounds=None):
     when omitted the data-scaled :func:`default_bounds` box is used.  A
     supplied ``init`` is refined by projected BFGS.  With ``init=None`` the
     fit starts from :func:`default_init` and runs projected Newton on the
-    exact Hessian.  A fit that exhausts its iteration or evaluation cap
-    (``_MAX_ITER``, ``_MAX_EVALS``) or stalls before meeting its
-    convergence test is returned with ``converged=False`` rather than
-    raised; a BFGS stall whose projected gradient is within ten times its
-    float64 floor, from the information of the standard errors, converges
-    ``at the floating-point floor``.  Raises UntestableError when the count
-    has more parameters q than the p(p+1)/2 moments, and StartError when
-    the start fails :func:`check_start` or its contrast is not finite.
+    exact Hessian.  A fit that :func:`_drive` stops at a cap (``_MAX_ITER``,
+    ``_MAX_EVALS``) or that stalls before meeting its convergence test is
+    returned with ``converged=False`` rather than raised; a BFGS stop whose
+    projected gradient is within ten times its float64 floor, from the
+    information of the standard errors, converges ``at the floating-point
+    floor``.  Raises UntestableError when the count has more parameters q
+    than the p(p+1)/2 moments, and StartError when the start fails
+    :func:`check_start` or its contrast is not finite.
     """
     if spec.df < 0:
         raise UntestableError(f"k={spec.k} at p={spec.p} has q={spec.q} "
@@ -622,17 +606,17 @@ def fit(rcov, spec, init=None, bounds=None):
     objective = _Contrast(rcov.q, spec)
     # F or the information may overflow: the point maps to inf, the SEs are not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        (x, f, g, point, iterations, converged, message), evaluations = _drive(
+        (x, f, g, point, converged, message), iterations, evaluations = _drive(
             minimize, objective, pack(init), lo, hi)
         pg_norm = _pg_norm(x, g, lo, hi)
         info = objective.information(point)
-        if message in _FLOOR_STOPS:
+        if minimize is _bfgs and not converged:
             # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64;
             # within a safety factor of it the point is converged
             lam_max = float(np.linalg.eigvalsh(2.0 * info)[-1])
             floor = math.sqrt(2.0 * max(lam_max, 1.0) * _EPS * (1.0 + abs(f)))
             if pg_norm <= 10.0 * floor:
-                converged, message = True, _FLOOR_STOPS[message]
+                converged, message = True, f"{message} at the floating-point floor"
         try:
             avar = np.linalg.inv(info)
         except np.linalg.LinAlgError:

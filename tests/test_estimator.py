@@ -333,31 +333,31 @@ def test_check_start_refuses_a_non_finite_start(loading, sigma_ee, needle):
 
 
 def test_fit_nonconvergence_returns_partial_result(truth, monkeypatch):
+    # Newton from the default start and BFGS from the truth alike
     monkeypatch.setattr(estimator, "_MAX_ITER", 2)
     path = simulate(make_sim_config(n=1000, seed=44))
     rc = realised_cov(path)
-    res = fit(rc, make_spec())
-    assert not res.converged
-    assert res.message == "max_iter"
-    assert res.iterations <= 2
-    assert np.isfinite(res.contrast)
+    for init in (None, truth):
+        res = fit(rc, make_spec(), init=init)
+        assert not res.converged
+        assert res.message == "max_iter"
+        assert res.iterations == 2
+        assert np.isfinite(res.contrast)
 
 
 def test_evaluation_budget_ends_both_minimisers_unconverged(monkeypatch):
-    # the driver refuses the evaluation past the budget and each minimiser
-    # names the budget, wherever it runs out: BFGS from the truth within its
-    # first search (two) or its second (five), Newton from the default start in
-    # its arc search; neither is at the floating-point floor
+    # the driver ends either minimiser at the evaluation past the budget,
+    # wherever it runs out: BFGS from the truth within its first search (two)
+    # or its second (five), Newton from the default start in its arc search;
+    # neither is at the floating-point floor
     exp = experiment_from_json(load_json(bundled_config_path("table6_nonergodic")))
     assert exp.seed_base == 77
     rc = realised_cov(simulate(exp.sim.with_seed(replication_seed(exp.seed_base, 0))))
-    assert "evaluation budget exhausted" in estimator._FLOOR_STOPS
     for budget in (2, 5):
         monkeypatch.setattr(estimator, "_MAX_EVALS", budget)
         res = fit(rc, exp.spec, init=exp.truth,
                   bounds=parameter_box(exp.spec, **exp.bounds_blocks))
-        assert (res.converged, res.message, res.evaluations) == (
-            False, "evaluation budget exhausted", budget)
+        assert (res.converged, res.message, res.evaluations) == (False, "max_evals", budget)
     res = fit(rc, replace(exp.spec, k=1))
     assert (res.converged, res.message, res.evaluations) == (False, "max_evals", 5)
 
@@ -385,11 +385,54 @@ def test_drive_counts_the_start_and_answers_a_non_pd_trial_with_inf(truth):
     def asks_once(x, f, g, point, lo, hi):
         return (yield "f", bad)
 
-    (f, g), evals = estimator._drive(asks_nothing, objective, x, box[:, 0], box[:, 1])
-    assert (f, evals) == (0.0, 1)
+    lo, hi = box[:, 0], box[:, 1]
+    (f, g), steps, evals = estimator._drive(asks_nothing, objective, x, lo, hi)
+    assert (f, steps, evals) == (0.0, 0, 1)
     assert np.array_equal(g, objective.evaluate(x)[1])
-    answer, evals = estimator._drive(asks_once, objective, x, box[:, 0], box[:, 1])
-    assert (answer, evals) == ((np.inf, None), 2)
+    answer, steps, evals = estimator._drive(asks_once, objective, x, lo, hi)
+    assert (answer, steps, evals) == ((np.inf, None), 0, 2)
+
+
+class _Norm:
+    """F = x'x with its point x, a stand-in objective for :func:`estimator._drive`."""
+
+    def value(self, x):
+        return float(x.dot(x)), x
+
+    def gradient(self, x):
+        return 2.0 * x
+
+
+def test_drive_owns_both_caps_with_stand_in_minimisers():
+    # a minimiser only steps and asks: the driver stops one that steps
+    # forever at _MAX_ITER steps with the state of its last step, and one
+    # that asks for F forever at _MAX_EVALS with its last step's state (the
+    # start before any step), never the refused trial
+    x0, lo, hi = np.zeros(2), np.full(2, -np.inf), np.full(2, np.inf)
+
+    def steps_forever(x, f, g, point, lo, hi):
+        while True:
+            x = x + 1.0
+            yield "step", (x, f, g, point)
+
+    def asks_forever(steps):
+        def minimize(x, f, g, point, lo, hi):
+            for _ in range(steps):
+                yield "step", (x + 1.0, f + 1.0, g, point)
+            while True:
+                yield "f", x + 2.0
+        return minimize
+
+    (x, f, g, point, converged, message), steps, evals = estimator._drive(
+        steps_forever, _Norm(), x0, lo, hi)
+    assert (steps, evals, converged, message) == (estimator._MAX_ITER, 1, False, "max_iter")
+    assert np.array_equal(x, x0 + estimator._MAX_ITER + 1)
+    for n_steps in (0, 1):
+        (x, f, *_, converged, message), steps, evals = estimator._drive(
+            asks_forever(n_steps), _Norm(), x0, lo, hi)
+        assert (steps, evals, converged, message) == (
+            n_steps, estimator._MAX_EVALS, False, "max_evals")
+        assert (f, np.array_equal(x, x0 + n_steps)) == (n_steps, True)
 
 
 def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(truth):
@@ -398,9 +441,10 @@ def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(trut
     d = np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
     # every coordinate sits on the bound that d pushes against
     lo, hi = np.where(d < 0, x, x - 1.0), np.where(d > 0, x, x + 1.0)
-    found, evals = estimator._drive(_one_search(d, lambda *_: True), objective, x, lo, hi)
+    found, steps, evals = estimator._drive(_one_search(d, lambda *_: True), objective, x,
+                                           lo, hi)
     assert found is None
-    assert evals == 1  # the start alone
+    assert (steps, evals) == (0, 1)  # the start alone
 
 
 def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
@@ -414,8 +458,8 @@ def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
     d[-spec.p:] = -1.5 * np.linalg.eigvalsh(SIGMA_TRUE)[0]
     with pytest.raises(WeightMatrixError):
         _Contrast(SIGMA_TRUE, spec).evaluate(x + d)
-    found, evals = estimator._drive(_one_search(d, lambda *_: True), objective, x,
-                                    box[:, 0], box[:, 1])
+    found, _, evals = estimator._drive(_one_search(d, lambda *_: True), objective, x,
+                                       box[:, 0], box[:, 1])
     assert np.array_equal(found[0], x + 0.5 * d)
     assert evals == 3  # the start and both trials
 
@@ -431,7 +475,7 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     x = pack(truth)
     d = np.full_like(x, 1e-3)
     box = parameter_box(make_spec())
-    (x_try, f_try, g_try, point, step), evals = estimator._drive(
+    (x_try, f_try, g_try, point, step), _, evals = estimator._drive(
         _one_search(d, lambda alpha, *_: alpha < 1.0), objective, x, box[:, 0], box[:, 1])
     assert np.array_equal(x_try, x + 0.5 * d)
     assert np.array_equal(step, x_try - x)
@@ -467,7 +511,7 @@ def test_bfgs_stall_at_the_floating_point_floor_is_converged(monkeypatch):
     formed = _count_information(monkeypatch)
     res = fit(rc, spec, init=params)
     assert res.converged
-    assert res.message == "descent exhausted at the floating-point floor"
+    assert res.message == "line_search at the floating-point floor"
     # fit tests the floor on the information it forms for the standard errors
     assert len(formed) == 1
     assert np.array_equal(res.avar, np.linalg.inv(information(res.theta_hat)))
@@ -477,15 +521,15 @@ def test_only_a_bfgs_stall_at_its_floor_converges(monkeypatch):
     rc, spec, params = _floor_stall_case()
     box = default_bounds(rc, spec)
     # the loop itself names the stall plainly and never converges it
-    stop, _ = estimator._drive(estimator._bfgs, _Contrast(rc.q, spec), pack(params),
-                               box[:, 0], box[:, 1])
-    assert stop[5:] == (False, "line search failed to make progress")
+    stop, _, _ = estimator._drive(estimator._bfgs, _Contrast(rc.q, spec), pack(params),
+                                  box[:, 0], box[:, 1])
+    assert stop[4:] == (False, "line_search")
     # an iteration cap far from the floor stays unconverged, and Newton's
     # stops are never rescued; each fit forms one information
     formed = _count_information(monkeypatch)
     monkeypatch.setattr(estimator, "_MAX_ITER", 2)
     res = fit(rc, spec, init=params)
-    assert (res.converged, res.message) == (False, "max iterations reached")
+    assert (res.converged, res.message) == (False, "max_iter")
     res = fit(rc, spec)
     assert (res.converged, res.message) == (False, "max_iter")
     assert len(formed) == 2

@@ -27,18 +27,20 @@ of interleaved calls held within about half a percent.  N defaults to 150.
 ``--layers`` times five layers instead, with the same copies, rotation and
 ratios.  ``simulate`` runs the system of each bundled study
 (``table6_nonergodic`` at n = 1e3, ``ergodic_scaled`` at n = 1e4), one seed
-per round, and ``realised_cov`` runs on the n = 1e4 path.  Then, on a
-simulated ``perfbench.workloads.generated_system`` panel (n = 2000,
-h = 0.001), ``fit`` from the default start (projected Newton) and
-``fit_truth``, ``fit`` started at the system's truth (projected BFGS), and
+per round, ``realised_cov`` runs on the n = 1e4 path, and
+``theoretical_sd_table`` at each study's truth.  Then, on a simulated
+``perfbench.workloads.generated_system`` panel (n = 2000, h = 0.001),
+``fit`` from the default start (projected Newton) and ``fit_truth``,
+``fit`` started at the system's truth (projected BFGS), and
 ``theoretical_sd_table`` at that truth, at (p, k) = (6, 2), (20, 3),
 (40, 3) and (100, 3), with fewer rounds where a call is slow.  Each timing
 is a batch of at least 50 ms of calls where a call is fast.  The parent's
 package builds each input once (the config document, the path, the panel)
 and every copy gets the same numbers, through public functions only.  Each
 line ends with the largest relative difference between A's and B's results
-(the path, Q, the estimate or the SD column), so a timing never hides a
-changed result.
+(the path, Q, the estimate or the SD column), and a fit's line with
+``counts same`` or its (iterations, evaluations, converged) in A and in B,
+so a timing never hides a changed result.
 """
 
 from __future__ import annotations
@@ -116,20 +118,35 @@ def layer_calls(cli, p, k, inputs):
     q, n, h, blocks = inputs
     rcov, spec = pkg.RealisedCov(q=q, n=n, h=h), pkg.ModelSpec(p=p, k=k, n=n, h=h)
     truth = pkg.ParamVector(*blocks)
-    return {"fit": lambda r: pkg.fit(rcov, spec).theta,
-            "fit_truth": lambda r: pkg.fit(rcov, spec, init=truth).theta,
-            "sd_table": lambda r: np.array(
-                [row[2] for row in pkg.theoretical_sd_table(truth, spec)])}
+    return {"fit": lambda r: pkg.fit(rcov, spec),
+            "fit_truth": lambda r: pkg.fit(rcov, spec, init=truth),
+            "sd_table": lambda r: sd_column(pkg, truth, spec)}
 
 
 def system_calls(cli, study_doc, path):
-    """``simulate`` of the study system ``study_doc`` at the round's seed and
-    ``realised_cov`` of ``path`` (times, x) by the package of ``cli``."""
+    """``simulate`` of the study system ``study_doc`` at the round's seed,
+    ``realised_cov`` of ``path`` (times, x) and ``theoretical_sd_table`` at
+    the study's truth by the package of ``cli``."""
     pkg = importlib.import_module(cli.__package__)
     config = pkg.config.sim_config_from_json(study_doc["sim"])
+    exp = pkg.montecarlo.experiment_from_json(study_doc)
     sample = pkg.SamplePath(*path)
     return {"simulate": lambda r: pkg.simulate(config.with_seed(r)).x,
-            "realised_cov": lambda r: pkg.realised_cov(sample).q}
+            "realised_cov": lambda r: pkg.realised_cov(sample).q,
+            "sd_table": lambda r: sd_column(pkg, exp.truth, exp.spec)}
+
+
+def sd_column(pkg, truth, spec):
+    """The theoretical SD column of ``theoretical_sd_table`` by ``pkg``."""
+    return np.array([row[2] for row in pkg.theoretical_sd_table(truth, spec)])
+
+
+def compared(result):
+    """The array of ``result`` compared across trees and, for a fit, its
+    (iterations, evaluations, converged); None for another layer."""
+    if hasattr(result, "theta"):
+        return result.theta, (result.iterations, result.evaluations, result.converged)
+    return result, None
 
 
 def largest_rel(a, b):
@@ -144,14 +161,18 @@ def time_layer(label, calls, layer, rounds):
     # fast call is timed in batches of at least MIN_BATCH_S
     warm = {key: timed(lambda: c[layer](0)) for key, c in calls.items()}
     batch = math.ceil(MIN_BATCH_S / max(min(w[0] for w in warm.values()), 1e-6))
+    (a, counts_a), (b, counts_b) = compared(warm["A"][2]), compared(warm["B"][2])
+    counts = (None if counts_a is None else "counts same" if counts_a == counts_b
+              else f"counts {counts_a} -> {counts_b}")
     report(label, rounds, *interleave(
         calls, rounds, lambda c, r: timed(lambda: c[layer](r), batch)[:2]),
-        diff=largest_rel(warm["A"][2], warm["B"][2]))
+        diff=largest_rel(a, b), counts=counts)
 
 
 def layers(copies):
-    """Interleaved rounds of ``simulate`` and ``realised_cov`` on the bundled
-    study systems, then of each panel layer at each size of ``LAYERS``."""
+    """Interleaved rounds of ``simulate``, ``realised_cov`` and
+    ``theoretical_sd_table`` on the bundled studies, then of each panel
+    layer at each size of ``LAYERS``."""
     parent = importlib.import_module(copies["A"].__package__)
     for study in STUDIES:
         doc = parent.config.load_json(
@@ -163,6 +184,7 @@ def layers(copies):
         time_layer(f"simulate n={n:g}", calls, "simulate", SYSTEM_ROUNDS)
         if study == "ergodic_scaled":
             time_layer(f"realised_cov n={n:g}", calls, "realised_cov", SYSTEM_ROUNDS)
+        time_layer(f"sd_table {study.split('_')[0]}", calls, "sd_table", SYSTEM_ROUNDS)
     for p, k, rounds in LAYERS:
         inputs = layer_inputs(parent, p, k)
         calls = {key: layer_calls(cli, p, k, inputs) for key, cli in copies.items()}
@@ -199,12 +221,13 @@ def interleave(copies, rounds, measure):
             {key: statistics.median(n) for key, n in faults.items()})
 
 
-def report(label, rounds, ratios, controls, faults, diff=None):
+def report(label, rounds, ratios, controls, faults, diff=None, counts=None):
     (b1, b2, b3), (c1, c2, c3) = ratios, controls
     minflt = " / ".join(f"{faults[key]:g}" for key in ("A", "B", "A'"))
     print(f"{label:<20} {rounds:>6}  {b2:.3f} [{b1:.3f}, {b3:.3f}]"
           f"{'':<6} {c2:.3f} [{c1:.3f}, {c3:.3f}]{'':<7} {minflt}"
-          + ("" if diff is None else f"  {diff:.1e}"), flush=True)
+          + ("" if diff is None else f"  {diff:.1e}")
+          + ("" if counts is None else f"  {counts}"), flush=True)
 
 
 def quartiles(values):
@@ -226,7 +249,7 @@ def main(argv):
         out = os.path.join(root, "out")
         print(f"{'layer' if by_layer else 'study':<20} {'rounds':>6}  "
               f"{'A/B median [q1, q3]':<26} {'A/A control median [q1, q3]':<33} "
-              "minflt A / B / A'" + ("  max rel A-B" if by_layer else ""))
+              "minflt A / B / A'" + ("  max rel A-B  counts" if by_layer else ""))
         if by_layer:
             layers(copies)
             return
