@@ -28,22 +28,22 @@ once per (p, k)), in O(p^2 q + p q^2) without a (q, p, p) stack.
 sqrt(n) times the estimation error is asymptotically normal with covariance
 I^{-1}, I = Delta^T W^{-1} Delta = T(S, S) / 2 in the Hessian's notation: the
 objective forms I from the same factors, with no W, for a fit's standard
-errors and BFGS floor test, and :func:`information` for a study's truth.
+errors, and :func:`information` for a study's truth.
 
 Two box-constrained minimizers share the objective and the end-of-fit
 standard errors.  A fit without a supplied start (``init=None``) runs
-projected Newton on the exact Hessian (Bertsekas 1982) and converges when
-the Newton decrement is below 1e-10 (1 + F).  A fit from a supplied start
-runs projected BFGS to a relative projected-gradient tolerance.
+projected Newton on the exact Hessian (Bertsekas 1982); a fit from a
+supplied start runs projected BFGS to a relative projected-gradient tolerance.
 :func:`hypothesis_test.test_k` decides which one a count gets: a start and
 box are used only at their own count (the generating count of a study,
 started at the truth), and every other count gets the default start in the
 default box.
 Both backtrack in :func:`_arc_search`, the one projected backtracking loop,
 each with its own Armijo test, and reject a trial whose F is not finite.
-The minimisers and the search are generators that yield requests and steps:
-:func:`_drive` alone evaluates them, answers F = inf where Sigma(theta) is
-not PD and owns both caps of a fit (``_MAX_ITER``, ``_MAX_EVALS``).
+The minimisers and the search are generators that yield requests and steps
+and return a stop name: :func:`_drive` alone evaluates them, answers F = inf
+where Sigma(theta) is not PD, owns both caps (``_MAX_ITER``, ``_MAX_EVALS``)
+and decides ``converged`` by Newton's stationarity test at the stop.
 A speed rewrite of these loops keeps every floating-point operation, operand
 and order (``ndarray.dot`` for ``@``, in-place forms), never re-associating.
 """
@@ -432,11 +432,8 @@ def _arc_search(x, d, lo, hi, alpha, accept):
 
 def _bfgs(x, f, g, point, lo, hi):
     """Projected BFGS with Armijo backtracking; the loop for supplied starts,
-    a generator whose requests :func:`_drive` evaluates, counts and budgets.
-
-    Returns (x, f, g, point, converged, message); only the tolerance exit
-    converges; :func:`fit` tests the other stops against the float64 floor.
-    """
+    a generator whose requests :func:`_drive` evaluates.  It returns its stop
+    name, ``projected gradient within tolerance`` or ``line_search``."""
     identity = np.eye(x.size)
     h_inv, fresh = identity, True  # fresh: no curvature update since the identity
     pg_norm = _pg_norm(x, g, lo, hi)
@@ -449,8 +446,8 @@ def _bfgs(x, f, g, point, lo, hi):
 
     while True:
         if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
-            return x, f, g, point, True, "projected gradient within tolerance"
-        yield "step", (x, f, g, point)
+            return "projected gradient within tolerance"
+        yield "step", None
         d = (-h_inv).dot(g)
         if d.dot(g) > -1e-14 * math.sqrt(d.dot(d)) * math.sqrt(g.dot(g)):
             h_inv, fresh = identity, True
@@ -462,8 +459,7 @@ def _bfgs(x, f, g, point, lo, hi):
             h_inv, fresh = identity, True
             found = yield from _arc_search(x, -g, lo, hi, 1.0, sufficient)
         if found is None:
-            # the loop head found this point outside the tolerance
-            return x, f, g, point, False, "line_search"
+            return "line_search"
 
         y = found[2] - g
         x, f, g, point, step = found
@@ -478,92 +474,100 @@ def _bfgs(x, f, g, point, lo, hi):
         pg_norm = _pg_norm(x, g, lo, hi)
 
 
+def _newton_test(x, f, g, h, lo, hi):
+    """Projected Newton's step and stationarity test at (x, f, g) with Hessian
+    h: (stationary, active, d, decrement).  The active set holds the
+    coordinates within eps of a bound that g pushes outward, eps =
+    min(_ACTIVE_EPS (hi - lo), |x - clip(x - g)|); on the free set d solves
+    |H| d = -g, |H| with the absolute eigenvalues of H floored at _EIG_FLOOR
+    times the largest.  Stationary: the decrement g_F' |H_FF|^{-1} g_F is at
+    most _DECREMENT_TOL (1 + |F|) and every active coordinate is on its bound."""
+    r = x - np.minimum(np.maximum(x - g, lo), hi)
+    eps = np.minimum(_ACTIVE_EPS * (hi - lo), math.sqrt(r.dot(r)))
+    active = ((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0))
+    free = ~active
+    lam, vecs = eigh(h[free][:, free])
+    np.abs(lam, out=lam)
+    np.maximum(lam, _EIG_FLOOR * max(float(lam.max(initial=0.0)), _TINY), out=lam)
+    d = np.zeros_like(x)
+    d[free] = d_free = (-vecs).dot(vecs.T.dot(g[free]) / lam)
+    decrement = float((-g[free]).dot(d_free))
+    stationary = bool(decrement <= _DECREMENT_TOL * (1.0 + abs(f))
+                      and ((x[active] == lo[active]) | (x[active] == hi[active])).all())
+    return stationary, active, d, decrement
+
+
 def _projected_newton(x, f, g, point, lo, hi):
     """Projected Newton on the exact Hessian (Bertsekas 1982), a generator
-    whose requests :func:`_drive` evaluates, counts and budgets.
-
-    Coordinates within eps of a bound that the gradient pushes outward form
-    the active set, eps = min(_ACTIVE_EPS (hi - lo), |x - clip(x - g)|).  On
-    the free set the step solves |H| d = -g, where |H| takes the absolute
-    eigenvalues of the Hessian floored at _EIG_FLOOR times the largest;
-    active coordinates take a diagonally scaled gradient step.  An Armijo
-    search along the projection arc x(alpha) = clip(x + alpha d) asks for a
-    fraction of the decrease alpha (g_F' |H_FF|^{-1} g_F) plus the first-order
-    decrease of the active coordinates.  It starts from the damped Newton
-    step alpha = 1 / (1 + lambda), lambda^2 = g_F' |H_FF|^{-1} g_F / (1 + |F|),
-    which keeps the first steps of a fit from a rough start short and tends
-    to 1 as the fit converges.  The fit has converged when the Newton
-    decrement g_F' |H_FF|^{-1} g_F is at most _DECREMENT_TOL (1 + |F|) and
-    every active coordinate sits on its bound.
-
-    Returns (x, f, g, point, converged, message); the message is
-    ``decrement``, ``decrement_at_bound`` with the active coordinates or
-    ``line_search``.
-    """
+    whose requests :func:`_drive` evaluates.  It returns ``decrement``, or
+    ``decrement_at_bound`` with the active coordinates, where
+    :func:`_newton_test` passes, and else steps along its d, an active
+    coordinate taking a diagonally scaled gradient step.  The Armijo search
+    along clip(x + alpha d) asks for a fraction of alpha times the decrement
+    plus the first-order decrease of the active coordinates, from the damped
+    step alpha = 1 / (1 + sqrt(decrement / (1 + |F|))), short from a rough
+    start; a failed search returns ``line_search``."""
 
     def wanted(alpha, step, f_try):
         return f - f_try >= _ARMIJO_C1 * (alpha * decrement - g[active].dot(step[active]))
 
     while True:
         h = yield "h", point
-        r = x - np.minimum(np.maximum(x - g, lo), hi)
-        eps = np.minimum(_ACTIVE_EPS * (hi - lo), math.sqrt(r.dot(r)))
-        active = ((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0))
-        free = ~active
-        lam, vecs = eigh(h[free][:, free])
-        np.abs(lam, out=lam)
-        np.maximum(lam, _EIG_FLOOR * max(float(lam.max(initial=0.0)), _TINY), out=lam)
-        d = np.zeros_like(x)
-        d[free] = d_free = (-vecs).dot(vecs.T.dot(g[free]) / lam)
-        decrement = float((-g[free]).dot(d_free))
-        if (decrement <= _DECREMENT_TOL * (1.0 + abs(f))
-                and ((x[active] == lo[active]) | (x[active] == hi[active])).all()):
-            if active.any():
-                coords = ", ".join(f"theta:{i + 1}" for i in np.flatnonzero(active))
-                return x, f, g, point, True, f"decrement_at_bound ({coords})"
-            return x, f, g, point, True, "decrement"
-        yield "step", (x, f, g, point)
+        stationary, active, d, decrement = _newton_test(x, f, g, h, lo, hi)
+        if stationary:
+            coords = ", ".join(f"theta:{i + 1}" for i in np.flatnonzero(active))
+            return f"decrement_at_bound ({coords})" if coords else "decrement"
+        yield "step", None
         d[active] = -g[active] / np.maximum(np.abs(h.diagonal()[active]), _TINY)
         found = yield from _arc_search(
             x, d, lo, hi, 1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f)))), wanted)
         if found is None:
-            return x, f, g, point, False, "line_search"
+            return "line_search"
         x, f, g, point, _ = found
 
 
 def _drive(minimize, objective, x, lo, hi):
-    """The one evaluator of a fit and the owner of both caps: run
-    ``minimize(x, f, g, point, lo, hi)`` from x, answering ("f", x) with
-    (F, point), inf for a non-PD Sigma(theta), and ("g", point) and
-    ("h", point) with the gradient and Hessian; return its result, its
-    steps (("step", (x, f, g, point)) yields) and its F evaluations, the
-    start's included.  The step past _MAX_ITER ends it unconverged at its
-    state with ``max_iter``, an F request past _MAX_EVALS at the last step's
-    (the start before one) with ``max_evals``."""
+    """The one evaluator of a fit, owner of both caps and judge of convergence.
+    It runs ``minimize(x, f, g, point, lo, hi)`` from x, answering ("f", x)
+    with (F, point), inf for a non-PD Sigma(theta), and ("g", point) and
+    ("h", point) with the gradient and Hessian, until it returns its stop, the
+    step past _MAX_ITER (``max_iter``) or an F past _MAX_EVALS (``max_evals``).
+    At the start or the last trial whose gradient was asked, ``converged`` is
+    :func:`_newton_test`; returns ((x, f, g, point, converged, stop), steps, evals)."""
     f, point = objective.value(x)  # check_start saw this Sigma(theta) PD
     if not math.isfinite(f):
         raise StartError("start contrast is not finite")
     state = x, f, objective.gradient(point), point
-    steps, evals, search, answer = 0, 1, minimize(*state, lo, hi), None
+    steps, evals, search, answer, h_at, h = 0, 1, minimize(*state, lo, hi), None, None, None
     try:
         while True:
             kind, arg = search.send(answer)
             if kind == "step":
                 if steps >= _MAX_ITER:
-                    return (*arg, False, "max_iter"), steps, evals
-                steps, state, answer = steps + 1, arg, None
+                    stop = "max_iter"
+                    break
+                steps, answer = steps + 1, None
             elif kind == "f":
                 if evals >= _MAX_EVALS:
-                    return (*state, False, "max_evals"), steps, evals
+                    stop = "max_evals"
+                    break
                 evals += 1
                 try:
                     answer = objective.value(arg)
                 except WeightMatrixError:
                     answer = math.inf, None
+                trial = arg, answer[0]
+            elif kind == "g":
+                answer = objective.gradient(arg)
+                state = *trial, answer, arg
             else:
-                answer = (objective.gradient if kind == "g" else objective.hessian)(arg)
-    except StopIteration as stop:
-        return stop.value, steps, evals
+                h_at, h = arg, objective.hessian(arg)
+                answer = h
+    except StopIteration as stopped:
+        stop = stopped.value
+    x, f, g, point = state
+    h = h if h_at is point else objective.hessian(point)  # BFGS asks for none
+    return (*state, _newton_test(x, f, g, h, lo, hi)[0], stop), steps, evals
 
 
 def fit(rcov, spec, init=None, bounds=None):
@@ -573,13 +577,10 @@ def fit(rcov, spec, init=None, bounds=None):
     when omitted the data-scaled :func:`default_bounds` box is used.  A
     supplied ``init`` is refined by projected BFGS.  With ``init=None`` the
     fit starts from :func:`default_init` and runs projected Newton on the
-    exact Hessian.  A fit that :func:`_drive` stops at a cap (``_MAX_ITER``,
-    ``_MAX_EVALS``) or that stalls before meeting its convergence test is
-    returned with ``converged=False`` rather than raised; a BFGS stop whose
-    projected gradient is within ten times its float64 floor, from the
-    information of the standard errors, converges ``at the floating-point
-    floor``.  Raises UntestableError when the count has more parameters q
-    than the p(p+1)/2 moments, and StartError when the start fails
+    exact Hessian.  ``message`` names the stop, and ``converged`` is
+    :func:`_drive`'s one test, Newton's stationarity test at that point.
+    Raises UntestableError when the count has more parameters q than the
+    p(p+1)/2 moments, and StartError when the start fails
     :func:`check_start` or its contrast is not finite.
     """
     if spec.df < 0:
@@ -592,15 +593,13 @@ def fit(rcov, spec, init=None, bounds=None):
         raise ValueError(f"bounds must have shape {(spec.q, 2)}, got {bounds.shape}")
     lo, hi = bounds[:, 0], bounds[:, 1]
 
+    minimize = _projected_newton if init is None else _bfgs
     if init is None:
         # pull clipped coordinates slightly inside the box: a corner start
         # leaves the first steps nowhere to go
         margin = 0.01 * (hi - lo)
         init = unpack(np.clip(pack(default_init(rcov, spec)), lo + margin, hi - margin),
                       spec)
-        minimize = _projected_newton
-    else:
-        minimize = _bfgs
     check_start(init, bounds)
 
     objective = _Contrast(rcov.q, spec)
@@ -608,15 +607,7 @@ def fit(rcov, spec, init=None, bounds=None):
     with np.errstate(over="ignore", invalid="ignore"):
         (x, f, g, point, converged, message), iterations, evaluations = _drive(
             minimize, objective, pack(init), lo, hi)
-        pg_norm = _pg_norm(x, g, lo, hi)
         info = objective.information(point)
-        if minimize is _bfgs and not converged:
-            # |grad| cannot fall below ~sqrt(2 lambda_max ulp(f)) in float64;
-            # within a safety factor of it the point is converged
-            lam_max = float(np.linalg.eigvalsh(2.0 * info)[-1])
-            floor = math.sqrt(2.0 * max(lam_max, 1.0) * _EPS * (1.0 + abs(f)))
-            if pg_norm <= 10.0 * floor:
-                converged, message = True, f"{message} at the floating-point floor"
         try:
             avar = np.linalg.inv(info)
         except np.linalg.LinAlgError:
@@ -633,7 +624,7 @@ def fit(rcov, spec, init=None, bounds=None):
         converged=converged,
         iterations=iterations,
         evaluations=evaluations,
-        gradient_norm=pg_norm,
+        gradient_norm=_pg_norm(x, g, lo, hi),
         n=rcov.n,
         sigma_ff_min_eig=float(np.linalg.eigvalsh(theta_hat.sigma_ff)[0]),
         min_unique_variance=float(np.min(theta_hat.sigma_ee)),

@@ -361,14 +361,19 @@ def write_csv(fileobj, rows):
 
 
 def path_from_csv(fileobj):
-    """Read a SamplePath written by :func:`path_to_csv`; a cut last row is refused."""
+    """Read a SamplePath written by :func:`path_to_csv`; a file without rows,
+    a cut last row and rows not as wide as the header are refused."""
     header = fileobj.readline().strip().split(",")
-    if not header or header[0] != "t":
+    if header[0] != "t":
         raise ValueError("not a sample-path CSV: first column must be t")
     rows = fileobj.read()
-    if rows and not rows.endswith("\n"):
+    if not rows.strip():
+        raise ValueError("no rows after the header")
+    if not rows.endswith("\n"):
         raise ValueError("the last row has no final newline: the file is cut short")
     data = np.loadtxt(io.StringIO(rows), delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"the rows have {data.shape[1]} columns, the header {len(header)}")
     p = sum(1 for c in header if c.startswith("x"))
     k = sum(1 for c in header if c.startswith("f"))
     times = data[:, 0]

@@ -209,6 +209,25 @@ def test_malformed_path_csv_exits_2(tmp_path, path_csv, line, col, value, needle
     assert path_csv in err and needle in err
 
 
+@pytest.mark.parametrize("text,needle", [
+    ("t,x1,x2\n0,1\n0.001,2\n0.002,3\n", "the rows have 2 columns, the header 3"),
+    ("t,x1\n0,1,5\n0.001,2,6\n0.002,3,7\n", "the rows have 3 columns, the header 2"),
+    ("t,x1,x2\n", "no rows after the header"),
+], ids=["rows-narrower-than-header", "rows-wider-than-header", "header-only"])
+def test_path_csv_rows_must_match_the_header(tmp_path, text, needle, capsys):
+    # a cut or padded table would otherwise give a Q of another size, and a
+    # header alone a numpy warning before the error
+    data = tmp_path / "path.csv"
+    data.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rcov", "--data", str(data), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and needle in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_fit_roundtrip_exit_codes(tmp_path, path_csv, model_doc, capsys):
     out = str(tmp_path / "fit.json")
     code = main(["fit", "--data", path_csv, "--spec", model_doc, "--out", out])

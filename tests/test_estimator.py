@@ -349,7 +349,7 @@ def test_evaluation_budget_ends_both_minimisers_unconverged(monkeypatch):
     # the driver ends either minimiser at the evaluation past the budget,
     # wherever it runs out: BFGS from the truth within its first search (two)
     # or its second (five), Newton from the default start in its arc search;
-    # neither is at the floating-point floor
+    # neither stops at a stationary point
     exp = experiment_from_json(load_json(bundled_config_path("table6_nonergodic")))
     assert exp.seed_base == 77
     rc = realised_cov(simulate(exp.sim.with_seed(replication_seed(exp.seed_base, 0))))
@@ -386,10 +386,10 @@ def test_drive_counts_the_start_and_answers_a_non_pd_trial_with_inf(truth):
         return (yield "f", bad)
 
     lo, hi = box[:, 0], box[:, 1]
-    (f, g), steps, evals = estimator._drive(asks_nothing, objective, x, lo, hi)
+    (*_, (f, g)), steps, evals = estimator._drive(asks_nothing, objective, x, lo, hi)
     assert (f, steps, evals) == (0.0, 0, 1)
     assert np.array_equal(g, objective.evaluate(x)[1])
-    answer, steps, evals = estimator._drive(asks_once, objective, x, lo, hi)
+    (*_, answer), steps, evals = estimator._drive(asks_once, objective, x, lo, hi)
     assert (answer, steps, evals) == ((np.inf, None), 0, 2)
 
 
@@ -402,37 +402,51 @@ class _Norm:
     def gradient(self, x):
         return 2.0 * x
 
+    def hessian(self, x):
+        return 2.0 * np.eye(x.size)
+
+
+def _accept(x):
+    """Evaluate x and ask for its gradient, as a search does at the trial it accepts."""
+    f, point = yield "f", x
+    yield "g", point
+
 
 def test_drive_owns_both_caps_with_stand_in_minimisers():
     # a minimiser only steps and asks: the driver stops one that steps
-    # forever at _MAX_ITER steps with the state of its last step, and one
-    # that asks for F forever at _MAX_EVALS with its last step's state (the
-    # start before any step), never the refused trial
+    # forever at _MAX_ITER steps with the last point it accepted, and one
+    # that asks for F forever at _MAX_EVALS with its last accepted point (the
+    # start before any), never a trial it did not accept; either converges
+    # only where Newton's test passes, at the minimum x = 0 of x'x
     x0, lo, hi = np.zeros(2), np.full(2, -np.inf), np.full(2, np.inf)
 
     def steps_forever(x, f, g, point, lo, hi):
         while True:
             x = x + 1.0
-            yield "step", (x, f, g, point)
+            yield from _accept(x)
+            yield "step", None
 
     def asks_forever(steps):
         def minimize(x, f, g, point, lo, hi):
             for _ in range(steps):
-                yield "step", (x + 1.0, f + 1.0, g, point)
+                yield from _accept(x + 1.0)
+                yield "step", None
             while True:
                 yield "f", x + 2.0
         return minimize
 
     (x, f, g, point, converged, message), steps, evals = estimator._drive(
         steps_forever, _Norm(), x0, lo, hi)
-    assert (steps, evals, converged, message) == (estimator._MAX_ITER, 1, False, "max_iter")
+    assert (steps, evals, converged, message) == (
+        estimator._MAX_ITER, estimator._MAX_ITER + 2, False, "max_iter")
     assert np.array_equal(x, x0 + estimator._MAX_ITER + 1)
+    assert np.array_equal(g, 2.0 * x)
     for n_steps in (0, 1):
         (x, f, *_, converged, message), steps, evals = estimator._drive(
             asks_forever(n_steps), _Norm(), x0, lo, hi)
         assert (steps, evals, converged, message) == (
-            n_steps, estimator._MAX_EVALS, False, "max_evals")
-        assert (f, np.array_equal(x, x0 + n_steps)) == (n_steps, True)
+            n_steps, estimator._MAX_EVALS, n_steps == 0, "max_evals")
+        assert (f, np.array_equal(x, x0 + n_steps)) == (2 * n_steps, True)
 
 
 def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(truth):
@@ -441,8 +455,8 @@ def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(trut
     d = np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
     # every coordinate sits on the bound that d pushes against
     lo, hi = np.where(d < 0, x, x - 1.0), np.where(d > 0, x, x + 1.0)
-    found, steps, evals = estimator._drive(_one_search(d, lambda *_: True), objective, x,
-                                           lo, hi)
+    (*_, found), steps, evals = estimator._drive(_one_search(d, lambda *_: True),
+                                                 objective, x, lo, hi)
     assert found is None
     assert (steps, evals) == (0, 1)  # the start alone
 
@@ -458,8 +472,8 @@ def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
     d[-spec.p:] = -1.5 * np.linalg.eigvalsh(SIGMA_TRUE)[0]
     with pytest.raises(WeightMatrixError):
         _Contrast(SIGMA_TRUE, spec).evaluate(x + d)
-    found, _, evals = estimator._drive(_one_search(d, lambda *_: True), objective, x,
-                                       box[:, 0], box[:, 1])
+    (*_, found), _, evals = estimator._drive(_one_search(d, lambda *_: True), objective,
+                                             x, box[:, 0], box[:, 1])
     assert np.array_equal(found[0], x + 0.5 * d)
     assert evals == 3  # the start and both trials
 
@@ -475,8 +489,11 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     x = pack(truth)
     d = np.full_like(x, 1e-3)
     box = parameter_box(make_spec())
-    (x_try, f_try, g_try, point, step), _, evals = estimator._drive(
-        _one_search(d, lambda alpha, *_: alpha < 1.0), objective, x, box[:, 0], box[:, 1])
+    (x_end, f_end, _, point_end, _, (x_try, f_try, g_try, point, step)), _, evals = (
+        estimator._drive(_one_search(d, lambda alpha, *_: alpha < 1.0), objective, x,
+                         box[:, 0], box[:, 1]))
+    # the driver's state is the accepted trial, never the refused full step
+    assert (x_end is x_try, f_end == f_try, point_end is point) == (True, True, True)
     assert np.array_equal(x_try, x + 0.5 * d)
     assert np.array_equal(step, x_try - x)
     assert evals == 3
@@ -489,44 +506,46 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     assert all(np.array_equal(a, b) for a, b in zip(point, point_ref))
 
 
-def _floor_stall_case():
+def _stall_case():
     # the bundled system at seed 1, fit from the bundled model's parameters:
-    # the search stalls with the projected gradient inside its float64 floor
+    # BFGS's search stalls short of its tolerance, at a stationary point
     doc = load_json(bundled_config_path("system_p6k2"))
     rc = realised_cov(simulate(sim_config_from_json(dict(doc, seed=1), path="")))
     spec, params = model_from_json(load_json(bundled_config_path("model_p6k2")))
     return rc, replace(spec, n=rc.n, h=rc.h), params
 
 
-def _count_information(monkeypatch):
-    """A list that grows by one per _Contrast.information call."""
-    formed, real = [], estimator._Contrast.information
-    monkeypatch.setattr(estimator._Contrast, "information",
+def _count_calls(monkeypatch, name):
+    """A list that grows by one per call of the _Contrast method ``name``."""
+    formed, real = [], getattr(estimator._Contrast, name)
+    monkeypatch.setattr(estimator._Contrast, name,
                         lambda self, point: formed.append(None) or real(self, point))
     return formed
 
 
-def test_bfgs_stall_at_the_floating_point_floor_is_converged(monkeypatch):
-    rc, spec, params = _floor_stall_case()
-    formed = _count_information(monkeypatch)
+def test_bfgs_stall_at_a_stationary_point_is_converged(monkeypatch):
+    # the driver's stationarity test, not the loop's own tolerance, decides
+    # converged: the stall keeps its plain stop name
+    rc, spec, params = _stall_case()
+    formed = _count_calls(monkeypatch, "information")
     res = fit(rc, spec, init=params)
     assert res.converged
-    assert res.message == "line_search at the floating-point floor"
-    # fit tests the floor on the information it forms for the standard errors
+    assert res.message == "line_search"
+    # the SEs read the one information fit forms
     assert len(formed) == 1
     assert np.array_equal(res.avar, np.linalg.inv(information(res.theta_hat)))
 
 
-def test_only_a_bfgs_stall_at_its_floor_converges(monkeypatch):
-    rc, spec, params = _floor_stall_case()
+def test_one_stationarity_test_judges_every_stop(monkeypatch):
+    rc, spec, params = _stall_case()
     box = default_bounds(rc, spec)
-    # the loop itself names the stall plainly and never converges it
+    # the loop only names its stall; the driver judges the point converged
     stop, _, _ = estimator._drive(estimator._bfgs, _Contrast(rc.q, spec), pack(params),
                                   box[:, 0], box[:, 1])
-    assert stop[4:] == (False, "line_search")
-    # an iteration cap far from the floor stays unconverged, and Newton's
-    # stops are never rescued; each fit forms one information
-    formed = _count_information(monkeypatch)
+    assert stop[4:] == (True, "line_search")
+    # an iteration cap away from a stationary point stays unconverged for
+    # both minimisers; each fit forms one information
+    formed = _count_calls(monkeypatch, "information")
     monkeypatch.setattr(estimator, "_MAX_ITER", 2)
     res = fit(rc, spec, init=params)
     assert (res.converged, res.message) == (False, "max_iter")
@@ -535,13 +554,27 @@ def test_only_a_bfgs_stall_at_its_floor_converges(monkeypatch):
     assert len(formed) == 2
 
 
+def test_the_verdict_forms_one_hessian_for_bfgs_and_none_for_newton(monkeypatch):
+    # BFGS forms no Hessian of its own, so the driver forms one at its stop;
+    # Newton forms one at each loop head, the last at its stop, and the
+    # driver reuses it
+    rc, spec, params = _stall_case()
+    formed = _count_calls(monkeypatch, "hessian")
+    res = fit(rc, spec, init=params)
+    assert (res.converged, len(formed)) == (True, 1)
+    formed.clear()
+    res = fit(rc, spec)
+    assert res.converged and res.message.startswith("decrement")
+    assert len(formed) == res.iterations + 1
+
+
 def test_no_fit_builds_the_weight_matrix(monkeypatch):
-    # the SEs and the floor test read the objective's T(S, S) / 2: BFGS at
-    # its floor, Newton from the default start and every select count give
-    # the same results with W unavailable
+    # the SEs read the objective's T(S, S) / 2: BFGS stalled at a stationary
+    # point, Newton from the default start and every select count give the
+    # same results with W unavailable
     from diffusionfa import model
 
-    rc, spec, params = _floor_stall_case()
+    rc, spec, params = _stall_case()
 
     def runs():
         return [fit(rc, spec, init=params), fit(rc, spec),

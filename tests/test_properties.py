@@ -4,6 +4,10 @@ Each test bounds its own example count and has no deadline, so the file
 runs in a few seconds.
 """
 
+from dataclasses import replace
+from functools import lru_cache
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,13 +18,20 @@ from diffusionfa import (
     ParamVector,
     RealisedCov,
     contrast,
+    default_bounds,
     duplication_pinv,
     pack,
+    parameter_box,
+    realised_cov,
+    simulate,
     sigma_of_theta,
     unpack,
     vech,
 )
 from diffusionfa import estimator
+from diffusionfa.config import (bundled_config_path, load_json, model_from_json,
+                                sim_config_from_json)
+from diffusionfa.montecarlo import experiment_from_json, replication_seed
 from diffusionfa.estimator import _Contrast, _pg_norm, information
 from diffusionfa.model import loading_matrix, sigma_derivative_factors
 
@@ -242,3 +253,53 @@ def test_minimisers_reach_the_clipped_minimum_of_a_separable_quadratic(data):
     assert np.max(np.abs(x - target)) <= 1e-4
     face = ", ".join(f"theta:{i + 1}" for i in np.flatnonzero(outside))
     assert message == (f"decrement_at_bound ({face})" if face else "decrement")
+
+
+@lru_cache(maxsize=None)
+def _fit_case(name, index):
+    """(rcov, spec, truth, box) of replication ``index`` of a bundled study,
+    or of seed ``index`` of the bundled system with the bundled model."""
+    if name == "system_p6k2":
+        doc = load_json(bundled_config_path(name))
+        rcov = realised_cov(simulate(sim_config_from_json(dict(doc, seed=index), path="")))
+        spec, truth = model_from_json(load_json(bundled_config_path("model_p6k2")))
+        spec = replace(spec, n=rcov.n, h=rcov.h)
+        return rcov, spec, truth, default_bounds(rcov, spec)
+    exp = experiment_from_json(load_json(bundled_config_path(name)))
+    seed = replication_seed(exp.seed_base, index)
+    return (realised_cov(simulate(exp.sim.with_seed(seed))), exp.spec, exp.truth,
+            parameter_box(exp.spec, **exp.bounds_blocks))
+
+
+@DERANDOMISED
+@given(st.data())
+def test_no_nearby_feasible_point_lowers_a_converged_fit(data):
+    # fits of both minimisers that the driver calls converged, as the studies
+    # and the CLI run them (BFGS from the truth, Newton from the default
+    # start at any other count), under the default iteration cap or a
+    # smaller one: no feasible point along 20 random directions within a
+    # small radius lowers F by more than the stationarity tolerance
+    name = data.draw(st.sampled_from(["table6_nonergodic", "ergodic_scaled",
+                                      "system_p6k2"]))
+    rcov, spec, truth, box = _fit_case(name, data.draw(st.integers(0, 7)))
+    k = data.draw(st.sampled_from([2, 1]))
+    if k != spec.k:
+        spec, truth = replace(spec, k=k), None
+        box = default_bounds(rcov, spec)
+    if truth is not None and data.draw(st.booleans()):
+        truth = None  # Newton from the default start at the generating count
+    cap = data.draw(st.sampled_from([estimator._MAX_ITER, 10, 3, 1]))
+    with patch.object(estimator, "_MAX_ITER", cap):
+        res = estimator.fit(rcov, spec, init=truth, bounds=box)
+    if not res.converged:
+        return
+    x, f = res.theta, res.contrast
+    objective = _Contrast(rcov.q, spec)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tol = (estimator._DECREMENT_TOL + 64 * np.finfo(float).eps) * (1.0 + abs(f))
+    for u in rng.standard_normal((20, x.size)):
+        u *= (1.0 + np.abs(x)) / np.linalg.norm(u)
+        for radius in (1e-7, 1e-5, 1e-3):
+            y = np.clip(x + radius * u, box[:, 0], box[:, 1])
+            f_y = objective.value(y)[0]
+            assert f_y >= f - tol, (name, k, cap, res.message, radius, f - f_y)

@@ -14,7 +14,9 @@ as text (``converged`` as ``True`` or ``False``).
 
 With SRC2 it prints, per fit, the largest relative change of theta, F, T and
 the SEs from SRC to SRC2 and any change of iterations, evaluations, converged
-or message, then a summary line with the largest of each, then both hashes.
+or message, then a summary line with the largest of each and each tree's
+converged count, then both hashes.  With SRC alone the summary line holds
+the fit and converged counts.
 Equal hashes mean every fit is bit for bit the same.  BLAS threading can move the last bits of a fit, so pin it to one
 thread (``OPENBLAS_NUM_THREADS=1``) for a hash to compare across runs.
 """
@@ -83,6 +85,11 @@ def fingerprint(pkg):
     return digest.hexdigest(), records
 
 
+def converged(records):
+    """``c/n converged`` over the records of one tree."""
+    return f"{sum(counts[2] for _, counts in records.values())}/{len(records)} converged"
+
+
 def compare(old, new):
     """Print per fit the largest relative theta/F/T and SE changes and any
     change of counts, converged or message, then a summary line."""
@@ -104,7 +111,8 @@ def compare(old, new):
               f"{'; '.join(changed) or 'same'}")
     print(f"{len(old)} fits: largest relative theta/F/T change {worst:.1e}; "
           f"{moved} with a count, converged or message change; "
-          f"largest relative SE change {worst_se:.1e}")
+          f"largest relative SE change {worst_se:.1e}; "
+          f"{converged(old)} -> {converged(new)}")
 
 
 def main(argv):
@@ -118,6 +126,8 @@ def main(argv):
             results.append(fingerprint(importlib.import_module(f"dfa_fp{i}")))
     if len(results) == 2:
         compare(results[0][1], results[1][1])
+    else:
+        print(f"{len(results[0][1])} fits; {converged(results[0][1])}")
     for src, (digest, _) in zip(argv, results):
         print(f"{digest}  {src}")
 
