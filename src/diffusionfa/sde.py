@@ -361,11 +361,11 @@ def write_csv(fileobj, rows):
 
 
 def path_from_csv(fileobj):
-    """Read a SamplePath written by :func:`path_to_csv`; a file without rows,
-    a cut last row and rows not as wide as the header are refused."""
+    """Read a SamplePath written by :func:`path_to_csv`; a header other than
+    t,x1..xp or t,x1..xp,f1..fk,e1..ep, a file without rows, a cut last row
+    and rows not as wide as the header are refused."""
     header = fileobj.readline().strip().split(",")
-    if header[0] != "t":
-        raise ValueError("not a sample-path CSV: first column must be t")
+    p, k = _csv_header_counts(header)
     rows = fileobj.read()
     if not rows.strip():
         raise ValueError("no rows after the header")
@@ -374,8 +374,6 @@ def path_from_csv(fileobj):
     data = np.loadtxt(io.StringIO(rows), delimiter=",", ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError(f"the rows have {data.shape[1]} columns, the header {len(header)}")
-    p = sum(1 for c in header if c.startswith("x"))
-    k = sum(1 for c in header if c.startswith("f"))
     times = data[:, 0]
     x = data[:, 1 : 1 + p]
     f = e = None
@@ -383,6 +381,35 @@ def path_from_csv(fileobj):
         f = data[:, 1 + p : 1 + p + k]
         e = data[:, 1 + p + k : 1 + 2 * p + k]
     return SamplePath(times=times, x=x, f=f, e=e)
+
+
+def _csv_header_counts(header):
+    """(p, k) of a path CSV header t,x1..xp (k = 0) or t,x1..xp,f1..fk,e1..ep;
+    any other header raises ValueError naming its first bad column."""
+
+    def run(prefix, start, most=len(header)):
+        names = header[start:start + most]
+        return next((n for n, c in enumerate(names) if c != f"{prefix}{n + 1}"), len(names))
+
+    p = run("x", 1) if header[0] == "t" else 0
+    k = run("f", 1 + p) if p else 0
+    e = run("e", 1 + p + k, p) if k else 0
+    end = 1 + p + k + e
+    if p and e == (p if k else 0) and end == len(header):
+        return p, k
+    if header[0] != "t":
+        end, want = 0, "t"
+    elif not p:
+        want = "x1"
+    elif not k:
+        want = f"x{p + 1} or f1"
+    elif e < p:
+        want = f"e{e + 1}" if e else f"f{k + 1} or e1"
+    else:
+        want = f"nothing after e{p}"
+    got = repr(header[end]) if end < len(header) else "the end of the header"
+    column = "first column" if end == 0 else f"column {end + 1}"
+    raise ValueError(f"not a sample-path CSV: {column} must be {want}, got {got}")
 
 
 def path_to_binary(path, fileobj):

@@ -228,6 +228,36 @@ def test_path_csv_rows_must_match_the_header(tmp_path, text, needle, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+_BAD_HEADERS = {
+    "t,a,b": "column 2 must be x1, got 'a'",
+    "t,x1,q,x2": "column 3 must be x2 or f1, got 'q'",
+    "t,x2,x1": "column 2 must be x1, got 'x2'",
+    "t,x1,x1": "column 3 must be x2 or f1, got 'x1'",
+    "t,xx,xy": "column 2 must be x1, got 'xx'",
+    "t,x1,x2,f1": "column 5 must be f2 or e1, got the end of the header",
+    "t,x1,x2,f1,e1": "column 6 must be e2, got the end of the header",
+}
+
+
+@pytest.mark.parametrize("header,needle", _BAD_HEADERS.items(), ids=list(_BAD_HEADERS))
+def test_path_csv_header_must_follow_the_written_grammar(tmp_path, model_doc, header,
+                                                         needle, capsys):
+    # only t,x1..xp or t,x1..xp,f1..fk,e1..ep is read: a renamed, swapped,
+    # duplicated or missing column is refused, never read as another one
+    width = header.count(",")
+    data = tmp_path / "path.csv"
+    data.write_text(header + "\n" + "".join(
+        ",".join([repr(0.001 * i)] + [repr(float((i * 7 + j) % 5)) for j in range(width)])
+        + "\n" for i in range(20)))
+    for argv in (["rcov"], ["fit", "--spec", model_doc],
+                 ["test", "--spec", model_doc, "--k", "1"], ["select", "--spec", model_doc]):
+        code = main([*argv, "--data", str(data), "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(data) in err and needle in err
+        assert not (tmp_path / "out.json").exists()
+
+
 def test_fit_roundtrip_exit_codes(tmp_path, path_csv, model_doc, capsys):
     out = str(tmp_path / "fit.json")
     code = main(["fit", "--data", path_csv, "--spec", model_doc, "--out", out])

@@ -406,6 +406,31 @@ class _Norm:
         return 2.0 * np.eye(x.size)
 
 
+class _Flat:
+    """F = 0 everywhere with gradient 1 and Hessian I, an objective whose
+    gradient promises a decrease that no step delivers."""
+
+    def value(self, x):
+        return 0.0, x
+
+    def gradient(self, x):
+        return np.ones_like(x)
+
+    def hessian(self, x):
+        return np.eye(x.size)
+
+
+def test_newton_stops_at_line_search_where_no_step_decreases_f():
+    # the decrement 1 fails the stationarity test, so Newton takes one step;
+    # F never falls, so its Armijo search halves alpha from 1/2 below
+    # _MIN_STEP_FRACTION, 43 trials after the start, and the fit stops there
+    x0, lo, hi = np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf)
+    (x, f, g, point, converged, message), steps, evals = estimator._drive(
+        estimator._projected_newton, _Flat(), x0, lo, hi)
+    assert (message, converged, steps, evals) == ("line_search", False, 1, 44)
+    assert (f, np.array_equal(x, x0)) == (0.0, True)
+
+
 def _accept(x):
     """Evaluate x and ask for its gradient, as a search does at the trial it accepts."""
     f, point = yield "f", x

@@ -24,7 +24,7 @@ the load of the moment as much as the code: on a shared 2-vCPU VM the same
 code took 21-34 ms per call from one process to the next, while the ratio
 of interleaved calls held within about half a percent.  N defaults to 150.
 
-``--layers`` times five layers instead, with the same copies, rotation and
+``--layers`` times six layers instead, with the same copies, rotation and
 ratios.  ``simulate`` runs the system of each bundled study
 (``table6_nonergodic`` at n = 1e3, ``ergodic_scaled`` at n = 1e4), one seed
 per round, ``realised_cov`` runs on the n = 1e4 path, and
@@ -33,8 +33,10 @@ per round, ``realised_cov`` runs on the n = 1e4 path, and
 ``fit`` from the default start (projected Newton) and ``fit_truth``,
 ``fit`` started at the system's truth (projected BFGS), and
 ``theoretical_sd_table`` at that truth, at (p, k) = (6, 2), (20, 3),
-(40, 3) and (100, 3), with fewer rounds where a call is slow.  Each timing
-is a batch of at least 50 ms of calls where a call is fast.  The parent's
+(40, 3) and (100, 3), with fewer rounds where a call is slow.  On the k = 3
+panels ``fit_short`` is ``fit`` from the default start one factor short
+(k = 2), a misspecified count that ``select`` fits before the generating
+one.  Each timing is a batch of at least 50 ms of calls where a call is fast.  The parent's
 package builds each input once (the config document, the path, the panel)
 and every copy gets the same numbers, through public functions only.  Each
 line ends with the largest relative difference between A's and B's results
@@ -118,9 +120,13 @@ def layer_calls(cli, p, k, inputs):
     q, n, h, blocks = inputs
     rcov, spec = pkg.RealisedCov(q=q, n=n, h=h), pkg.ModelSpec(p=p, k=k, n=n, h=h)
     truth = pkg.ParamVector(*blocks)
-    return {"fit": lambda r: pkg.fit(rcov, spec),
-            "fit_truth": lambda r: pkg.fit(rcov, spec, init=truth),
-            "sd_table": lambda r: sd_column(pkg, truth, spec)}
+    calls = {"fit": lambda r: pkg.fit(rcov, spec),
+             "fit_truth": lambda r: pkg.fit(rcov, spec, init=truth),
+             "sd_table": lambda r: sd_column(pkg, truth, spec)}
+    if k > 2:
+        short = pkg.ModelSpec(p=p, k=k - 1, n=n, h=h)
+        calls["fit_short"] = lambda r: pkg.fit(rcov, short)
+    return calls
 
 
 def system_calls(cli, study_doc, path):
@@ -189,7 +195,8 @@ def layers(copies):
         inputs = layer_inputs(parent, p, k)
         calls = {key: layer_calls(cli, p, k, inputs) for key, cli in copies.items()}
         for layer in calls["A"]:
-            time_layer(f"{layer} p={p} k={k}", calls, layer, rounds)
+            fitted_k = k - 1 if layer == "fit_short" else k
+            time_layer(f"{layer} p={p} k={fitted_k}", calls, layer, rounds)
 
 
 def fresh_import(cli, root):
