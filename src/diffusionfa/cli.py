@@ -28,6 +28,7 @@ from .config import (
     _as_array,
     _as_float,
     _as_int,
+    _fields,
     apply_overrides,
     bundled_config_path,
     load_json,
@@ -77,6 +78,7 @@ def _read_data(path):
     doc = load_json(path) if path.endswith(".json") else None
     try:
         if doc is not None:
+            _fields(doc, ("q", "n", "h"))
             return RealisedCov(q=_as_array(doc, "q"),
                                n=_as_int(doc, "n"), h=_as_float(doc, "h"))
         if path.endswith(".bin"):

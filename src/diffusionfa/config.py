@@ -4,8 +4,10 @@ One parser, one format: every document is a JSON object whose field names
 match the dataclass attributes.  Matrices are nested lists in row-major
 order; the factor covariance travels as its vech (lower triangle,
 column-stacked).  Parse errors raise :class:`ConfigError` naming the
-offending field so the CLI can surface actionable diagnostics.  Keys that
-name no field (such as removed ones) are ignored.
+offending field so the CLI can surface actionable diagnostics.  A key that
+names no field is refused with its path and the closest field, so a typo
+never falls back to a default; each reader names the few keys it ignores
+(retired ones, and those that another document of the package carries).
 """
 
 from __future__ import annotations
@@ -52,12 +54,27 @@ def _join(path, field):
 
 
 def _require(doc, field, path=""):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'the document'} must be a JSON object, got {doc!r}")
+    """``doc[field]`` of a document that :func:`_fields` has checked."""
     if field not in doc:
         where = f" in {path}" if path else ""
         raise ConfigError(f"missing field {field!r}{where}")
     return doc[field]
+
+
+def _fields(doc, known, path="", ignored=()):
+    """Raise ConfigError unless ``doc`` is a JSON object whose every key is
+    ``known`` or ``ignored``; the message names the first other key's path and
+    the closest known key, or every known key when none is close."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'the document'} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in known and key not in ignored:
+            import difflib  # only a refused document pays for the import
+
+            close = difflib.get_close_matches(str(key), known, n=1)
+            names = ", ".join(repr(_join(path, c)) for c in close or known)
+            which = "closest known field is" if close else "known fields are"
+            raise ConfigError(f"unknown field {_join(path, key)!r}; the {which} {names}")
 
 
 def _as_float(doc, field, path=""):
@@ -89,6 +106,7 @@ def _as_array(doc, field, path=""):
 
 
 def spec_from_json(doc, path=""):
+    _fields(doc, ("p", "k", "n", "h"), path, ignored=("regime",))
     return ModelSpec(
         p=_as_int(doc, "p", path),
         k=_as_int(doc, "k", path),
@@ -113,6 +131,7 @@ def params_from_json(doc, path=""):
 def model_from_json(doc):
     """Parse a model document: ``p``, ``k`` and an optional parameter block
     of that p and k.  ``n`` and ``h`` are not read: they come with the data."""
+    _fields(doc, ("p", "k", "a", "sigma_ff", "sigma_ee"), ignored=("n", "h", "regime"))
     spec = ModelSpec(p=_as_int(doc, "p"), k=_as_int(doc, "k"))
     if not ("a" in doc or "sigma_ff" in doc or "sigma_ee" in doc):
         return spec, None
@@ -124,6 +143,7 @@ def model_from_json(doc):
 
 
 def _drift_from_json(doc, path):
+    _fields(doc, ("kind", "b", "mu"), path)
     kind = _require(doc, "kind", path)
     if kind != "linear_ou":
         raise ConfigError(
@@ -144,6 +164,8 @@ def _drift_to_json(drift):
 
 @_named_errors
 def sim_config_from_json(doc, path="sim"):
+    _fields(doc, ("spec", "a", "factor_drift", "factor_dispersion", "unique_drifts",
+                  "unique_dispersions", "f0", "e0", "seed", "substeps"), path)
     drifts_doc = _require(doc, "unique_drifts", path)
     if not isinstance(drifts_doc, list):
         raise ConfigError(

@@ -476,9 +476,9 @@ def _bfgs(x, f, g, point, lo, hi):
 
 def _newton_test(x, f, g, h, lo, hi):
     """Projected Newton's step and stationarity test at (x, f, g) with Hessian
-    h: (stationary, active, d, decrement).  The active set holds the
-    coordinates within eps of a bound that g pushes outward, eps =
-    min(_ACTIVE_EPS (hi - lo), |x - clip(x - g)|); on the free set d solves
+    h: (stationary, active, d, decrement).  The active set holds the coordinates
+    within eps of a bound that g pushes outward, eps = min(_ACTIVE_EPS (hi - lo),
+    |x - clip(x - g)|), and there d = -g / |diag H|; on the free set d solves
     |H| d = -g, |H| with the absolute eigenvalues of H floored at _EIG_FLOOR
     times the largest.  Stationary: the decrement g_F' |H_FF|^{-1} g_F is at
     most _DECREMENT_TOL (1 + |F|) and every active coordinate is on its bound."""
@@ -492,6 +492,7 @@ def _newton_test(x, f, g, h, lo, hi):
     d = np.zeros_like(x)
     d[free] = d_free = (-vecs).dot(vecs.T.dot(g[free]) / lam)
     decrement = float((-g[free]).dot(d_free))
+    d[active] = -g[active] / np.maximum(np.abs(h.diagonal()[active]), _TINY)
     stationary = bool(decrement <= _DECREMENT_TOL * (1.0 + abs(f))
                       and ((x[active] == lo[active]) | (x[active] == hi[active])).all())
     return stationary, active, d, decrement
@@ -499,26 +500,23 @@ def _newton_test(x, f, g, h, lo, hi):
 
 def _projected_newton(x, f, g, point, lo, hi):
     """Projected Newton on the exact Hessian (Bertsekas 1982), a generator
-    whose requests :func:`_drive` evaluates.  It returns ``decrement``, or
-    ``decrement_at_bound`` with the active coordinates, where
-    :func:`_newton_test` passes, and else steps along its d, an active
-    coordinate taking a diagonally scaled gradient step.  The Armijo search
-    along clip(x + alpha d) asks for a fraction of alpha times the decrement
-    plus the first-order decrease of the active coordinates, from the damped
-    step alpha = 1 / (1 + sqrt(decrement / (1 + |F|))), short from a rough
-    start; a failed search returns ``line_search``."""
+    whose requests :func:`_drive` evaluates.  It asks ("test", point) at each
+    point and returns ``decrement``, or ``decrement_at_bound`` with the active
+    coordinates, where :func:`_newton_test` passes, and else steps along its
+    d.  The Armijo search along clip(x + alpha d) asks for a fraction of alpha
+    times the decrement plus the first-order decrease of the active
+    coordinates, from the damped step alpha = 1 / (1 + sqrt(decrement / (1 +
+    |F|))), short from a rough start; a failed search returns ``line_search``."""
 
     def wanted(alpha, step, f_try):
         return f - f_try >= _ARMIJO_C1 * (alpha * decrement - g[active].dot(step[active]))
 
     while True:
-        h = yield "h", point
-        stationary, active, d, decrement = _newton_test(x, f, g, h, lo, hi)
+        stationary, active, d, decrement = yield "test", point
         if stationary:
             coords = ", ".join(f"theta:{i + 1}" for i in np.flatnonzero(active))
             return f"decrement_at_bound ({coords})" if coords else "decrement"
         yield "step", None
-        d[active] = -g[active] / np.maximum(np.abs(h.diagonal()[active]), _TINY)
         found = yield from _arc_search(
             x, d, lo, hi, 1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f)))), wanted)
         if found is None:
@@ -529,16 +527,17 @@ def _projected_newton(x, f, g, point, lo, hi):
 def _drive(minimize, objective, x, lo, hi):
     """The one evaluator of a fit, owner of both caps and judge of convergence.
     It runs ``minimize(x, f, g, point, lo, hi)`` from x, answering ("f", x)
-    with (F, point), inf for a non-PD Sigma(theta), and ("g", point) and
-    ("h", point) with the gradient and Hessian, until it returns its stop, the
-    step past _MAX_ITER (``max_iter``) or an F past _MAX_EVALS (``max_evals``).
-    At the start or the last trial whose gradient was asked, ``converged`` is
-    :func:`_newton_test`; returns ((x, f, g, point, converged, stop), steps, evals)."""
+    with (F, point), inf for a non-PD Sigma(theta), ("g", point) with the
+    gradient and ("test", point) with :func:`_newton_test` at the state (the
+    start or the last trial whose gradient was asked), until it returns its
+    stop, the step past _MAX_ITER (``max_iter``) or an F past _MAX_EVALS
+    (``max_evals``).  ``converged`` is the test at the last state, formed only
+    if none was asked there; returns ((x, f, g, point, converged, stop), steps, evals)."""
     f, point = objective.value(x)  # check_start saw this Sigma(theta) PD
     if not math.isfinite(f):
         raise StartError("start contrast is not finite")
     state = x, f, objective.gradient(point), point
-    steps, evals, search, answer, h_at, h = 0, 1, minimize(*state, lo, hi), None, None, None
+    steps, evals, search, answer, tested = 0, 1, minimize(*state, lo, hi), None, (None,)
     try:
         while True:
             kind, arg = search.send(answer)
@@ -561,13 +560,14 @@ def _drive(minimize, objective, x, lo, hi):
                 answer = objective.gradient(arg)
                 state = *trial, answer, arg
             else:
-                h_at, h = arg, objective.hessian(arg)
-                answer = h
+                answer = _newton_test(*state[:3], objective.hessian(arg), lo, hi)
+                tested = arg, answer
     except StopIteration as stopped:
         stop = stopped.value
     x, f, g, point = state
-    h = h if h_at is point else objective.hessian(point)  # BFGS asks for none
-    return (*state, _newton_test(x, f, g, h, lo, hi)[0], stop), steps, evals
+    if tested[0] is not point:  # a BFGS stop: no test was asked there
+        tested = point, _newton_test(x, f, g, objective.hessian(point), lo, hi)
+    return (*state, tested[1][0], stop), steps, evals
 
 
 def fit(rcov, spec, init=None, bounds=None):

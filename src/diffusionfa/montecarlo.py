@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimator
-from .config import (ConfigError, _is_int, _is_number, _require, sim_config_from_json,
-                     sim_config_to_json, spec_to_json, write_manifest)
+from .config import (ConfigError, _fields, _is_int, _is_number, _require,
+                     sim_config_from_json, sim_config_to_json, spec_to_json, write_manifest)
 from .estimator import check_start, information, parameter_box, realised_cov
 from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
@@ -370,9 +370,13 @@ def write_outputs(agg, outdir, exp):
 
 def experiment_from_json(doc):
     """Parse an experiment document (see docs/file-formats.md); a key it
-    leaves out takes the :class:`Experiment` field default."""
+    leaves out takes the :class:`Experiment` field default.  It ignores the
+    retired keys and the rest of what :func:`write_outputs`'s manifest holds."""
     fields = {"k_grid": "k_grid", "alphas": "alphas", "keep_draws": "keep_draws",
               "bounds": "bounds_blocks", "seed_base": "seed_base"}
+    _fields(doc, ("sim", "replications", *fields), ignored=(
+        "init_at_truth", "truth", "outputs", "seed_rule", "seeds", "exclusions", "spec",
+        "version"))
     return Experiment(sim=sim_config_from_json(_require(doc, "sim"), path="sim"),
                       replications=_require(doc, "replications"),
                       **{fields[key]: doc[key] for key in fields if key in doc})

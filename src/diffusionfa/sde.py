@@ -16,13 +16,14 @@ each Philox stream draws straight into, one row per coordinate.  A chunk of
 m substeps is cut into blocks of about m^(1/3); one stacked product gives
 each block's end from zero, the block starts follow the same affine
 recursion at a coarser step and are scanned by the same function, and the
-in-block steps run vectorised across blocks from them.  At m = 1e4 that is
-48 Python loop iterations instead of m; an n = 1e4 ``ergodic_scaled`` path
-peaks at 1.62 MB of traced allocations and agrees with the step-by-step
-loop within 5e-15 of max|x|.  A custom drift, or a chunk whose state grows
-large enough that a step might overflow, takes that loop (drawing the chunk
-again from the same generator states), so a drift explosion is reported at
-the grid step the loop reports.
+in-block steps run vectorised across blocks from them, so the Python loops
+run a few times m^(1/3) iterations instead of m.  The scan agrees with the
+step-by-step loop within 1e-12 of max|x|
+(``tests/test_sde.py::test_linear_ou_scan_matches_euler_loop``).  A custom
+drift, or a chunk whose state grows large enough that a step might
+overflow, takes that loop (drawing the chunk again from the same generator
+states), so a drift explosion is reported at the grid step the loop
+reports.
 
 Randomness contract
 -------------------

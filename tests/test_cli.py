@@ -236,6 +236,7 @@ _BAD_HEADERS = {
     "t,xx,xy": "column 2 must be x1, got 'xx'",
     "t,x1,x2,f1": "column 5 must be f2 or e1, got the end of the header",
     "t,x1,x2,f1,e1": "column 6 must be e2, got the end of the header",
+    "t,x1,x2,f1,e1,e2,x3": "column 7 must be nothing after e2, got 'x3'",
 }
 
 
@@ -559,9 +560,9 @@ def run_fresh(code, *args):
 
 
 def test_cli_import_simulate_rcov_fit_leave_scipy_and_the_pool_unloaded(tmp_path):
-    # scipy.special costs about 0.3 s and 20-25 MB of every process that loads
-    # it (it pulls in numpy.testing, unittest and email); only the chi-squared
-    # and normal quantiles need it, and only --threads > 1 needs the pool.
+    # scipy.special is a heavy import for every process that loads it (it
+    # pulls in numpy.testing, unittest and email); only the chi-squared and
+    # normal quantiles need it, and only --threads > 1 needs the pool.
     # The bundled table6_nonergodic system goes through simulate -> rcov ->
     # fit on CSV data, and each step lists the scipy and pool modules loaded.
     code = """
@@ -1030,6 +1031,66 @@ def test_experiment_reruns_from_its_manifest(tmp_path):
     assert "figure_tstat_1.csv" in names and sorted(os.listdir(second)) == names
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("override,needle", [
+    ("replicatons=1", "unknown field 'replicatons'; the closest known field is "
+                      "'replications'"),
+    ("alpha=[0.1]", "unknown field 'alpha'; the closest known field is 'alphas'"),
+    ("sim.substep=4", "unknown field 'sim.substep'; the closest known field is "
+                      "'sim.substeps'"),
+    ("sim.spec.nn=4", "unknown field 'sim.spec.nn'; the closest known field is "
+                      "'sim.spec.n'"),
+    ("xyz=1", "unknown field 'xyz'; the known fields are 'sim', 'replications'")])
+def test_experiment_key_typo_exits_2_naming_the_closest_key(tmp_path, override, needle,
+                                                            capsys):
+    # a misspelt key never falls back to its default
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", "table6_nonergodic", "--override",
+                 "replications=1", "--override", override, "--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_and_rcov_key_typos_exit_2_naming_the_closest_key(tmp_path, path_csv,
+                                                                capsys):
+    # without the check, sigma_f left the model with no parameter block, so
+    # fit and test quietly started from the default start
+    spec = tmp_path / "model.json"
+    spec.write_text('{"p": 6, "k": 2, "sigma_f": [1, 0, 1]}')
+    out = tmp_path / "out.json"
+    for command in (["fit"], ["test", "--k", "2"], ["select"]):
+        assert main([*command, "--data", path_csv, "--spec", str(spec),
+                     "--out", str(out)]) == 2
+        assert ("unknown field 'sigma_f'; the closest known field is 'sigma_ff'"
+                in capsys.readouterr().err)
+    rcov = tmp_path / "rcov.json"
+    assert main(["rcov", "--data", path_csv, "--out", str(rcov)]) == 0
+    rcov.write_text(rcov.read_text().replace('"h"', '"dt"'))
+    assert main(["rcov", "--data", str(rcov), "--out", str(out)]) == 2
+    assert (f"{rcov}: unknown field 'dt'; the known fields are 'q', 'n', 'h'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_documents_the_package_writes_load_with_the_keys_they_carry(tmp_path, path_csv,
+                                                                   model_doc, capsys):
+    # a report manifest's spec is a model document and a simulate manifest's
+    # config a simulation config; a model document may carry n, h and the
+    # retired regime, which are ignored
+    out = str(tmp_path / "fit.json")
+    assert main(["fit", "--data", path_csv, "--spec", model_doc, "--out", out,
+                 "--override", 'regime="non-ergodic"']) in (0, 3)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(json.loads(Path(out + ".manifest.json").read_text())["spec"]))
+    assert main(["select", "--data", path_csv, "--spec", str(spec), "--out", out]) == 0
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps(json.loads(Path(path_csv + ".manifest.json").read_text())
+                              ["config"]))
+    again = str(tmp_path / "again.csv")
+    assert main(["simulate", "--config", str(sim), "--out", again]) == 0
+    assert Path(again).read_bytes() == Path(path_csv).read_bytes()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", [

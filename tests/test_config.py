@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from diffusionfa.config import (
 from diffusionfa.matrixcalc import vech
 from diffusionfa.model import pack
 from diffusionfa.montecarlo import experiment_from_json
+from diffusionfa.sde import DriftSpec
 
 from conftest import THETA_TRUE, make_spec
 
@@ -73,6 +75,10 @@ def test_custom_drift_not_serializable(sim_config):
     doc["unique_drifts"][0] = {"kind": "custom"}
     with pytest.raises(ConfigError, match="custom"):
         sim_config_from_json(doc, path="sim")
+    custom = replace(sim_config, unique_drifts=(DriftSpec.custom(lambda e: -e),)
+                     + sim_config.unique_drifts[1:])
+    with pytest.raises(ConfigError, match="^custom drifts cannot be serialized to JSON$"):
+        sim_config_to_json(custom)
 
 
 def test_apply_overrides_plain_and_nested(sim_config):

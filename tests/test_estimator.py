@@ -362,6 +362,22 @@ def test_evaluation_budget_ends_both_minimisers_unconverged(monkeypatch):
     assert (res.converged, res.message, res.evaluations) == (False, "max_evals", 5)
 
 
+def test_parameter_box_refuses_a_block_whose_lower_bound_is_not_below_its_upper():
+    for pair in ((1.0, 1.0), (2.0, -2.0)):
+        with pytest.raises(ValueError, match="^each lower bound must be below its upper "
+                                             "bound$"):
+            parameter_box(make_spec(), unique_var=pair)
+
+
+def test_fit_refuses_bounds_of_another_shape(truth):
+    rc = rcov_from_sigma(SIGMA_TRUE)
+    box = parameter_box(make_spec())
+    for bounds in (box[:-1], box.T, box[:, 0]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bounds must have shape (17, 2), got {bounds.shape}")):
+            fit(rc, make_spec(), init=truth, bounds=bounds)
+
+
 def _one_search(d, accept):
     """A minimiser for :func:`estimator._drive` that runs one arc search along
     d from the start and returns what it found."""
@@ -580,9 +596,9 @@ def test_one_stationarity_test_judges_every_stop(monkeypatch):
 
 
 def test_the_verdict_forms_one_hessian_for_bfgs_and_none_for_newton(monkeypatch):
-    # BFGS forms no Hessian of its own, so the driver forms one at its stop;
-    # Newton forms one at each loop head, the last at its stop, and the
-    # driver reuses it
+    # BFGS asks for no test, so the driver forms a Hessian at its stop;
+    # Newton asks for a test at each loop head, the last at its stop, and the
+    # verdict reuses it
     rc, spec, params = _stall_case()
     formed = _count_calls(monkeypatch, "hessian")
     res = fit(rc, spec, init=params)
@@ -591,6 +607,27 @@ def test_the_verdict_forms_one_hessian_for_bfgs_and_none_for_newton(monkeypatch)
     res = fit(rc, spec)
     assert res.converged and res.message.startswith("decrement")
     assert len(formed) == res.iterations + 1
+
+
+def test_the_driver_forms_one_stationarity_test_per_hessian(monkeypatch):
+    # the driver alone forms Newton's tests, and its verdict reuses the test
+    # at a Newton stop: a default-start table6 k=1 fit and the flat stand-in's
+    # line_search stop each form one test per Hessian
+    tests, real_test = [], estimator._newton_test
+    monkeypatch.setattr(estimator, "_newton_test",
+                        lambda *args: tests.append(None) or real_test(*args))
+    formed = _count_calls(monkeypatch, "hessian")
+    exp = experiment_from_json(load_json(bundled_config_path("table6_nonergodic")))
+    rc = realised_cov(simulate(exp.sim.with_seed(replication_seed(exp.seed_base, 0))))
+    res = fit(rc, replace(exp.spec, k=1))
+    assert res.converged and res.message.startswith("decrement")
+    assert len(tests) == len(formed) == res.iterations + 1
+    tests.clear()
+    flat, flat_formed = _Flat(), []
+    flat.hessian = lambda x: flat_formed.append(None) or np.eye(x.size)
+    x0, lo, hi = np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf)
+    (*_, message), _, _ = estimator._drive(estimator._projected_newton, flat, x0, lo, hi)
+    assert (message, len(tests), len(flat_formed)) == ("line_search", 1, 1)
 
 
 def test_no_fit_builds_the_weight_matrix(monkeypatch):

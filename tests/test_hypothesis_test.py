@@ -64,6 +64,9 @@ def test_chi2_domain_errors():
             chi2_quantile(4, alpha)
     with pytest.raises(ValueError):
         chi2_sf(4, -1.0)
+    for df in (0, -1, 0.5):
+        with pytest.raises(ValueError, match="^degrees of freedom must be >= 1$"):
+            chi2_sf(df, 1.0)
 
 
 def test_degrees_of_freedom_by_count():

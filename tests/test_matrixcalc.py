@@ -71,6 +71,12 @@ def test_duplication_defining_equation_randomized():
         assert np.allclose(d @ vech(a), vec(a), rtol=0, atol=1e-12)
 
 
+def test_duplication_refuses_a_dimension_below_one():
+    for p in (0, -1):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            duplication(p)
+
+
 def test_duplication_pinv_small_cases():
     assert np.array_equal(duplication_pinv(1), [[1.0]])
     expected = np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]])

@@ -81,6 +81,14 @@ def test_param_vector_accepts_non_positive_unique_variances():
         ParamVector(a=[[0.0]], sigma_ff=[[1.0]], sigma_ee=[1.0])
 
 
+def test_param_vector_with_no_free_loading_row_has_p_equal_to_k():
+    # p = k leaves A with no rows: an empty a is read as a 0 x k block
+    params = ParamVector(a=[], sigma_ff=np.eye(2), sigma_ee=[1.0, 2.0])
+    assert (params.a.shape, params.p, params.k) == ((0, 2), 2, 2)
+    with pytest.raises(ValueError, match=r"^sigma_ee has length 3, expected p=2$"):
+        ParamVector(a=np.zeros((0, 2)), sigma_ff=np.eye(2), sigma_ee=[1.0, 2.0, 3.0])
+
+
 def test_loading_matrix_structure(truth):
     lam = loading_matrix(truth)
     expected = np.vstack([np.eye(2),

@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diffusionfa import (
     Experiment,
+    ModelSpec,
     figure_data,
     replication_seed,
     run,
@@ -55,6 +57,17 @@ def test_theoretical_sd_table_benchmark_values(truth):
              theoretical_sd_table(truth, make_spec(n=10**3, h=1e-3))}
     assert rows3["theta:1"] == pytest.approx(
         rows["theta:1"][1] * np.sqrt(1000.0), rel=1e-10)
+
+
+def test_theoretical_sd_table_needs_the_sample_size(truth):
+    with pytest.raises(ValueError, match="^spec must carry the sample size n$"):
+        theoretical_sd_table(truth, ModelSpec(p=6, k=2))
+
+
+def test_figure_data_refuses_an_empty_draw_set(small_aggregate):
+    empty = replace(small_aggregate, draws={"theta:1": np.array([])})
+    with pytest.raises(ValueError, match="^no draws retained for 'theta:1'$"):
+        figure_data(empty, "theta:1")
 
 
 def test_aggregate_tables_have_expected_rows(small_aggregate):

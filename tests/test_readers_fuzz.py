@@ -5,8 +5,11 @@ under ``fit``, ``test`` and ``select``, and a realised covariance) has one
 path deleted or set to a wrong value, drawn from all such mutations, and
 path panels in CSV and ``.bin`` are cut, byte-flipped or given a bad cell.
 ``cli.main`` must exit 0, 2, 3 or 4 on each, never raise; the suite's
-warning filter also fails a ``RuntimeWarning`` on the way.  The sample is
-drawn from fixed seeds, so a failure names a mutation that reproduces.
+warning filter also fails a ``RuntimeWarning`` on the way.  Each JSON
+document also has one key renamed by a typo: the run must exit 2 naming the
+key's path, or the document must parse to what the unmutated one does.  The
+sample is drawn from fixed seeds, so a failure names a mutation that
+reproduces.
 """
 
 import copy
@@ -16,7 +19,10 @@ import random
 import pytest
 
 from diffusionfa.cli import main
-from diffusionfa.config import bundled_config_path, load_json
+from diffusionfa.config import (bundled_config_path, load_json, model_from_json,
+                                sim_config_from_json, sim_config_to_json)
+from diffusionfa.model import pack
+from diffusionfa.montecarlo import experiment_from_json
 
 VALUES = [None, "x", -1, 0, 1.5, True, [], {}, [1], 1e308, -1e308]
 EXITS = (0, 2, 3, 4)
@@ -147,3 +153,88 @@ def test_mutated_panels_exit_cleanly(tmp_path, capsys, panels, fmt):
     out = str(tmp_path / "out.json")
     for command in (["rcov"], ["fit", "--spec", panels["model"]]):
         run_each(cases, lambda data: command + ["--data", data, "--out", out], capsys)
+
+
+def renamed_keys(doc, count, seed):
+    """``count`` documents, each with one key renamed by a typo (a character
+    dropped, two swapped, or the key upper-cased), and the renamed key's path
+    as the readers print it."""
+    rng = random.Random(seed)
+    every = []
+    for path in paths(doc):
+        key = path[-1]
+        if not isinstance(key, str):
+            continue
+        typos = {key.upper()}
+        if len(key) > 1:
+            at = rng.randrange(len(key) - 1)
+            typos |= {key[:at] + key[at + 1:], key[:at] + key[at + 1] + key[at] + key[at + 2:]}
+        every += [(path, typo) for typo in sorted(typos - {key})]
+    for path, typo in rng.sample(every, min(count, len(every))):
+        mutated = copy.deepcopy(doc)
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[typo] = parent.pop(path[-1])
+        shown = "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                        for key in path[:-1] + (typo,))
+        yield shown.lstrip("."), mutated
+
+
+def meaning(kind, doc):
+    """What a reader makes of ``doc``, in comparable form."""
+    if kind == "study":
+        exp = experiment_from_json(doc)
+        return (sim_config_to_json(exp.sim), exp.replications, exp.k_grid, exp.alphas,
+                exp.keep_draws, exp.bounds_blocks, exp.seed_base)
+    if kind == "system":
+        return sim_config_to_json(sim_config_from_json(doc, path=""))
+    if kind == "model":
+        spec, params = model_from_json(doc)
+        return spec, None if params is None else pack(params).tolist()
+    return doc["q"], doc["n"], doc["h"]
+
+
+def run_renamed(kind, doc, count, seed, tmp_path, argv_for, capsys):
+    """Run ``argv_for(path)`` on each renamed-key mutation of ``doc``, written
+    to a file; each must exit 2 naming the renamed key (by its path, or inside
+    the ``bounds`` block it was refused with) or mean what ``doc`` means."""
+    bad = {}
+    for i, (shown, mutated) in enumerate(renamed_keys(doc, count, seed)):
+        code = main(argv_for(written(tmp_path, f"renamed{i}.json", mutated)))
+        err = capsys.readouterr().err
+        if code == 2 and (repr(shown) in err or repr(shown.rpartition(".")[2]) in err):
+            continue
+        if code == 2 or meaning(kind, mutated) != meaning(kind, doc):
+            bad[shown] = (code, err)
+    assert not bad
+
+
+@pytest.mark.parametrize("config, kind, command", [
+    ("table6_nonergodic", "study", ["experiment"]),
+    ("system_p6k2", "system", ["simulate"]),
+])
+def test_config_documents_with_a_renamed_key_exit_2_naming_it(tmp_path, capsys, config,
+                                                               kind, command):
+    doc = load_json(bundled_config_path(config))
+    if kind == "study":
+        doc["replications"] = 1
+    out = str(tmp_path / "out")
+    run_renamed(kind, doc, 60, len(config), tmp_path,
+                lambda path: command + ["--config", path, "--out", out], capsys)
+
+
+@pytest.mark.parametrize("command", [["fit"], ["test", "--k", "2"], ["select"]])
+def test_model_documents_with_a_renamed_key_exit_2_naming_it(tmp_path, capsys, panels,
+                                                              command):
+    out = str(tmp_path / "out.json")
+    run_renamed("model", load_json(panels["model"]), 20, len(command), tmp_path,
+                lambda spec: command + ["--data", panels["rcov"], "--spec", spec,
+                                        "--out", out], capsys)
+
+
+def test_rcov_documents_with_a_renamed_key_exit_2_naming_it(tmp_path, capsys, panels):
+    out = str(tmp_path / "out.json")
+    for command in (["rcov"], ["fit", "--spec", panels["model"]]):
+        run_renamed("rcov", load_json(panels["rcov"]), 10, 7, tmp_path,
+                    lambda data: command + ["--data", data, "--out", out], capsys)

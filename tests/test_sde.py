@@ -172,6 +172,13 @@ def _custom_twin(cfg):
             for d in cfg.unique_drifts))
 
 
+def test_drift_of_an_unknown_kind_is_refused():
+    with pytest.raises(ValueError, match="^unknown drift kind 'cubic'$"):
+        DriftSpec(kind="cubic")
+    with pytest.raises(ValueError, match="^custom drift requires a callable$"):
+        DriftSpec(kind="custom")
+
+
 def test_custom_drift_matches_linear_equivalent():
     cfg = make_sim_config(n=200, seed=12)
     custom = _custom_twin(cfg)
