@@ -95,11 +95,13 @@ def _load_data_and_spec(args):
     ``h``; the data needs the spec's p and a positive variance for the
     default box to scale with.  :func:`estimator.fit` checks a start."""
     rcov = _read_data(args.data)
-    spec, params = model_from_json(apply_overrides(load_json(args.spec),
-                                                   args.override or []))
+    doc = apply_overrides(load_json(args.spec), args.override or [])
+    try:
+        spec, params = model_from_json(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.spec}: {exc}") from None
     if spec.p != rcov.p:
-        raise ConfigError(
-            f"data has p={rcov.p} coordinates but spec declares p={spec.p}")
+        raise ConfigError(f"data has p={rcov.p} coordinates but spec declares p={spec.p}")
     try:
         default_bounds(rcov, spec)
     except ValueError as exc:

@@ -39,7 +39,9 @@ box are used only at their own count (the generating count of a study,
 started at the truth), and every other count gets the default start in the
 default box.
 Both backtrack in :func:`_arc_search`, the one projected backtracking loop,
-each with its own Armijo test, and reject a trial whose F is not finite.
+each with its own Armijo test: a search ends at the first trial of finite F
+that passes it, or with none at a trial that does not move or promises less
+first-order decrease than BFGS's float64 floor, or past _MIN_STEP_FRACTION.
 The minimisers and the search are generators that yield requests and steps
 and return a stop name: :func:`_drive` alone evaluates them, answers F = inf
 where Sigma(theta) is not PD, owns both caps (``_MAX_ITER``, ``_MAX_EVALS``)
@@ -411,53 +413,51 @@ def _pg_norm(x, g, lo, hi):
     return float(np.maximum.reduce(pg, initial=0.0))
 
 
-def _arc_search(x, d, lo, hi, alpha, accept):
+def _arc_search(x, g, d, lo, hi, alpha, least, accept):
     """Backtrack along the projection arc clip(x + alpha d), halving alpha
     until ``accept(alpha, step, f_try)``, step = x_try - x, holds with F finite
     (:func:`_drive` answers inf for a non-PD Sigma(theta)), asking ("f", x_try)
     at each trial and ("g", point) at the accepted one alone; return (x_try,
-    f_try, g_try, point, step), or None when the trial does not move or alpha
+    f_try, g_try, point, step), or None, asking no F, at a trial that does not
+    move or whose first-order decrease -g'step is below ``least``, or when alpha
     falls below _MIN_STEP_FRACTION."""
     while alpha >= _MIN_STEP_FRACTION:
         x_try = np.minimum(np.maximum(x + alpha * d, lo), hi)
         step = x_try - x
-        if not np.count_nonzero(step):
+        if not np.count_nonzero(step) or -g.dot(step) < least:
             return None
         f_try, point = yield "f", x_try
         if math.isfinite(f_try) and accept(alpha, step, f_try):
             return x_try, f_try, (yield "g", point), point, step
         alpha *= 0.5
-    return None
 
 
 def _bfgs(x, f, g, point, lo, hi):
-    """Projected BFGS with Armijo backtracking; the loop for supplied starts,
-    a generator whose requests :func:`_drive` evaluates.  It returns its stop
-    name, ``projected gradient within tolerance`` or ``line_search``."""
+    """Projected BFGS with Armijo backtracking for supplied starts, a generator
+    whose requests :func:`_drive` evaluates.  A search ends at a trial that
+    ``sufficient`` accepts, past _MIN_STEP_FRACTION, or where -g'step falls
+    below its float64 floor, which no shorter trial meets on a convex arc (an
+    uphill direction at once); one that fails on stale curvature restarts from
+    steepest descent.  Stops: ``line_search``, ``projected gradient within tolerance``."""
     identity = np.eye(x.size)
     h_inv, fresh = identity, True  # fresh: no curvature update since the identity
-    pg_norm = _pg_norm(x, g, lo, hi)
 
     def sufficient(alpha, step, f_try):
         # Armijo, and a decrease resolvable in float64: ulp-sized "progress"
         # feeds rounding noise into the curvature updates
-        return (f_try <= f + _ARMIJO_C1 * g.dot(step)
-                and f - f_try >= _MIN_DECREASE * (1.0 + abs(f)))
+        return f_try <= f + _ARMIJO_C1 * g.dot(step) and f - f_try >= least
 
     while True:
-        if pg_norm <= _GRAD_TOL * (1.0 + abs(f)):
+        if _pg_norm(x, g, lo, hi) <= _GRAD_TOL * (1.0 + abs(f)):
             return "projected gradient within tolerance"
         yield "step", None
-        d = (-h_inv).dot(g)
-        if d.dot(g) > -1e-14 * math.sqrt(d.dot(d)) * math.sqrt(g.dot(g)):
-            h_inv, fresh = identity, True
-            d = -g
-        found = yield from _arc_search(x, d, lo, hi, 1.0, sufficient)
+        d, least = (-h_inv).dot(g), _MIN_DECREASE * (1.0 + abs(f))
+        found = yield from _arc_search(x, g, d, lo, hi, 1.0, least, sufficient)
         if found is None and not fresh:
-            # stale curvature produces unusable directions along the box;
-            # restart from steepest descent before giving up
+            # stale curvature produces unusable directions, uphill or along
+            # the box; restart from steepest descent before giving up
             h_inv, fresh = identity, True
-            found = yield from _arc_search(x, -g, lo, hi, 1.0, sufficient)
+            found = yield from _arc_search(x, g, -g, lo, hi, 1.0, least, sufficient)
         if found is None:
             return "line_search"
 
@@ -471,7 +471,6 @@ def _bfgs(x, f, g, point, lo, hi):
             v = identity - rho * (step[:, None] * y)
             h_inv = v.dot(h_inv).dot(v.T) + rho * (step[:, None] * step)
             fresh = False
-        pg_norm = _pg_norm(x, g, lo, hi)
 
 
 def _newton_test(x, f, g, h, lo, hi):
@@ -517,8 +516,8 @@ def _projected_newton(x, f, g, point, lo, hi):
             coords = ", ".join(f"theta:{i + 1}" for i in np.flatnonzero(active))
             return f"decrement_at_bound ({coords})" if coords else "decrement"
         yield "step", None
-        found = yield from _arc_search(
-            x, d, lo, hi, 1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f)))), wanted)
+        alpha = 1.0 / (1.0 + math.sqrt(decrement / (1.0 + abs(f))))
+        found = yield from _arc_search(x, g, d, lo, hi, alpha, -math.inf, wanted)
         if found is None:
             return "line_search"
         x, f, g, point, _ = found

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import estimator
 from .config import (ConfigError, _fields, _is_int, _is_number, _require,
-                     sim_config_from_json, sim_config_to_json, spec_to_json, write_manifest)
+                     sim_config_from_json, sim_config_to_json, write_manifest)
 from .estimator import check_start, information, parameter_box, realised_cov
 from .hypothesis_test import chi2_quantile, test_k
 from .matrixcalc import vech, vech_indices
@@ -357,7 +357,6 @@ def write_outputs(agg, outdir, exp):
         "seed_rule": "SeedSequence(seed_base, spawn_key=(r,)) -> uint64",
         "seeds": list(agg.seeds) if agg.replications <= _MANIFEST_SEED_LIMIT else [],
         "exclusions": {str(k): v for k, v in sorted(agg.exclusions.items())},
-        "spec": spec_to_json(exp.spec),
         "truth": [float(v) for v in pack(exp.truth)],
         "sim": sim_config_to_json(exp.sim),
         "k_grid": list(exp.k_grid),

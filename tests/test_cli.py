@@ -1033,6 +1033,21 @@ def test_experiment_reruns_from_its_manifest(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_a_manifest_carries_the_spec_once_so_overriding_a_copy_fails(tmp_path, capsys):
+    # the resolved spec is sim.spec alone: no ignored copy takes an override
+    # that changes nothing
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", "table6_nonergodic", "--override",
+                 "replications=1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "spec" not in manifest and manifest["sim"]["spec"]["n"] == 1000
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(out / "manifest.json"), "--override",
+                 "spec.n=50", "--out", str(tmp_path / "again")]) == 2
+    assert "override path 'spec.n' does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
 @pytest.mark.parametrize("override,needle", [
     ("replicatons=1", "unknown field 'replicatons'; the closest known field is "
                       "'replications'"),
@@ -1070,6 +1085,25 @@ def test_model_and_rcov_key_typos_exit_2_naming_the_closest_key(tmp_path, path_c
     assert main(["rcov", "--data", str(rcov), "--out", str(out)]) == 2
     assert (f"{rcov}: unknown field 'dt'; the known fields are 'q', 'n', 'h'"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fit"], ["test", "--k", "2"], ["select"]],
+                         ids=["fit", "test", "select"])
+@pytest.mark.parametrize("doc, override, fault", [
+    ('{"p": 6, "k": 2, "sigma_f": [1, 0, 1]}', [],
+     "unknown field 'sigma_f'; the closest known field is 'sigma_ff'"),
+    ('{"p": 6, "k": 2}', ["--override", "k=1.5"], "field 'k' must be an integer, got 1.5")],
+    ids=["key", "value"])
+def test_a_model_document_error_names_the_spec_file(tmp_path, path_csv, command, doc,
+                                                    override, fault, capsys):
+    # as the errors of a --data file name it, so do those of a --spec document
+    spec = tmp_path / "model.json"
+    spec.write_text(doc)
+    out = tmp_path / "out.json"
+    assert main([*command, "--data", path_csv, "--spec", str(spec), *override,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {spec}: {fault}\n"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -378,10 +379,12 @@ def test_fit_refuses_bounds_of_another_shape(truth):
             fit(rc, make_spec(), init=truth, bounds=bounds)
 
 
-def _one_search(d, accept):
+def _one_search(d, least, accept):
     """A minimiser for :func:`estimator._drive` that runs one arc search along
-    d from the start and returns what it found."""
-    return lambda x, f, g, point, lo, hi: estimator._arc_search(x, d, lo, hi, 1.0, accept)
+    d from the start, with ``least`` its least first-order decrease, and
+    returns what it found."""
+    return lambda x, f, g, point, lo, hi: estimator._arc_search(x, g, d, lo, hi, 1.0,
+                                                                least, accept)
 
 
 def test_drive_counts_the_start_and_answers_a_non_pd_trial_with_inf(truth):
@@ -434,6 +437,17 @@ class _Flat:
 
     def hessian(self, x):
         return np.eye(x.size)
+
+
+class _Asked(_Flat):
+    """_Flat that records the coordinate of each point it is asked F at."""
+
+    def __init__(self):
+        self.asked = []
+
+    def value(self, x):
+        self.asked.append(x[0])
+        return super().value(x)
 
 
 def test_newton_stops_at_line_search_where_no_step_decreases_f():
@@ -496,8 +510,8 @@ def test_arc_search_returns_none_without_evaluating_an_arc_that_cannot_move(trut
     d = np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
     # every coordinate sits on the bound that d pushes against
     lo, hi = np.where(d < 0, x, x - 1.0), np.where(d > 0, x, x + 1.0)
-    (*_, found), steps, evals = estimator._drive(_one_search(d, lambda *_: True),
-                                                 objective, x, lo, hi)
+    (*_, found), steps, evals = estimator._drive(
+        _one_search(d, -math.inf, lambda *_: True), objective, x, lo, hi)
     assert found is None
     assert (steps, evals) == (0, 1)  # the start alone
 
@@ -513,8 +527,8 @@ def test_arc_search_rejects_a_trial_whose_sigma_is_not_positive_definite(truth):
     d[-spec.p:] = -1.5 * np.linalg.eigvalsh(SIGMA_TRUE)[0]
     with pytest.raises(WeightMatrixError):
         _Contrast(SIGMA_TRUE, spec).evaluate(x + d)
-    (*_, found), _, evals = estimator._drive(_one_search(d, lambda *_: True), objective,
-                                             x, box[:, 0], box[:, 1])
+    (*_, found), _, evals = estimator._drive(_one_search(d, -math.inf, lambda *_: True),
+                                             objective, x, box[:, 0], box[:, 1])
     assert np.array_equal(found[0], x + 0.5 * d)
     assert evals == 3  # the start and both trials
 
@@ -531,8 +545,8 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     d = np.full_like(x, 1e-3)
     box = parameter_box(make_spec())
     (x_end, f_end, _, point_end, _, (x_try, f_try, g_try, point, step)), _, evals = (
-        estimator._drive(_one_search(d, lambda alpha, *_: alpha < 1.0), objective, x,
-                         box[:, 0], box[:, 1]))
+        estimator._drive(_one_search(d, -math.inf, lambda alpha, *_: alpha < 1.0),
+                         objective, x, box[:, 0], box[:, 1]))
     # the driver's state is the accepted trial, never the refused full step
     assert (x_end is x_try, f_end == f_try, point_end is point) == (True, True, True)
     assert np.array_equal(x_try, x + 0.5 * d)
@@ -545,6 +559,22 @@ def test_arc_search_forms_the_gradient_only_at_the_accepted_trial(truth):
     # Lambda, Sigma_ff, S, S R and G
     assert len(point) == len(point_ref) == 5
     assert all(np.array_equal(a, b) for a, b in zip(point, point_ref))
+
+
+def test_a_bfgs_search_below_its_float64_floor_asks_for_no_f():
+    # every trial along d promises the first-order decrease -g'step = alpha
+    # 1e-16 of _Flat's F = 0, below BFGS's floor of four ulps of 1 + |F|: its
+    # search gives up before asking for any F, while Newton's, with no floor,
+    # asks for F at each of the 44 trials down to _MIN_STEP_FRACTION
+    x0, lo, hi = np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf)
+    d = np.full(1, -1e-16)
+    floor = estimator._MIN_DECREASE * (1.0 + 0.0)
+    for least, trials in ((floor, 0), (-math.inf, 44)):
+        objective = _Asked()
+        (*_, found), steps, evals = estimator._drive(
+            _one_search(d, least, lambda *_: False), objective, x0, lo, hi)
+        assert (found, steps, evals) == (None, 0, 1 + trials)
+        assert objective.asked == [0.0] + [0.5 ** i * d[0] for i in range(trials)]
 
 
 def _stall_case():

@@ -7,12 +7,16 @@ path panels in CSV and ``.bin`` are cut, byte-flipped or given a bad cell.
 ``cli.main`` must exit 0, 2, 3 or 4 on each, never raise; the suite's
 warning filter also fails a ``RuntimeWarning`` on the way.  Each JSON
 document also has one key renamed by a typo: the run must exit 2 naming the
-key's path, or the document must parse to what the unmutated one does.  The
+key's path, or the document must parse to what the unmutated one does.  Path
+CSVs, with and without latent columns, also have one column renamed, two
+swapped, one duplicated or one dropped: ``rcov`` must exit 2 naming the file,
+or the file must be what ``path_to_csv`` writes for what it reads.  The
 sample is drawn from fixed seeds, so a failure names a mutation that
 reproduces.
 """
 
 import copy
+import io
 import json
 import random
 
@@ -23,6 +27,7 @@ from diffusionfa.config import (bundled_config_path, load_json, model_from_json,
                                 sim_config_from_json, sim_config_to_json)
 from diffusionfa.model import pack
 from diffusionfa.montecarlo import experiment_from_json
+from diffusionfa.sde import path_from_csv, path_to_csv
 
 VALUES = [None, "x", -1, 0, 1.5, True, [], {}, [1], 1e308, -1e308]
 EXITS = (0, 2, 3, 4)
@@ -70,14 +75,14 @@ def run_each(cases, argv_for, capsys):
 
 @pytest.fixture(scope="module")
 def panels(tmp_path_factory):
-    """A simulated system_p6k2 panel as CSV and .bin, its realised-covariance
-    JSON, and the bundled model document."""
+    """A simulated system_p6k2 panel as CSV, CSV with the latent columns and
+    .bin, its realised-covariance JSON, and the bundled model document."""
     root = tmp_path_factory.mktemp("panels")
     out = {}
-    for fmt in ("csv", "bin"):
+    for fmt, flags in (("csv", []), ("latent.csv", ["--keep-latent"]), ("bin", [])):
         out[fmt] = str(root / f"path.{fmt}")
         assert main(["simulate", "--config", "system_p6k2", "--seed", "3",
-                     "--format", fmt, "--out", out[fmt]]) == 0
+                     "--format", fmt[-3:], "--out", out[fmt], *flags]) == 0
     out["rcov"] = str(root / "rcov.json")
     assert main(["rcov", "--data", out["csv"], "--out", out["rcov"]]) == 0
     out["model"] = bundled_config_path("model_p6k2")
@@ -238,3 +243,56 @@ def test_rcov_documents_with_a_renamed_key_exit_2_naming_it(tmp_path, capsys, pa
     for command in (["rcov"], ["fit", "--spec", panels["model"]]):
         run_renamed("rcov", load_json(panels["rcov"]), 10, 7, tmp_path,
                     lambda data: command + ["--data", data, "--out", out], capsys)
+
+
+def header_mutations(text, count, seed):
+    """``count`` panels of each kind: one column renamed (to another column's
+    name or one outside the grammar), two swapped, one duplicated next to
+    itself or one dropped, the last three with their data."""
+    columns = list(zip(*(line.split(",") for line in text.splitlines())))
+    header = [c[0] for c in columns]
+    names = header + ["x0", "x99", "f0", "e99", "y1", "X1", ""]
+    pairs = [(i, j) for i in range(len(columns)) for j in range(i + 1, len(columns))]
+    kinds = {
+        "rename": [(i, name) for i in range(len(columns)) for name in names
+                   if name != header[i]],
+        "swap": pairs,
+        "duplicate": [(i,) for i in range(len(columns))],
+        "drop": [(i,) for i in range(len(columns))],
+    }
+    rng = random.Random(seed)
+    for kind, every in kinds.items():
+        for args in rng.sample(every, min(count, len(every))):
+            mutated = list(columns)
+            if kind == "rename":
+                mutated[args[0]] = (args[1],) + columns[args[0]][1:]
+            elif kind == "swap":
+                mutated[args[0]], mutated[args[1]] = columns[args[1]], columns[args[0]]
+            elif kind == "duplicate":
+                mutated.insert(args[0], columns[args[0]])
+            else:
+                del mutated[args[0]]
+            yield (f"{kind} {', '.join(map(repr, args))}",
+                   "".join(",".join(row) + "\n" for row in zip(*mutated)))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latent.csv"])
+def test_path_csv_header_mutations_exit_2_naming_the_file_or_read_back(tmp_path, capsys,
+                                                                       panels, fmt):
+    with open(panels[fmt], encoding="utf-8") as fh:
+        text = fh.read()
+    bad = {}
+    for i, (name, mutated) in enumerate(header_mutations(text, 12, seed=len(fmt))):
+        data = tmp_path / f"panel{i}.csv"
+        data.write_text(mutated)
+        code = main(["rcov", "--data", str(data), "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        if code == 2 and str(data) in err:
+            continue
+        written = io.StringIO()
+        if code == 0:
+            with open(data, encoding="utf-8") as fh:
+                path_to_csv(path_from_csv(fh), written)
+        if written.getvalue() != mutated:
+            bad[name] = (code, err)
+    assert not bad

@@ -14,10 +14,13 @@ as text (``converged`` as ``True`` or ``False``).
 
 With SRC2 it prints, per fit, the largest relative change of theta, F, T and
 the SEs from SRC to SRC2 and any change of iterations, evaluations, converged
-or message, then a summary line with the largest of each and each tree's
-converged count, then both hashes.  With SRC alone the summary line holds
-the fit and converged counts.
-Equal hashes mean every fit is bit for bit the same.  BLAS threading can move the last bits of a fit, so pin it to one
+or message, then a summary line with the largest of each and, for each
+tree, its converged count and its total iterations and evaluations over
+the fits, so a change that moves only evaluations shows as a number; then
+both hashes.  With SRC alone the summary line holds the fit count and
+those totals.  The totals are printed, not hashed: the hash covers the
+per-fit records above.  Equal hashes mean every fit is bit for bit the
+same.  BLAS threading can move the last bits of a fit, so pin it to one
 thread (``OPENBLAS_NUM_THREADS=1``) for a hash to compare across runs.
 """
 
@@ -85,9 +88,12 @@ def fingerprint(pkg):
     return digest.hexdigest(), records
 
 
-def converged(records):
-    """``c/n converged`` over the records of one tree."""
-    return f"{sum(counts[2] for _, counts in records.values())}/{len(records)} converged"
+def totals(records):
+    """``c/n converged, I iterations, E evaluations`` over the records of one tree."""
+    iterations, evaluations, converged = (sum(counts[i] for _, counts in records.values())
+                                          for i in range(3))
+    return (f"{converged}/{len(records)} converged, {iterations} iterations, "
+            f"{evaluations} evaluations")
 
 
 def compare(old, new):
@@ -112,7 +118,7 @@ def compare(old, new):
     print(f"{len(old)} fits: largest relative theta/F/T change {worst:.1e}; "
           f"{moved} with a count, converged or message change; "
           f"largest relative SE change {worst_se:.1e}; "
-          f"{converged(old)} -> {converged(new)}")
+          f"{totals(old)} -> {totals(new)}")
 
 
 def main(argv):
@@ -127,7 +133,7 @@ def main(argv):
     if len(results) == 2:
         compare(results[0][1], results[1][1])
     else:
-        print(f"{len(results[0][1])} fits; {converged(results[0][1])}")
+        print(f"{len(results[0][1])} fits; {totals(results[0][1])}")
     for src, (digest, _) in zip(argv, results):
         print(f"{digest}  {src}")
 
