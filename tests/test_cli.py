@@ -1033,7 +1033,7 @@ def test_experiment_reruns_from_its_manifest(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def test_a_manifest_carries_the_spec_once_so_overriding_a_copy_fails(tmp_path, capsys):
+def test_a_manifest_override_of_spec_exits_2_naming_the_path(tmp_path, capsys):
     # the resolved spec is sim.spec alone: no ignored copy takes an override
     # that changes nothing
     out = tmp_path / "out"
